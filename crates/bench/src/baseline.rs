@@ -7,7 +7,7 @@
 //!   operator's `bench.baseline.reason` from the last `bench update`,
 //! - every following line is one **suite** snapshot, identified by its
 //!   `bench.suite` label, carrying that suite's deterministic work
-//!   counters plus informational `bench.wall.tN.s` gauges.
+//!   counters.
 //!
 //! Suite lines are kept sorted by suite name so `bench update` produces
 //! minimal diffs, and every parsed line remembers its 1-based line
@@ -125,24 +125,6 @@ pub fn render(reason: &str, suites: &[SuiteSnapshot]) -> String {
     out
 }
 
-/// Merges wall-clock gauges from `old` into `fresh` for thread counts
-/// the fresh run did not measure.
-///
-/// `bench update` runs under one `HISS_THREADS` setting, but the
-/// baseline keeps an informational `bench.wall.tN.s` gauge per thread
-/// count; preserving the other `tN` entries means a single update does
-/// not silently drop the other configuration's reference timing.
-pub fn merge_missing_wall(fresh: &mut MetricsRegistry, old: &MetricsRegistry) {
-    let missing: Vec<(String, f64)> = old
-        .iter()
-        .filter(|(name, _)| name.starts_with("bench.wall.") && fresh.get(name).is_none())
-        .filter_map(|(name, _)| old.gauge_value(name).map(|v| (name.to_string(), v)))
-        .collect();
-    for (name, v) in missing {
-        fresh.gauge(name, v);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,7 +134,6 @@ mod tests {
         m.label("bench.suite", name);
         m.counter("bench.cells", 3);
         m.counter("bench.total.events_pushed", 1234);
-        m.gauge("bench.wall.t1.s", 0.5);
         SuiteSnapshot {
             line: 0,
             suite: name.to_string(),
@@ -200,20 +181,5 @@ mod tests {
         let text = format!("{}{}\n", render("r", &[]), anon.to_json());
         let err = parse(&text).unwrap_err();
         assert!(err.contains("missing bench.suite"), "{err}");
-    }
-
-    #[test]
-    fn merge_missing_wall_keeps_other_thread_counts() {
-        let mut fresh = MetricsRegistry::new();
-        fresh.gauge("bench.wall.t1.s", 0.4);
-        let mut old = MetricsRegistry::new();
-        old.gauge("bench.wall.t1.s", 9.9);
-        old.gauge("bench.wall.t8.s", 0.2);
-        old.counter("bench.cells", 7);
-        merge_missing_wall(&mut fresh, &old);
-        // Fresh t1 wins; old t8 is preserved; non-wall keys never move.
-        assert_eq!(fresh.gauge_value("bench.wall.t1.s"), Some(0.4));
-        assert_eq!(fresh.gauge_value("bench.wall.t8.s"), Some(0.2));
-        assert!(fresh.get("bench.cells").is_none());
     }
 }

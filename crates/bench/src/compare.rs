@@ -3,62 +3,31 @@
 //!
 //! Every metric name falls into exactly one class:
 //!
-//! | class | names | tolerance | on breach |
-//! |---|---|---|---|
-//! | wall-clock | `bench.wall.*` | ratio ≤ [`WALL_WARN_RATIO`]× either way | **warning** only |
-//! | allocation | `bench.alloc.*` | ±[`ALLOC_BAND`] relative band | violation |
-//! | counter | any other counter | exact | violation |
-//! | identity | labels | exact | violation |
+//! | class | names | tolerance |
+//! |---|---|---|
+//! | allocation | `bench.alloc.*` | ±[`ALLOC_BAND`] relative band |
+//! | counter | any other counter | exact |
+//! | identity | labels | exact |
 //!
 //! Deterministic work counters get no band at all: the simulator is
 //! bit-reproducible, so *any* drift is a real behaviour change (or an
 //! intentional one, recorded via `bench update --reason`). Allocation
 //! counts are deterministic for a fixed toolchain but legitimately move
-//! when `std` internals change, hence the band. Wall-clock exists for
-//! humans and never gates.
+//! when `std` internals change, hence the band.
 //!
-//! Missing/extra names and whole suites are hard violations — except
-//! `bench.wall.tN.s` entries for thread counts the fresh run did not
-//! exercise, which are expected asymmetry and reported as notes.
+//! Every finding is a violation, and so are missing/extra names and
+//! whole suites.
 
 use hiss_obs::{MetricValue, MetricsRegistry};
 
 use crate::baseline::{BaselineFile, SuiteSnapshot};
 
-/// Warn when wall-clock drifts by more than this factor either way.
-pub const WALL_WARN_RATIO: f64 = 1.5;
-
 /// Relative tolerance band for `bench.alloc.*` counters.
 pub const ALLOC_BAND: f64 = 0.25;
 
-/// How bad one comparator finding is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Informational only (e.g. wall entry for an unmeasured thread
-    /// count).
-    Note,
-    /// Soft breach — reported, never fails the check (wall-clock).
-    Warning,
-    /// Hard breach — `bench check` exits nonzero.
-    Violation,
-}
-
-impl Severity {
-    /// Lowercase rendering used in diff lines.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Severity::Note => "note",
-            Severity::Warning => "warning",
-            Severity::Violation => "violation",
-        }
-    }
-}
-
-/// One comparator finding, anchored to the baseline line it concerns.
+/// One comparator violation, anchored to the baseline line it concerns.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// Severity class.
-    pub severity: Severity,
     /// Suite the finding belongs to.
     pub suite: String,
     /// Metric name (empty for whole-suite findings).
@@ -71,7 +40,7 @@ pub struct Finding {
 }
 
 impl Finding {
-    /// Renders `path:line: severity: suite: name: msg`, matching the
+    /// Renders `path:line: violation: suite: name: msg`, matching the
     /// `file:line:` shape of the lint diagnostics so editors can jump.
     pub fn render(&self, path: &str) -> String {
         let subject = if self.name.is_empty() {
@@ -79,12 +48,7 @@ impl Finding {
         } else {
             format!("{} {}", self.suite, self.name)
         };
-        format!(
-            "{path}:{}: {}: {subject}: {}",
-            self.line,
-            self.severity.as_str(),
-            self.msg
-        )
+        format!("{path}:{}: violation: {subject}: {}", self.line, self.msg)
     }
 }
 
@@ -96,29 +60,13 @@ pub struct Comparison {
 }
 
 impl Comparison {
-    /// `true` when no hard violation was found (warnings/notes allowed).
+    /// `true` when no violation was found.
     pub fn passed(&self) -> bool {
-        !self
-            .findings
-            .iter()
-            .any(|f| f.severity == Severity::Violation)
-    }
-
-    /// Counts by severity: `(violations, warnings, notes)`.
-    pub fn tallies(&self) -> (usize, usize, usize) {
-        let mut v = (0, 0, 0);
-        for f in &self.findings {
-            match f.severity {
-                Severity::Violation => v.0 += 1,
-                Severity::Warning => v.1 += 1,
-                Severity::Note => v.2 += 1,
-            }
-        }
-        v
+        self.findings.is_empty()
     }
 
     /// The findings as a label-only registry (`diff.<suite>.<name>` →
-    /// `severity: msg`), so the existing obs renderers (`to_table`,
+    /// `violation: msg`), so the existing obs renderers (`to_table`,
     /// `to_jsonl`) produce the table / JSON-lines diff.
     pub fn to_registry(&self) -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
@@ -128,28 +76,10 @@ impl Comparison {
             } else {
                 format!("diff.{}.{}", f.suite, f.name)
             };
-            reg.label(key, format!("{}: {}", f.severity.as_str(), f.msg));
+            reg.label(key, format!("violation: {}", f.msg));
         }
         reg
     }
-}
-
-/// Tolerance class of one metric name.
-fn class(name: &str) -> Class {
-    if name.starts_with("bench.wall.") {
-        Class::Wall
-    } else if name.starts_with("bench.alloc.") {
-        Class::Alloc
-    } else {
-        Class::Exact
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Class {
-    Wall,
-    Alloc,
-    Exact,
 }
 
 fn show(v: &MetricValue) -> String {
@@ -170,102 +100,43 @@ fn compare_value(
     fresh: &MetricValue,
     out: &mut Vec<Finding>,
 ) {
-    let push = |sev: Severity, msg: String, out: &mut Vec<Finding>| {
-        out.push(Finding {
-            severity: sev,
-            suite: suite.to_string(),
-            name: name.to_string(),
-            line,
-            msg,
-        });
+    let msg = if name.starts_with("bench.alloc.") {
+        match (base, fresh) {
+            (MetricValue::Counter(0), MetricValue::Counter(0)) => return,
+            // No relative drift exists against nothing.
+            (MetricValue::Counter(0), MetricValue::Counter(f)) => format!(
+                "allocation grew from a zero baseline (baseline 0, fresh {f}); \
+                 the ±{:.0}% band cannot absorb it",
+                ALLOC_BAND * 100.0
+            ),
+            (MetricValue::Counter(b), MetricValue::Counter(f)) => {
+                let (bf, ff) = (*b as f64, *f as f64);
+                if (ff - bf).abs() / bf <= ALLOC_BAND {
+                    return;
+                }
+                format!(
+                    "allocation drifted {:+.1}% (baseline {b}, fresh {f}, band ±{:.0}%)",
+                    (ff / bf - 1.0) * 100.0,
+                    ALLOC_BAND * 100.0
+                )
+            }
+            _ => format!(
+                "alloc entry must be a counter (baseline {}, fresh {})",
+                show(base),
+                show(fresh)
+            ),
+        }
+    } else if base != fresh {
+        format!("baseline {} != fresh {}", show(base), show(fresh))
+    } else {
+        return;
     };
-
-    match class(name) {
-        Class::Wall => {
-            let (b, f) = match (base, fresh) {
-                (MetricValue::Gauge(b), MetricValue::Gauge(f)) => (*b, *f),
-                _ => {
-                    push(
-                        Severity::Violation,
-                        format!(
-                            "wall entry must be a gauge (baseline {}, fresh {})",
-                            show(base),
-                            show(fresh)
-                        ),
-                        out,
-                    );
-                    return;
-                }
-            };
-            // Zero, negative, or non-finite reference times make the
-            // ratio meaningless — note it rather than dividing into a
-            // NaN/infinity and pretending that is a measurement.
-            if !(b.is_finite() && f.is_finite()) || b <= 0.0 || f <= 0.0 {
-                push(
-                    Severity::Note,
-                    format!("unmeasurable wall ratio (baseline {b:?}, fresh {f:?})"),
-                    out,
-                );
-                return;
-            }
-            let ratio = f / b;
-            if !(1.0 / WALL_WARN_RATIO..=WALL_WARN_RATIO).contains(&ratio) {
-                push(
-                    Severity::Warning,
-                    format!(
-                        "wall-clock moved {ratio:.2}x (baseline {b:.3}s, fresh {f:.3}s; informational)"
-                    ),
-                    out,
-                );
-            }
-        }
-        Class::Alloc => {
-            let (b, f) = match (base, fresh) {
-                (MetricValue::Counter(b), MetricValue::Counter(f)) => (*b, *f),
-                _ => {
-                    push(
-                        Severity::Violation,
-                        format!(
-                            "alloc entry must be a counter (baseline {}, fresh {})",
-                            show(base),
-                            show(fresh)
-                        ),
-                        out,
-                    );
-                    return;
-                }
-            };
-            let drift = if b == 0 {
-                if f == 0 {
-                    0.0
-                } else {
-                    f64::INFINITY
-                }
-            } else {
-                (f as f64 - b as f64).abs() / b as f64
-            };
-            if drift > ALLOC_BAND {
-                push(
-                    Severity::Violation,
-                    format!(
-                        "allocation drifted {:+.1}% (baseline {b}, fresh {f}, band ±{:.0}%)",
-                        (f as f64 / b as f64 - 1.0) * 100.0,
-                        ALLOC_BAND * 100.0
-                    ),
-                    out,
-                );
-            }
-        }
-        Class::Exact => {
-            if base != fresh {
-                push(
-                    Severity::Violation,
-                    format!("baseline {} != fresh {}", show(base), show(fresh)),
-                    out,
-                );
-            }
-        }
-    }
+    out.push(Finding {
+        suite: suite.to_string(),
+        name: name.to_string(),
+        line,
+        msg,
+    });
 }
 
 /// Compares fresh suite snapshots against a parsed baseline.
@@ -277,14 +148,17 @@ pub fn compare(baseline: &BaselineFile, fresh: &[SuiteSnapshot]) -> Comparison {
     let mut findings = Vec::new();
 
     for base in &baseline.suites {
+        let finding = |name: &str, msg: String| Finding {
+            suite: base.suite.clone(),
+            name: name.to_string(),
+            line: base.line,
+            msg,
+        };
         let Some(f) = fresh.iter().find(|s| s.suite == base.suite) else {
-            findings.push(Finding {
-                severity: Severity::Violation,
-                suite: base.suite.clone(),
-                name: String::new(),
-                line: base.line,
-                msg: "suite in baseline but not produced by this run".into(),
-            });
+            findings.push(finding(
+                "",
+                "suite in baseline but not produced by this run".into(),
+            ));
             continue;
         };
         // Names present in both, then baseline-only, then fresh-only.
@@ -293,54 +167,28 @@ pub fn compare(baseline: &BaselineFile, fresh: &[SuiteSnapshot]) -> Comparison {
                 Some(fval) => {
                     compare_value(&base.suite, name, base.line, bval, fval, &mut findings);
                 }
-                None if class(name) == Class::Wall => findings.push(Finding {
-                    severity: Severity::Note,
-                    suite: base.suite.clone(),
-                    name: name.to_string(),
-                    line: base.line,
-                    msg: "wall entry for a thread count this run did not measure".into(),
-                }),
-                None => findings.push(Finding {
-                    severity: Severity::Violation,
-                    suite: base.suite.clone(),
-                    name: name.to_string(),
-                    line: base.line,
-                    msg: format!("in baseline ({}) but missing from fresh run", show(bval)),
-                }),
+                None => findings.push(finding(
+                    name,
+                    format!("in baseline ({}) but missing from fresh run", show(bval)),
+                )),
             }
         }
         for (name, fval) in f.metrics.iter() {
-            if base.metrics.get(name).is_some() {
-                continue;
-            }
-            let (sev, msg) = if class(name) == Class::Wall {
-                (
-                    Severity::Note,
-                    "wall entry for a thread count the baseline has not recorded".to_string(),
-                )
-            } else {
-                (
-                    Severity::Violation,
+            if base.metrics.get(name).is_none() {
+                findings.push(finding(
+                    name,
                     format!(
                         "fresh run produced {} but the baseline has no such entry",
                         show(fval)
                     ),
-                )
-            };
-            findings.push(Finding {
-                severity: sev,
-                suite: base.suite.clone(),
-                name: name.to_string(),
-                line: base.line,
-                msg,
-            });
+                ));
+            }
         }
     }
 
     for f in fresh {
         if baseline.suite(&f.suite).is_none() {
             findings.push(Finding {
-                severity: Severity::Violation,
                 suite: f.suite.clone(),
                 name: String::new(),
                 line: 0,
@@ -377,7 +225,6 @@ mod tests {
         let s = snap("engine", |m| {
             m.counter("bench.total.events_pushed", 42);
             m.counter("bench.alloc.bytes", 1000);
-            m.gauge("bench.wall.t1.s", 1.0);
         });
         let cmp = compare(&base_file(std::slice::from_ref(&s)), &[s]);
         assert!(cmp.passed(), "{:?}", cmp.findings);
@@ -392,7 +239,6 @@ mod tests {
         assert!(!cmp.passed());
         assert_eq!(cmp.findings.len(), 1);
         let fd = &cmp.findings[0];
-        assert_eq!(fd.severity, Severity::Violation);
         assert_eq!(fd.name, "bench.total.events_pushed");
         assert!(fd.msg.contains("42") && fd.msg.contains("43"), "{}", fd.msg);
         // The baseline line number points at the suite's JSON line.
@@ -410,6 +256,19 @@ mod tests {
         assert!(!cmp.passed());
         assert!(cmp.findings[0].msg.contains("missing from fresh run"));
         assert_eq!(cmp.findings[0].name, "bench.cells");
+
+        // A stale wall-clock gauge is no exception: suites publish no
+        // timing, so a leftover entry fails the check like any other.
+        let stale = snap("engine", |m| {
+            m.counter("bench.cells", 3);
+            m.gauge("bench.wall.t1.s", 0.5);
+        });
+        let fresh = snap("engine", |m| m.counter("bench.cells", 3));
+        let cmp = compare(&base_file(&[stale]), &[fresh]);
+        assert!(!cmp.passed());
+        assert_eq!(cmp.findings.len(), 1, "{:?}", cmp.findings);
+        assert_eq!(cmp.findings[0].name, "bench.wall.t1.s");
+        assert!(cmp.findings[0].msg.contains("missing from fresh run"));
     }
 
     #[test]
@@ -429,8 +288,7 @@ mod tests {
         let b = snap("engine", |m| m.counter("bench.cells", 1));
         let f = snap("fig3_quick", |m| m.counter("bench.cells", 1));
         let cmp = compare(&base_file(&[b]), &[f]);
-        let (violations, _, _) = cmp.tallies();
-        assert_eq!(violations, 2);
+        assert_eq!(cmp.findings.len(), 2);
         assert!(cmp
             .findings
             .iter()
@@ -462,44 +320,15 @@ mod tests {
         let same = snap("engine", |m| m.counter("bench.alloc.bytes", 0));
         assert!(compare(&base_file(std::slice::from_ref(&b)), &[same]).passed());
         let grew = snap("engine", |m| m.counter("bench.alloc.bytes", 1));
-        assert!(!compare(&base_file(&[b]), &[grew]).passed());
-    }
-
-    #[test]
-    fn wall_clock_breach_warns_but_passes() {
-        let b = snap("engine", |m| m.gauge("bench.wall.t1.s", 1.0));
-        let f = snap("engine", |m| m.gauge("bench.wall.t1.s", 2.0));
-        let cmp = compare(&base_file(&[b]), &[f]);
-        assert!(cmp.passed(), "wall drift must never fail the check");
-        assert_eq!(cmp.findings[0].severity, Severity::Warning);
-        assert!(cmp.findings[0].msg.contains("2.00x"));
-    }
-
-    #[test]
-    fn zero_and_nan_wall_ratios_are_notes_not_math_errors() {
-        for (b, f) in [(0.0, 1.0), (1.0, 0.0), (f64::NAN, 1.0), (1.0, f64::NAN)] {
-            let bs = snap("engine", |m| m.gauge("bench.wall.t1.s", b));
-            let fs = snap("engine", |m| m.gauge("bench.wall.t1.s", f));
-            let cmp = compare(&base_file(&[bs]), &[fs]);
-            assert!(cmp.passed(), "({b},{f}): {:?}", cmp.findings);
-            assert_eq!(cmp.findings.len(), 1, "({b},{f})");
-            assert_eq!(cmp.findings[0].severity, Severity::Note, "({b},{f})");
-            assert!(cmp.findings[0].msg.contains("unmeasurable"), "({b},{f})");
-        }
-    }
-
-    #[test]
-    fn wall_entries_for_unmeasured_thread_counts_are_notes() {
-        let b = snap("engine", |m| {
-            m.gauge("bench.wall.t1.s", 1.0);
-            m.gauge("bench.wall.t8.s", 0.3);
-        });
-        let f = snap("engine", |m| m.gauge("bench.wall.t1.s", 1.0));
-        let cmp = compare(&base_file(&[b]), &[f]);
-        assert!(cmp.passed());
-        assert_eq!(cmp.findings.len(), 1);
-        assert_eq!(cmp.findings[0].severity, Severity::Note);
-        assert_eq!(cmp.findings[0].name, "bench.wall.t8.s");
+        let cmp = compare(&base_file(&[b]), &[grew]);
+        assert!(!cmp.passed());
+        // The message names the zero baseline instead of dividing by it.
+        let msg = &cmp.findings[0].msg;
+        assert!(
+            msg.contains("zero baseline") && msg.contains("fresh 1"),
+            "{msg}"
+        );
+        assert!(!msg.contains("inf"), "{msg}");
     }
 
     #[test]

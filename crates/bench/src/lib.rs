@@ -1,159 +1,21 @@
-//! # hiss-bench — benchmark harness
+//! # hiss-bench — the bench gate behind `hiss-cli bench`
 //!
-//! Three `cargo bench` targets:
-//!
-//! - **`figures`**: regenerates every table and figure of the paper's
-//!   evaluation from the simulator and prints them in the paper's layout
-//!   (`cargo bench -p hiss-bench --bench figures`). Set
-//!   `HISS_FIGURES=quick` for a scaled-down grid.
-//! - **`simperf`**: micro/meso benchmarks of the simulation engine itself
-//!   (event calendar, structural cache, warmth model, full co-run
-//!   throughput).
-//! - **`experiments`**: timings of each experiment family on scaled-down
-//!   grids, tracking the harness's own cost.
-//!
-//! The timing machinery here ([`bench()`], [`Timing`]) is in-tree and
-//! criterion-free: the workspace builds with no registry access, so the
-//! harness relies on `std::time::Instant` only. Each measurement prints a
-//! human-readable line *and* a machine-readable `{"bench":...}` JSON line
-//! so perf trajectories can be tracked by scripts (see
-//! `examples/perf_report.rs` for the grid-level harness).
-//!
-//! Beyond the timing harness, this crate carries the
-//! performance-regression subsystem behind `hiss-cli bench`
+//! The performance-regression subsystem that holds the simulator's
+//! deterministic work counters to the committed `BENCH_BASELINE.json`
 //! (see `docs/BENCH.md`):
 //!
 //! - [`alloc`] — a counting global allocator and per-thread
 //!   [`AllocProbe`] for deterministic allocation counters,
 //! - [`baseline`] — the committed `BENCH_BASELINE.json` format
 //!   (JSON-lines of [`hiss_obs::MetricsRegistry`] snapshots),
-//! - [`compare`] — the tolerance-band comparator `bench check` gates
-//!   on.
-// Sanctioned exemption (see lint.toml): the harness measures host
-// wall-clock time by design.
-#![allow(clippy::disallowed_types)]
+//! - [`compare`] — the comparator `bench check` gates on.
+//!
+//! Nothing here reads a clock. Wall-clock time is measured by the
+//! standalone `hissbench` package (`hissbench/README.md`), and the
+//! paper's tables and figures are printed by `hiss-cli figures`.
 
 pub mod alloc;
 pub mod baseline;
 pub mod compare;
 
 pub use alloc::{AllocProbe, CountingAlloc};
-
-use std::hint::black_box;
-use std::time::Instant;
-
-/// One benchmark measurement: the best (minimum) per-iteration time over
-/// `samples` timed batches, plus the mean for dispersion context.
-#[derive(Debug, Clone)]
-pub struct Timing {
-    /// Benchmark name.
-    pub name: String,
-    /// Iterations per timed batch.
-    pub iters_per_sample: u32,
-    /// Timed batches taken.
-    pub samples: u32,
-    /// Best per-iteration time, nanoseconds.
-    pub best_ns: f64,
-    /// Mean per-iteration time across batches, nanoseconds.
-    pub mean_ns: f64,
-}
-
-impl Timing {
-    /// One-line JSON record (`{"bench":name,...}`).
-    pub fn json(&self) -> String {
-        format!(
-            "{{\"bench\":\"{}\",\"best_ns\":{:.1},\"mean_ns\":{:.1},\"iters\":{},\"samples\":{}}}",
-            self.name, self.best_ns, self.mean_ns, self.iters_per_sample, self.samples
-        )
-    }
-
-    /// Human-readable rendering with an auto-scaled unit.
-    pub fn human(&self) -> String {
-        fn scale(ns: f64) -> String {
-            if ns >= 1e9 {
-                format!("{:.3} s", ns / 1e9)
-            } else if ns >= 1e6 {
-                format!("{:.3} ms", ns / 1e6)
-            } else if ns >= 1e3 {
-                format!("{:.3} µs", ns / 1e3)
-            } else {
-                format!("{ns:.0} ns")
-            }
-        }
-        format!(
-            "{:<40} best {:>12}   mean {:>12}",
-            self.name,
-            scale(self.best_ns),
-            scale(self.mean_ns)
-        )
-    }
-}
-
-/// Times `f`, choosing an iteration count so each timed batch runs at
-/// least ~50 ms, and reports best/mean per-iteration time over `samples`
-/// batches. Prints both renderings; returns the measurement.
-pub fn bench<T>(name: &str, samples: u32, mut f: impl FnMut() -> T) -> Timing {
-    // Calibrate: grow the batch until it takes >= 50 ms (or a single
-    // iteration already exceeds it).
-    let mut iters: u32 = 1;
-    loop {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        let elapsed = t0.elapsed();
-        if elapsed.as_millis() >= 50 || iters >= 1 << 20 {
-            break;
-        }
-        iters = iters.saturating_mul(2);
-    }
-
-    let mut best_ns = f64::INFINITY;
-    let mut sum_ns = 0.0;
-    for _ in 0..samples.max(1) {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        let per_iter = t0.elapsed().as_nanos() as f64 / f64::from(iters);
-        best_ns = best_ns.min(per_iter);
-        sum_ns += per_iter;
-    }
-    let timing = Timing {
-        name: name.to_string(),
-        iters_per_sample: iters,
-        samples: samples.max(1),
-        best_ns,
-        mean_ns: sum_ns / f64::from(samples.max(1)),
-    };
-    println!("{}", timing.human());
-    println!("{}", timing.json());
-    timing
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn timing_json_is_well_formed() {
-        let t = Timing {
-            name: "x".into(),
-            iters_per_sample: 4,
-            samples: 2,
-            best_ns: 1234.5,
-            mean_ns: 2345.6,
-        };
-        let j = t.json();
-        assert!(j.starts_with("{\"bench\":\"x\""));
-        assert!(j.ends_with('}'));
-        assert!(j.contains("\"best_ns\":1234.5"));
-    }
-
-    #[test]
-    fn bench_measures_something() {
-        let t = bench("noop_sum", 2, || (0..100u64).sum::<u64>());
-        assert!(t.best_ns > 0.0);
-        assert!(t.mean_ns >= t.best_ns);
-    }
-}

@@ -97,7 +97,7 @@ pub(crate) fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
 }
 
 /// A scaled-down CPU-application subset for integration tests (full
-/// grids belong in `cargo bench`).
+/// grids belong in `hiss-cli figures`).
 pub fn test_cpu_subset() -> Vec<&'static str> {
     vec!["fluidanimate", "raytrace", "streamcluster", "x264"]
 }

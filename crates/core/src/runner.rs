@@ -35,8 +35,8 @@
 //!   queued ones never start.
 //! - [`run_jobs_profiled`] is the same pool with wall-clock
 //!   instrumentation ([`PoolProfile`]): per-job durations and per-worker
-//!   occupancy. Timing is inherently non-deterministic, which is why the
-//!   profile is a separate return value and never enters a
+//!   occupancy. Wall time is inherently non-deterministic, which is why
+//!   the profile is a separate return value and never enters a
 //!   [`crate::RunReport`] snapshot.
 // Sanctioned exemption (see lint.toml): the job pool is the one
 // concurrency boundary, and Instant feeds only the pool.* profile.
@@ -113,7 +113,7 @@ pub fn thread_count() -> usize {
 
 /// Wall-clock profile of one pool invocation.
 ///
-/// Timing is non-deterministic by nature, so profiles are reported
+/// Wall time is non-deterministic by nature, so profiles are reported
 /// separately from simulation results and **never** merged into a
 /// [`crate::RunReport`] metrics snapshot (which must stay bit-identical
 /// across thread counts).

@@ -116,7 +116,6 @@ mod tests {
                 r.counter("bench.cells", 1);
                 r.counter("bench.cell.x264-ubench-r0.events_pushed", 42);
                 r.counter("bench.total.events_pushed", 42);
-                r.gauge("bench.wall.t1.s", 0.25);
             }),
         );
         let diags = check_baseline("BENCH_BASELINE.json", &text);
@@ -126,16 +125,23 @@ mod tests {
     #[test]
     fn unknown_and_misplaced_names_are_flagged_with_lines() {
         let text = format!(
-            "{}\n{}\n",
+            "{}\n{}\n{}\n",
             line(|r| r.counter("kernel.ipis", 1)),
             line(|r| r.counter("bench.total.typo_counter", 1)),
+            // Suites publish no wall-clock, so a stale timing gauge
+            // left in a baseline names nothing the schema declares.
+            line(|r| r.gauge("bench.wall.t1.s", 0.25)),
         );
         let diags = check_baseline("BENCH_BASELINE.json", &text);
-        assert_eq!(diags.len(), 2, "{diags:?}");
+        assert_eq!(diags.len(), 3, "{diags:?}");
         assert!(diags[0].msg.contains("outside the bench.* namespace"));
         assert_eq!(diags[0].line, 1);
         assert!(diags[1].msg.contains("not in the hiss-obs schema"));
         assert_eq!(diags[1].line, 2);
+        assert!(diags[2]
+            .msg
+            .contains("`bench.wall.t1.s` is not in the hiss-obs schema"));
+        assert_eq!(diags[2].line, 3);
         assert!(diags.iter().all(|d| d.code == Code::BenchMetricNotInSchema));
     }
 

@@ -51,8 +51,7 @@ pub enum Scope {
     /// The wall-clock batch profile (never part of run results).
     Profile,
     /// `hiss-cli bench` suite snapshots and the committed
-    /// `BENCH_BASELINE.json` (deterministic work counters; the
-    /// `bench.wall.*` family is the informational exception).
+    /// `BENCH_BASELINE.json` (deterministic work counters only).
     Bench,
 }
 
@@ -403,9 +402,9 @@ pub const SCHEMA: &[SchemaEntry] = &[
         doc: "distinct configurations cached",
     },
     // hiss-cli bench suite snapshots (crates/scenario bench_suite) and
-    // the committed BENCH_BASELINE.json. Everything here except
-    // `bench.wall.*` is a deterministic work counter or identity label,
-    // so `bench check` can hold it to an exact (or banded) tolerance.
+    // the committed BENCH_BASELINE.json. Everything here is a
+    // deterministic work counter or identity label, so `bench check`
+    // can hold it to an exact (or banded) tolerance.
     bench_l("bench.suite", "bench suite name this snapshot belongs to"),
     bench_l(
         "bench.baseline.version",
@@ -482,12 +481,6 @@ pub const SCHEMA: &[SchemaEntry] = &[
         "run registries audited against the conservation laws before \
          being served or stored",
     ),
-    SchemaEntry {
-        pattern: "bench.wall.tN.s",
-        kind: MetricKind::Gauge,
-        scope: Scope::Bench,
-        doc: "informational suite wall-clock under HISS_THREADS=N",
-    },
     bench_c("bench.cell.*.kernel_ipis", "per-cell kernel.ipis"),
     bench_c(
         "bench.cell.*.kernel_ssrs_serviced",
@@ -690,9 +683,6 @@ mod tests {
         assert_eq!(e.scope, Scope::Bench);
         let e = lookup("bench.cell.x264-ubench-r0.events_pushed").expect("cell counter");
         assert_eq!(e.kind, MetricKind::Counter);
-        let e = lookup("bench.wall.t8.s").expect("wall gauge");
-        assert_eq!(e.kind, MetricKind::Gauge);
-        assert!(lookup("bench.wall.tX.s").is_none());
         assert!(lookup("bench.cell.a.b.events_pushed").is_none());
         assert!(lookup("bench.total.typo").is_none());
     }

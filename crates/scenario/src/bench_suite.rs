@@ -3,11 +3,11 @@
 //! A *suite* executes a fixed workload and condenses it into one
 //! [`MetricsRegistry`] snapshot of `bench.*` work counters (see
 //! `hiss_obs::schema` and `docs/BENCH.md`). Everything in the snapshot
-//! except the `bench.wall.tN.s` gauge is deterministic: derived from
-//! simulation state, pool/cache work totals, and (in the engine suite)
-//! the calling thread's allocation tally — never from host timing or
-//! scheduling. That is the property that lets `bench check` hold the
-//! counters to exact equality against the committed baseline.
+//! is deterministic: derived from simulation state, pool/cache work
+//! totals, and (in the engine suite) the calling thread's allocation
+//! tally — never from host timing or scheduling. That is the property
+//! that lets `bench check` hold the counters to exact equality against
+//! the committed baseline.
 //!
 //! The suites:
 //!
@@ -24,13 +24,8 @@
 //! - `engine` — a direct serial [`ExperimentBuilder`] co-run on the
 //!   calling thread, probing allocation traffic and calendar churn
 //!   without the pool or cache in the way.
-// Sanctioned exemption (see lint.toml): Instant feeds only the
-// warn-only bench.wall.tN.s gauge, never simulated time or any gated
-// counter.
-#![allow(clippy::disallowed_types, clippy::disallowed_methods)]
 
 use std::path::Path;
-use std::time::Instant;
 
 use hiss::{BaselineCache, ExperimentBuilder, MetricsRegistry, SystemConfig};
 use hiss_bench::baseline::SuiteSnapshot;
@@ -82,9 +77,15 @@ fn cell_key(cpu: &str, gpu: &str, axes: &[(String, String)], replica: u32) -> St
 }
 
 /// Shared scaffolding: clears the cache, runs `body`, and folds the
-/// pool/cache work deltas plus the wall time into a suite snapshot.
-/// Public so `hiss-serve` builds its serving suite on the same
-/// scaffolding (keeping the wall-clock exemption localised here).
+/// pool/cache work deltas into a suite snapshot. Public so `hiss-serve`
+/// builds its serving suite on the same scaffolding.
+///
+/// The counters are deltas of process-wide state, so they are exact
+/// only while nothing else in the process uses
+/// [`BaselineCache::global()`] or the runner pool during the suite.
+/// Another thread that clears the cache or runs a batch meanwhile (a
+/// sibling test in the same test binary, say) corrupts the counters,
+/// e.g. `bench.cache.entries` reads 0 instead of 27.
 pub fn measure(suite: &str, body: impl FnOnce(&mut MetricsRegistry)) -> SuiteSnapshot {
     let cache = BaselineCache::global();
     cache.clear();
@@ -93,9 +94,7 @@ pub fn measure(suite: &str, body: impl FnOnce(&mut MetricsRegistry)) -> SuiteSna
 
     let mut metrics = MetricsRegistry::new();
     metrics.label("bench.suite", suite);
-    let t0 = Instant::now();
     body(&mut metrics);
-    let wall_s = t0.elapsed().as_secs_f64();
 
     let (inv1, jobs1) = hiss::pool_totals();
     metrics.counter("bench.pool.invocations", inv1 - inv0);
@@ -103,7 +102,6 @@ pub fn measure(suite: &str, body: impl FnOnce(&mut MetricsRegistry)) -> SuiteSna
     metrics.counter("bench.cache.hits", cache.hit_count() - hits0);
     metrics.counter("bench.cache.misses", cache.miss_count() - misses0);
     metrics.counter("bench.cache.entries", cache.len() as u64);
-    metrics.gauge(format!("bench.wall.t{}.s", hiss::thread_count()), wall_s);
 
     SuiteSnapshot {
         line: 0,

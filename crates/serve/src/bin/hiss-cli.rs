@@ -54,11 +54,13 @@
 //!
 //! `bench` is the performance-regression subsystem (`docs/BENCH.md`):
 //! `run` executes the suites and prints their deterministic work
-//! counters (stdout is byte-identical whatever `HISS_THREADS`; the
-//! informational wall-clock goes to stderr), `check` compares a fresh
-//! run against the committed `BENCH_BASELINE.json` and exits nonzero on
-//! any hard violation, and `update` rewrites the baseline, recording a
-//! mandatory `--reason`.
+//! counters (stdout is byte-identical whatever `HISS_THREADS`), `check`
+//! compares a fresh run against the committed `BENCH_BASELINE.json` and
+//! exits nonzero on any violation, and `update` rewrites the baseline,
+//! recording a mandatory `--reason`.
+//!
+//! `figures` regenerates every table and figure of the paper's
+//! evaluation (full app grids; `--quick` for the scaled-down subsets).
 //!
 //! Unknown flags are errors (with a nearest-match suggestion), never
 //! silently ignored.
@@ -67,7 +69,9 @@ use std::env;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use hiss::experiments::{fig12, fig3, fig4, fig9, tables};
+use hiss::experiments::{
+    extensions, fig12, fig3, fig4, fig5, fig6, fig9, pareto, section4c, tables,
+};
 use hiss::{ExperimentBuilder, Mitigation, Ns, QosParams, RunReport, SystemConfig};
 use hiss_bench::baseline::{self, BaselineFile, SuiteSnapshot};
 use hiss_bench::compare;
@@ -479,19 +483,6 @@ fn lint_command(argv: Vec<String>) -> ExitCode {
     }
 }
 
-/// The deterministic view of a suite snapshot: everything except the
-/// `bench.wall.*` gauges. This is what `bench run` prints on stdout, so
-/// the report is byte-identical whatever `HISS_THREADS` is.
-fn deterministic_view(reg: &hiss::MetricsRegistry) -> hiss::MetricsRegistry {
-    let mut out = hiss::MetricsRegistry::new();
-    for (name, value) in reg.iter() {
-        if !name.starts_with("bench.wall.") {
-            out.set(name.to_string(), value.clone());
-        }
-    }
-    out
-}
-
 /// Fresh suite snapshots: loaded from a `--fresh` snapshot file when
 /// given (skipping re-simulation, e.g. in tests), executed otherwise.
 fn fresh_snapshots(args: &Args, root: &Path) -> Result<Vec<SuiteSnapshot>, String> {
@@ -555,26 +546,14 @@ fn bench_command(mut argv: Vec<String>) -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            // stdout: deterministic counters only, in suite order.
             for (i, snap) in snaps.iter().enumerate() {
-                let det = deterministic_view(&snap.metrics);
                 if args.flag("--json") {
-                    print!("{}", det.to_jsonl());
+                    print!("{}", snap.metrics.to_jsonl());
                 } else {
                     if i > 0 {
                         println!();
                     }
-                    print!("{}", det.to_table());
-                }
-            }
-            // stderr: the informational wall-clock.
-            for snap in &snaps {
-                for (name, _) in snap.metrics.iter() {
-                    if let Some(wall) = snap.metrics.gauge_value(name) {
-                        if name.starts_with("bench.wall.") {
-                            eprintln!("{}: {name} = {wall:.3}s", snap.suite);
-                        }
-                    }
+                    print!("{}", snap.metrics.to_table());
                 }
             }
             if let Some(path) = args.value("--out") {
@@ -616,18 +595,13 @@ fn bench_command(mut argv: Vec<String>) -> ExitCode {
                     print!("{}", reg.to_table());
                 }
             }
-            let (violations, warnings, notes) = cmp.tallies();
             if cmp.passed() {
-                println!(
-                    "bench check: ok — {} suites vs {shown} \
-                     ({warnings} warning(s), {notes} note(s))",
-                    snaps.len()
-                );
+                println!("bench check: ok — {} suites vs {shown}", snaps.len());
                 ExitCode::SUCCESS
             } else {
                 println!(
-                    "bench check: {violations} violation(s), {warnings} warning(s), \
-                     {notes} note(s) vs {shown}"
+                    "bench check: {} violation(s) vs {shown}",
+                    cmp.findings.len()
                 );
                 ExitCode::FAILURE
             }
@@ -642,22 +616,13 @@ fn bench_command(mut argv: Vec<String>) -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            let mut snaps = match fresh_snapshots(&args, &root) {
+            let snaps = match fresh_snapshots(&args, &root) {
                 Ok(s) => s,
                 Err(e) => {
                     eprintln!("{e}");
                     return ExitCode::FAILURE;
                 }
             };
-            // Keep wall entries for thread counts this run didn't
-            // measure, so one update doesn't drop the other reference.
-            if let Ok(old) = load_baseline(&baseline_path) {
-                for snap in &mut snaps {
-                    if let Some(prev) = old.suite(&snap.suite) {
-                        baseline::merge_missing_wall(&mut snap.metrics, &prev.metrics);
-                    }
-                }
-            }
             let text = baseline::render(&reason, &snaps);
             if let Err(e) = std::fs::write(&baseline_path, text) {
                 eprintln!("cannot write {}: {e}", baseline_path.display());
@@ -1134,28 +1099,145 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "figures" => {
-            // A curated subset here; the full harness is
-            // `cargo bench -p hiss-bench --bench figures`.
-            let quick = args.flag("--quick");
-            let cpu: Vec<&str> = if quick {
-                hiss::experiments::test_cpu_subset()
-            } else {
-                hiss::parsec_suite().iter().map(|s| s.name).collect()
-            };
-            let gpu: Vec<&str> = if quick {
-                hiss::experiments::test_gpu_subset()
-            } else {
-                hiss::gpu_suite().iter().map(|s| s.name).collect()
-            };
-            println!("{}", tables::render_table2(&tables::table2(&cfg)));
-            let rows = fig3::fig3_with(&cfg, &cpu, &gpu);
-            println!("Fig. 3a\n{}", fig3::render(&rows, |r| r.cpu_perf));
-            println!("Fig. 3b\n{}", fig3::render(&rows, |r| r.gpu_perf));
-            println!("Fig. 4\n{}", fig4::render(&fig4::fig4_with(&cfg, &gpu)));
-            println!("Fig. 9\n{}", fig9::render(&fig9::fig9(&cfg)));
-            println!("Fig. 12\n{}", fig12::render(&fig12::fig12_with(&cfg, &cpu)));
+            figures(cfg, args.flag("--quick"));
             ExitCode::SUCCESS
         }
         _ => usage(),
     }
+}
+
+fn banner(title: &str) {
+    println!("\n{}", "=".repeat(74));
+    println!("{title}");
+    println!("{}", "=".repeat(74));
+}
+
+/// `hiss-cli figures [--quick]` — regenerates every table and figure of
+/// the paper's evaluation, in the paper's layout: the same rows and
+/// series the paper plots, produced by the simulator. `--quick` runs
+/// the scaled-down app subsets. EXPERIMENTS.md records the
+/// paper-vs-measured comparison for the most recent full run.
+fn figures(cfg: SystemConfig, quick: bool) {
+    let cpu: Vec<&str> = if quick {
+        hiss::experiments::test_cpu_subset()
+    } else {
+        hiss::parsec_suite().iter().map(|s| s.name).collect()
+    };
+    let gpu: Vec<&str> = if quick {
+        hiss::experiments::test_gpu_subset()
+    } else {
+        hiss::gpu_suite().iter().map(|s| s.name).collect()
+    };
+
+    banner("Table I — GPU system service requests");
+    println!("{}", tables::render_table1(&tables::table1(&cfg)));
+
+    banner("Table II — test system configuration");
+    println!("{}", tables::render_table2(&tables::table2(&cfg)));
+
+    banner("Fig. 3a — normalised CPU application performance under GPU SSRs");
+    let rows3 = fig3::fig3_with(&cfg, &cpu, &gpu);
+    println!("{}", fig3::render(&rows3, |r| r.cpu_perf));
+
+    banner("Fig. 3b — normalised GPU performance under CPU interference");
+    println!("{}", fig3::render(&rows3, |r| r.gpu_perf));
+    let s = fig3::summarize(&rows3);
+    println!("{s:#?}");
+
+    banner("Fig. 4 — CC6 residency with and without SSRs");
+    println!("{}", fig4::render(&fig4::fig4_with(&cfg, &gpu)));
+
+    banner("Fig. 5 — µarchitectural effects of ubench SSRs");
+    println!("{}", fig5::render(&fig5::fig5_with(&cfg, &cpu)));
+
+    banner("§IV-C — interrupt distribution, IPIs, coalescing");
+    println!("{}", section4c::render(&section4c::section4c(&cfg)));
+
+    for technique in fig6::Technique::ALL {
+        banner(&format!(
+            "Fig. 6 — {} (CPU and GPU ratios vs default)",
+            technique.label()
+        ));
+        let rows = fig6::fig6_technique(&cfg, technique, &cpu, &gpu);
+        println!("{}", fig6::render(&rows));
+    }
+
+    banner("Fig. 7 — Pareto: mitigation combinations under ubench");
+    let p7 = if quick {
+        pareto::pareto_with(&cfg, &cpu, &["ubench"], &Mitigation::all_combinations())
+    } else {
+        pareto::fig7(&cfg)
+    };
+    println!("{}", pareto::render(&p7));
+
+    banner("Fig. 8 — Pareto: mitigation combinations, full GPU applications");
+    let p8 = if quick {
+        let gpu8: Vec<&str> = gpu.iter().copied().filter(|g| *g != "ubench").collect();
+        pareto::pareto_with(&cfg, &cpu, &gpu8, &Mitigation::all_combinations())
+    } else {
+        pareto::fig8(&cfg)
+    };
+    println!("{}", pareto::render(&p8));
+
+    banner("Fig. 9 — mitigation techniques vs CC6 residency (ubench)");
+    println!("{}", fig9::render(&fig9::fig9(&cfg)));
+
+    banner("Fig. 12 — QoS throttling (default / th_25 / th_5 / th_1)");
+    println!("{}", fig12::render(&fig12::fig12_with(&cfg, &cpu)));
+
+    banner("Extension — multi-accelerator scaling (x264 vs N × sssp)");
+    println!(
+        "{}",
+        extensions::render_scaling(&extensions::multi_gpu_scaling(&cfg, "x264", "sssp", 4))
+    );
+
+    banner("Extension — coalescing window sweep (x264 vs ubench)");
+    for w in extensions::coalescing_window_sweep(&cfg, "x264", "ubench", &[0, 2, 5, 9, 13]) {
+        println!(
+            "  window {:>8}: CPU {:.3}  GPU ratio {:.3}  interrupts/SSR {:.2}",
+            w.window.to_string(),
+            w.cpu_perf,
+            w.gpu_ratio,
+            w.interrupts_per_ssr
+        );
+    }
+
+    banner("Extension — outstanding-SSR-limit sweep (QoS leverage)");
+    for l in extensions::outstanding_limit_sweep(&cfg, &[8, 16, 64, 256]) {
+        println!(
+            "  limit {:>4}: throttled ubench at {:.1}% of unhindered",
+            l.limit,
+            l.throttled_ratio * 100.0
+        );
+    }
+
+    banner("Extension — adaptive QoS threshold (x264 within 10%)");
+    let a = extensions::adaptive_qos(&cfg, "x264", "ubench", 0.10, 5);
+    println!(
+        "  threshold th_{:.2}: CPU {:.3}, ubench {:.3}",
+        a.threshold_percent, a.cpu_perf, a.gpu_perf
+    );
+
+    banner("Extension — module pairing (shared-L2 siblings, steered handlers)");
+    let mp = extensions::module_pairing(&cfg, "ubench");
+    println!(
+        "  victim on core 0: steer to sibling core 1 -> {:.3}; steer to remote core 2 -> {:.3}",
+        mp.sibling_perf, mp.remote_perf
+    );
+
+    banner("Replication — x264 + ubench over 3 seeds (paper §III methodology)");
+    let reps = hiss::replicate(
+        ExperimentBuilder::new(cfg)
+            .cpu_app("x264")
+            .gpu_app("ubench"),
+        3,
+    );
+    println!(
+        "  runtime {:.3} ms ± {:.3} (95% CI over {} seeds); SSR rate {:.0} ± {:.0}",
+        reps.cpu_runtime_s.mean * 1e3,
+        reps.cpu_runtime_s.ci95(reps.n) * 1e3,
+        reps.n,
+        reps.ssr_rate.mean,
+        reps.ssr_rate.ci95(reps.n)
+    );
 }

@@ -1,15 +1,14 @@
 //! The `serve` bench suite: the serving path as a gated, deterministic
 //! workload.
 //!
-//! Reuses [`hiss_scenario::bench_suite::measure`] (so the wall-clock
-//! exemption stays localised there) and composes the scenario crate's
-//! suites with one serving suite: submit `scenarios/fig3.hiss` in quick
-//! mode twice against a wiped temporary store through an in-process
-//! [`Service`]. The first pass misses and simulates every cell; the
-//! second serves 100% from the store and must stream byte-identical
-//! snapshot lines. Every `bench.serve.*` counter this records is a
-//! deterministic work count — `bench check` holds them to exact
-//! equality under any `HISS_THREADS`.
+//! Reuses [`hiss_scenario::bench_suite::measure`] and composes the
+//! scenario crate's suites with one serving suite: submit
+//! `scenarios/fig3.hiss` in quick mode twice against a wiped temporary
+//! store through an in-process [`Service`]. The first pass misses and
+//! simulates every cell; the second serves 100% from the store and
+//! must stream byte-identical snapshot lines. Every `bench.serve.*`
+//! counter this records is a deterministic work count — `bench check`
+//! holds them to exact equality under any `HISS_THREADS`.
 
 use std::path::Path;
 use std::sync::Arc;
