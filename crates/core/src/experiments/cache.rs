@@ -149,10 +149,10 @@ impl BaselineCache {
     /// Attaches a content-addressed [`DiskStore`] as a second cache
     /// tier. Misses in the in-memory map consult the store before
     /// simulating, and freshly computed reports are published to it
-    /// (atomically — see [`DiskStore::save`]). Only long-running serve
-    /// processes attach a store; batch CLI runs keep the pure in-memory
-    /// behaviour, so the existing `bench.cache.*` counters are
-    /// unaffected.
+    /// (atomically — see [`DiskStore::save`]). The serving path attaches
+    /// its store to a per-submission cache, never to [`Self::global`];
+    /// batch CLI runs keep the global cache purely in memory, so the
+    /// `bench.cache.*` counters are unaffected.
     pub fn attach_disk(&self, store: Arc<DiskStore>) {
         *self.disk.lock().expect("cache poisoned") = Some(store);
     }
@@ -201,8 +201,9 @@ impl BaselineCache {
         }))
     }
 
-    /// Drops every entry (used by benches to measure cold-path cost and
-    /// by long-lived processes to bound memory).
+    /// Drops every entry (used by benches and tests to measure cold-path
+    /// cost). Long-lived processes bound memory by scoping a cache to a
+    /// unit of work instead, as the serving path does per submission.
     pub fn clear(&self) {
         self.map.lock().expect("cache poisoned").clear();
     }

@@ -157,11 +157,16 @@ pub fn expand(sc: &Scenario, quick: bool) -> Vec<Cell> {
     }
 }
 
-/// Runs one cell: the noisy run plus its two cached baselines. Public
-/// so the serving layer (`hiss-serve`) can execute store-miss cells
-/// through exactly the batch compiler's path.
+/// Runs one cell: the noisy run plus its two cached baselines, memoized
+/// in the process-wide [`BaselineCache::global`].
 pub fn run_cell_report(cell: &Cell) -> (Row, std::sync::Arc<RunReport>) {
-    let cache = BaselineCache::global();
+    run_cell_report_in(cell, BaselineCache::global())
+}
+
+/// [`run_cell_report`] with its baselines memoized in `cache`. Public so
+/// the serving layer (`hiss-serve`) can execute store-miss cells through
+/// exactly the batch compiler's path while owning the cache's lifetime.
+pub fn run_cell_report_in(cell: &Cell, cache: &BaselineCache) -> (Row, std::sync::Arc<RunReport>) {
     let cfg = &cell.knobs.cfg;
     let base = cache.cpu_baseline(cfg, &cell.cpu_app, &cell.gpu_app);
     let gpu_base = cache.gpu_idle_baseline(cfg, &cell.gpu_app);

@@ -49,7 +49,8 @@ pub mod parse;
 pub mod spec;
 
 pub use compile::{
-    cell_metrics, expand, run, run_cell_report, run_profiled, run_with_metrics, Cell, Row,
+    cell_metrics, expand, run, run_cell_report, run_cell_report_in, run_profiled, run_with_metrics,
+    Cell, Row,
 };
 pub use expect::{check, Violation};
 pub use parse::{Document, ScenarioError, Value};

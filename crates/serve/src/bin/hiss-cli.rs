@@ -868,9 +868,6 @@ fn serve_command(argv: Vec<String>) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // Baseline runs triggered by submissions persist too: a restarted
-    // server warm-starts its per-app baselines from the same store.
-    hiss::BaselineCache::global().attach_disk(std::sync::Arc::clone(&store));
     let service = std::sync::Arc::new(hiss_serve::Service::new(Some(store)));
     let server = match hiss_serve::Server::bind(addr, service) {
         Ok(s) => s,

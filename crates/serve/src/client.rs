@@ -5,10 +5,10 @@
 //! so a caller can diff a served stream against a local
 //! `scenario run --metrics` file byte-for-byte.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 
-use crate::protocol::{Request, Response};
+use crate::protocol::{send_line, Request, Response};
 
 /// The outcome of one submission.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,8 +41,7 @@ pub fn submit(addr: &str, scenario: &str, quick: bool) -> std::io::Result<Submis
         scenario: scenario.to_string(),
         quick,
     };
-    writeln!(writer, "{}", req.encode())?;
-    writer.flush()?;
+    send_line(&mut writer, req.encode())?;
 
     let mut snapshots = Vec::new();
     let mut line = String::new();
@@ -97,8 +96,7 @@ pub fn shutdown(addr: &str) -> std::io::Result<()> {
     let conn = TcpStream::connect(addr)?;
     let mut reader = BufReader::new(conn.try_clone()?);
     let mut writer = conn;
-    writeln!(writer, "{}", Request::Shutdown.encode())?;
-    writer.flush()?;
+    send_line(&mut writer, Request::Shutdown.encode())?;
     let mut line = String::new();
     reader.read_line(&mut line)?;
     match Response::decode(line.trim_end_matches(['\r', '\n'])).map_err(invalid_data)? {

@@ -17,8 +17,25 @@
 //! label: absent means cell snapshot; present means one of `rejected`
 //! (with `resp.diag.<i>` diagnostic labels), `done` (with summary
 //! counters), `error`, or `bye` (shutdown acknowledgement).
+//!
+//! Every message goes out through `send_line`: the line and its
+//! newline in one write, then a flush. Writing them separately puts the
+//! newline in a second small TCP segment, which Nagle's algorithm holds
+//! until the peer acknowledges the first one — and a peer that delays
+//! its acknowledgement stalls the line for about 40 ms.
+
+use std::io::Write;
 
 use hiss_obs::MetricsRegistry;
+
+/// Writes one encoded message and its terminating newline as a single
+/// write, then flushes, so the line leaves the process whole and at
+/// once.
+pub(crate) fn send_line(w: &mut impl Write, mut line: String) -> std::io::Result<()> {
+    line.push('\n');
+    w.write_all(line.as_bytes())?;
+    w.flush()
+}
 
 /// One client request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -222,6 +239,57 @@ mod tests {
             message: "boom".to_string(),
         };
         assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
+    }
+
+    /// A `Write` that records every call it receives.
+    #[derive(Default)]
+    struct Recorder {
+        writes: Vec<Vec<u8>>,
+        flushes: usize,
+    }
+
+    impl Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.flushes += 1;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_line_reaches_the_writer_as_one_write_and_a_flush() {
+        let mut snap = MetricsRegistry::new();
+        // Longer than a `BufWriter`'s default 8 KiB buffer, so the line
+        // also takes the buffer's pass-through path.
+        snap.label("cell.note", "x".repeat(20_000));
+        let lines = [
+            Response::Cell(snap).encode(),
+            Response::Done {
+                cells: 1,
+                simulated: 1,
+                from_store: 0,
+            }
+            .encode(),
+            Response::Bye.encode(),
+        ];
+        let mut direct = Recorder::default();
+        let mut buffered = std::io::BufWriter::new(Recorder::default());
+        for line in &lines {
+            send_line(&mut direct, line.clone()).unwrap();
+            send_line(&mut buffered, line.clone()).unwrap();
+        }
+        let buffered = buffered.into_inner().ok().unwrap();
+        for rec in [direct, buffered] {
+            assert_eq!(rec.writes.len(), lines.len(), "one write per line");
+            assert_eq!(rec.flushes, lines.len(), "one flush per line");
+            for (write, line) in rec.writes.iter().zip(&lines) {
+                assert_eq!(write, format!("{line}\n").as_bytes());
+            }
+        }
     }
 
     #[test]

@@ -23,12 +23,12 @@
 // Sanctioned exemption (see lint.toml): scoped OS threads for the
 // accept loop and connection handlers; simulation state is untouched.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use crate::protocol::{Request, Response};
+use crate::protocol::{send_line, Request, Response};
 use crate::service::Service;
 
 /// A bound (but not yet running) server.
@@ -96,9 +96,15 @@ impl Server {
 
     /// Serves one connection: a sequence of request lines, each
     /// answered by one or more response lines.
+    ///
+    /// Every response line goes out through `send_line` on a
+    /// `TCP_NODELAY` socket behind a [`BufWriter`]: one write per line,
+    /// flushed at once, so no line waits on Nagle's algorithm for the
+    /// client's (delayed) acknowledgement of the previous one.
     fn handle(&self, conn: TcpStream) -> std::io::Result<()> {
+        conn.set_nodelay(true)?;
         let mut reader = BufReader::new(conn.try_clone()?);
-        let mut writer = conn;
+        let mut writer = BufWriter::new(conn);
         let mut line = String::new();
         loop {
             line.clear();
@@ -110,13 +116,9 @@ impl Server {
                 continue;
             }
             match Request::decode(text) {
-                Err(message) => {
-                    writeln!(writer, "{}", Response::Error { message }.encode())?;
-                    writer.flush()?;
-                }
+                Err(message) => send_line(&mut writer, Response::Error { message }.encode())?,
                 Ok(Request::Shutdown) => {
-                    writeln!(writer, "{}", Response::Bye.encode())?;
-                    writer.flush()?;
+                    send_line(&mut writer, Response::Bye.encode())?;
                     self.initiate_shutdown();
                     return Ok(());
                 }
@@ -126,10 +128,8 @@ impl Server {
                         .service
                         .submit("submission", &scenario, quick, |snapshot| {
                             if stream_err.is_none() {
-                                let r = writeln!(writer, "{}", Response::Cell(snapshot).encode());
-                                if let Err(e) = r {
-                                    stream_err = Some(e);
-                                }
+                                stream_err =
+                                    send_line(&mut writer, Response::Cell(snapshot).encode()).err();
                             }
                         });
                     if let Some(e) = stream_err {
@@ -139,14 +139,8 @@ impl Server {
                         // the client can report. Usually this write
                         // fails too; either way the stream never ends
                         // in a `done` that undercounts its cells.
-                        let _ = writeln!(
-                            writer,
-                            "{}",
-                            Response::Error {
-                                message: format!("stream aborted: {e}"),
-                            }
-                            .encode()
-                        );
+                        let message = format!("stream aborted: {e}");
+                        let _ = send_line(&mut writer, Response::Error { message }.encode());
                         return Err(e);
                     }
                     let tail = match result {
@@ -159,8 +153,7 @@ impl Server {
                             diagnostics: diags.iter().map(|d| d.to_string()).collect(),
                         },
                     };
-                    writeln!(writer, "{}", tail.encode())?;
-                    writer.flush()?;
+                    send_line(&mut writer, tail.encode())?;
                 }
             }
         }
@@ -172,6 +165,7 @@ mod tests {
     use super::*;
     use crate::client::{self, Submission};
     use hiss::DiskStore;
+    use std::io::Write;
 
     const TINY: &str = r#"
 [scenario]
@@ -242,7 +236,9 @@ gpu = ["ubench"]
             .filter(|p| p.to_string_lossy().contains(".tmp."))
             .collect();
         assert!(leftovers.is_empty(), "torn temporaries: {leftovers:?}");
-        assert_eq!(store.write_count(), 1);
+        // The cell plus the three baselines it resolved (CPU, idle GPU,
+        // default co-run), published by the submission's own cache.
+        assert_eq!(store.write_count(), 4);
 
         std::fs::remove_dir_all(&dir).unwrap();
     }

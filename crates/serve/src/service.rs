@@ -18,14 +18,28 @@
 //! re-applied at stream time with the same
 //! [`hiss_scenario::cell_metrics`] the batch compiler uses, which keeps
 //! a served snapshot byte-identical to a freshly simulated one.
+//!
+//! # Baselines
+//!
+//! A store-miss cell also needs its two normalisation baselines (and,
+//! for default-configuration cells, the co-run). Each submission
+//! resolves them through its own [`BaselineCache`], dropped when the
+//! submission ends and backed by the service's store as a second tier:
+//! cells of one submission share a baseline through the cache's
+//! single-flight memo, and submissions — across connections and
+//! restarts — share it through the store. Memory is therefore bounded
+//! by one submission's baselines, not by lifetime traffic. Two
+//! concurrent submissions that need the same not-yet-stored baseline
+//! may each simulate it; both get the same deterministic result, and
+//! the store's write-then-rename publication keeps the entry whole.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use hiss::{DiskStore, RunReport, StoreKey};
+use hiss::{BaselineCache, DiskStore, RunReport, StoreKey};
 use hiss_lint::{Diagnostic, Severity};
 use hiss_obs::MetricsRegistry;
-use hiss_scenario::{cell_metrics, expand, run_cell_report, Cell, Scenario};
+use hiss_scenario::{cell_metrics, expand, run_cell_report_in, Cell, Scenario};
 
 /// Cells per pool invocation when streaming a submission: small enough
 /// that results reach the client incrementally, large enough to keep
@@ -76,6 +90,8 @@ pub struct Service {
     cells_simulated: AtomicU64,
     cells_from_store: AtomicU64,
     cells_audited: AtomicU64,
+    baseline_hits: AtomicU64,
+    baseline_misses: AtomicU64,
 }
 
 impl Service {
@@ -89,6 +105,8 @@ impl Service {
             cells_simulated: AtomicU64::new(0),
             cells_from_store: AtomicU64::new(0),
             cells_audited: AtomicU64::new(0),
+            baseline_hits: AtomicU64::new(0),
+            baseline_misses: AtomicU64::new(0),
         }
     }
 
@@ -136,8 +154,12 @@ impl Service {
             simulated: 0,
             from_store: 0,
         };
+        let baselines = BaselineCache::default();
+        if let Some(store) = &self.store {
+            baselines.attach_disk(Arc::clone(store));
+        }
         for chunk in cells.chunks(STREAM_CHUNK) {
-            let results = hiss::run_jobs(chunk.len(), |i| self.run_cell(&chunk[i]));
+            let results = hiss::run_jobs(chunk.len(), |i| self.run_cell(&chunk[i], &baselines));
             for (snapshot, from_store) in results {
                 if from_store {
                     summary.from_store += 1;
@@ -147,6 +169,10 @@ impl Service {
                 emit(snapshot);
             }
         }
+        self.baseline_hits
+            .fetch_add(baselines.hit_count(), Ordering::Relaxed);
+        self.baseline_misses
+            .fetch_add(baselines.miss_count(), Ordering::Relaxed);
         Ok(summary)
     }
 
@@ -159,7 +185,8 @@ impl Service {
     }
 
     /// Serves one cell: disk-store hit if possible, engine otherwise
-    /// (publishing the fresh result back to the store). The `bool` is
+    /// (resolving baselines through the submission's `baselines` and
+    /// publishing the fresh result back to the store). The `bool` is
     /// `true` when the cell came from the store.
     ///
     /// Every registry passes the conservation-law audit before it is
@@ -168,7 +195,7 @@ impl Service {
     /// like a corrupt one — recomputed and healed in place — while a
     /// *fresh* result violating a law is a simulator bug and panics
     /// with the named diff rather than poisoning the store.
-    fn run_cell(&self, cell: &Cell) -> (MetricsRegistry, bool) {
+    fn run_cell(&self, cell: &Cell, baselines: &BaselineCache) -> (MetricsRegistry, bool) {
         if let Some(store) = &self.store {
             let key = cell_store_key(cell);
             if let Some(metrics) = store.load(&key) {
@@ -178,7 +205,7 @@ impl Service {
                     return (cell_metrics(cell, &report), true);
                 }
             }
-            let (_, report) = run_cell_report(cell);
+            let (_, report) = run_cell_report_in(cell, baselines);
             require_clean(&self.audit(&report.metrics), cell);
             // Best-effort publish: a failed write degrades to
             // recompute-next-time, never to a wrong result.
@@ -186,7 +213,7 @@ impl Service {
             self.cells_simulated.fetch_add(1, Ordering::Relaxed);
             return (cell_metrics(cell, &report), false);
         }
-        let (_, report) = run_cell_report(cell);
+        let (_, report) = run_cell_report_in(cell, baselines);
         require_clean(&self.audit(&report.metrics), cell);
         self.cells_simulated.fetch_add(1, Ordering::Relaxed);
         (cell_metrics(cell, &report), false)
@@ -219,6 +246,14 @@ impl Service {
         reg.counter(
             format!("{prefix}.cells_audited"),
             self.cells_audited.load(Ordering::Relaxed),
+        );
+        reg.counter(
+            format!("{prefix}.baseline_hits"),
+            self.baseline_hits.load(Ordering::Relaxed),
+        );
+        reg.counter(
+            format!("{prefix}.baseline_misses"),
+            self.baseline_misses.load(Ordering::Relaxed),
         );
         if let Some(store) = &self.store {
             reg.counter(format!("{prefix}.store_hits"), store.hit_count());
@@ -314,12 +349,16 @@ gpu = ["ubench"]
         // Byte-identical snapshots, zero simulations the second time.
         assert_eq!(first, second);
         assert_eq!(store.hit_count(), 1);
-        assert_eq!(store.write_count(), 1);
+        // The cell plus its three baselines (CPU, idle GPU, default
+        // co-run), which the first submission's cache published.
+        assert_eq!(store.write_count(), 4);
 
         let mut reg = MetricsRegistry::new();
         service.publish(&mut reg, "bench.serve");
         assert_eq!(reg.counter_value("bench.serve.cells_from_store"), Some(1));
-        assert_eq!(reg.counter_value("bench.serve.store_writes"), Some(1));
+        assert_eq!(reg.counter_value("bench.serve.store_writes"), Some(4));
+        assert_eq!(reg.counter_value("bench.serve.baseline_hits"), Some(0));
+        assert_eq!(reg.counter_value("bench.serve.baseline_misses"), Some(3));
         assert_eq!(reg.counter_value("bench.serve.queue_peak"), Some(1));
 
         std::fs::remove_dir_all(store.root()).unwrap();
