@@ -1,5 +1,4 @@
-//! Experiment runners regenerating every table and figure of the paper's
-//! evaluation.
+//! Experiment runners for the paper artifacts that are not co-run grids.
 //!
 //! Each submodule corresponds to one artifact and returns structured rows
 //! plus a plain-text rendering identical in shape to what the paper
@@ -8,28 +7,18 @@
 //! | module | paper artifact |
 //! |---|---|
 //! | [`tables`] | Table I (SSR catalogue), Table II (system configuration) |
-//! | [`fig3`] | Fig. 3a/3b — CPU and GPU performance under SSR interference |
 //! | [`fig4`] | Fig. 4 — CC6 residency with and without SSRs |
-//! | [`fig5`] | Fig. 5a/5b — µarchitectural pollution from ubench SSRs |
 //! | [`section4c`] | §IV-C — interrupt spreading, IPI inflation, coalescing reduction |
-//! | [`fig6`] | Fig. 6 — each mitigation technique in isolation |
-//! | [`pareto`] | Figs. 7/8 — mitigation-combination Pareto frontiers |
 //! | [`fig9`] | Fig. 9 — CC6 residency across mitigation combinations |
-//! | [`fig12`] | Fig. 12a/12b — QoS throttling (`th_25`/`th_5`/`th_1`) |
 //! | [`extensions`] | beyond the paper: multi-GPU scaling, window/limit sweeps, adaptive QoS |
 //! | [`ablation`] | calibration-knob sweeps separating mechanisms from calibration |
 //!
-//! Full-grid functions (13 CPU × 6 GPU applications) are what the bench
-//! harness runs; every function also accepts explicit workload subsets so
-//! tests can run scaled-down grids.
+//! The co-run grid figures (Figs. 3, 5, 6, 7, 8 and 12) are committed
+//! scenario packs plus pure folds over their rows, in
+//! `hiss_scenario::figures`.
 
-pub mod fig12;
-pub mod fig3;
 pub mod fig4;
-pub mod fig5;
-pub mod fig6;
 pub mod fig9;
-pub mod pareto;
 pub mod section4c;
 pub mod tables;
 
@@ -59,14 +48,13 @@ pub(crate) fn gpu_idle_baseline(cfg: &SystemConfig, gpu_app: &str) -> Arc<RunRep
 }
 
 /// Runs `cpu_app` against `gpu_app` with default mitigation and no QoS —
-/// the denominator shared by Fig. 3 cells, Fig. 6, Fig. 12, and the
-/// Pareto `Default` point. Memoized in the global [`BaselineCache`].
+/// the paper's default co-run. Memoized in the global [`BaselineCache`].
 pub(crate) fn corun_default(cfg: &SystemConfig, cpu_app: &str, gpu_app: &str) -> Arc<RunReport> {
     BaselineCache::global().corun_default(cfg, cpu_app, gpu_app)
 }
 
 /// Renders a fixed-width text table: a header row plus data rows.
-pub(crate) fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
+pub fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
@@ -94,17 +82,6 @@ pub(crate) fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
         out.push('\n');
     }
     out
-}
-
-/// A scaled-down CPU-application subset for integration tests (full
-/// grids belong in `hiss-cli figures`).
-pub fn test_cpu_subset() -> Vec<&'static str> {
-    vec!["fluidanimate", "raytrace", "streamcluster", "x264"]
-}
-
-/// GPU subset matching [`test_cpu_subset`].
-pub fn test_gpu_subset() -> Vec<&'static str> {
-    vec!["bfs", "sssp", "ubench"]
 }
 
 #[cfg(test)]

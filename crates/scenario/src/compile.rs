@@ -8,17 +8,16 @@
 //! ```
 //!
 //! with the first sweep axis as the outermost loop and replicas
-//! innermost. With no sweeps and one replica this is exactly the
-//! GPU-major `gpu × cpu` grid the figure modules use, so a scenario
-//! re-expressing Fig. 3 yields rows in the same order — and, because a
-//! cell's result is a pure function of its knobs, bit-identical values
-//! (`tests/scenarios.rs` pins this).
+//! innermost. With no sweeps and one replica this is the paper's
+//! GPU-major `gpu × cpu` grid; a cell's result is a pure function of its
+//! knobs, so rows are bit-identical whatever the worker count. The
+//! paper's grid figures are folds over these rows ([`crate::figures`]).
 //!
 //! Every cell reuses the process-wide
 //! [`BaselineCache`] for its two normalisation
 //! baselines, and cells whose knobs are the paper's default
 //! configuration resolve the noisy run through the cache too (sharing it
-//! with the figure modules).
+//! with every other cell and batch in the process).
 
 use hiss::{
     BaselineCache, CoreId, DeviceKind, DeviceSpec, DmaParams, ExperimentBuilder, GpuAppSpec,
@@ -48,7 +47,7 @@ pub struct Cell {
 
 /// One result row: the cell's coordinates plus every metric an
 /// `[expect]` band can constrain.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Row {
     /// CPU application.
     pub cpu_app: String,
@@ -234,21 +233,24 @@ pub fn cell_metrics(cell: &Cell, run: &RunReport) -> MetricsRegistry {
     m
 }
 
-fn row_from_report(cell: &Cell, run: &RunReport, base: &RunReport, gpu_base: &RunReport) -> Row {
-    // ubench's figure metric is SSR throughput; full applications use
-    // work throughput — identical to the fig3/fig6/pareto modules.
-    let gpu_perf = if cell.gpu_app == "ubench" {
-        run.ssr_rate_vs(gpu_base)
+/// `gpu_app`'s figure metric of `run` against `base`: ubench's is SSR
+/// throughput, full applications use work throughput.
+pub(crate) fn gpu_perf_vs(gpu_app: &str, run: &RunReport, base: &RunReport) -> f64 {
+    if gpu_app == "ubench" {
+        run.ssr_rate_vs(base)
     } else {
-        run.gpu_perf_vs(gpu_base)
-    };
+        run.gpu_perf_vs(base)
+    }
+}
+
+fn row_from_report(cell: &Cell, run: &RunReport, base: &RunReport, gpu_base: &RunReport) -> Row {
     Row {
         cpu_app: cell.cpu_app.clone(),
         gpu_app: cell.gpu_app.clone(),
         axes: cell.axes.clone(),
         replica: cell.replica,
         cpu_perf: run.cpu_perf_vs(base),
-        gpu_perf,
+        gpu_perf: gpu_perf_vs(&cell.gpu_app, run, gpu_base),
         cpu_runtime_ns: run.cpu_app_runtime.map(|t| t.as_nanos()),
         gpu_throughput: run.gpu_throughput,
         ssr_rate: run.ssr_rate,
@@ -525,29 +527,5 @@ critical_devices = [0]
         let (ctrl_row, ctrl_m) = &pairs[1];
         assert_eq!(ctrl_m.counter_value("qos.classes"), None);
         assert_eq!(ctrl_row.critical_p99_latency_us, 0.0);
-    }
-
-    #[test]
-    fn run_matches_figure_semantics_for_one_cell() {
-        let sc = Scenario::from_str(
-            r#"
-[scenario]
-name = "t"
-[workload]
-cpu = ["raytrace"]
-gpu = ["sssp"]
-"#,
-        )
-        .unwrap();
-        let rows = run(&sc, false);
-        assert_eq!(rows.len(), 1);
-        let r = &rows[0];
-        let cfg = hiss::SystemConfig::a10_7850k();
-        let expected = hiss::experiments::fig3::fig3_with(&cfg, &["raytrace"], &["sssp"]);
-        assert_eq!(
-            r.cpu_perf.unwrap().to_bits(),
-            expected[0].cpu_perf.to_bits()
-        );
-        assert_eq!(r.gpu_perf.to_bits(), expected[0].gpu_perf.to_bits());
     }
 }

@@ -1,9 +1,8 @@
 //! # hiss-scenario — declarative experiment scenarios
 //!
-//! Every experiment in `hiss::experiments` is a hard-coded Rust module;
-//! exploring a configuration the paper didn't plot used to mean writing
-//! and recompiling Rust. This crate adds a data-driven layer on top of
-//! the same engine:
+//! A data-driven experiment layer over the `hiss` engine: an experiment
+//! is a `.hiss` file, not Rust code, and the paper's co-run grid
+//! figures are committed packs folded by [`figures`]. The crate has:
 //!
 //! - a **`.hiss` file format** (a dependency-free TOML subset,
 //!   [`parse`]) declaring a full experiment: system-config overrides,
@@ -14,10 +13,13 @@
 //! - a **batch compiler** ([`compile`]) lowering a scenario into pure
 //!   jobs on the [`hiss::runner`] pool, reusing the process-wide
 //!   [`hiss::BaselineCache`],
-//! - **emitters** ([`output`]) for JSON-lines and ASCII tables, and
+//! - **emitters** ([`output`]) for JSON-lines and ASCII tables,
 //! - an **expect checker** ([`expect`]) that turns the committed
 //!   `scenarios/` library into a golden regression harness
-//!   (`tests/scenarios.rs`).
+//!   (`tests/scenarios.rs`), and
+//! - **figure folds** ([`figures`]): pure functions from the rows of the
+//!   `fig3`, `mitigation_grid` and `fig12` packs to the paper's Figs. 3,
+//!   5, 6, 7, 8 and 12, as `hiss-cli figures` prints them.
 //!
 //! # Example
 //!
@@ -43,6 +45,7 @@
 pub mod bench_suite;
 pub mod compile;
 pub mod expect;
+pub mod figures;
 pub mod lint;
 pub mod output;
 pub mod parse;

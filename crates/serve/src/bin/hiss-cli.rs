@@ -69,9 +69,7 @@ use std::env;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use hiss::experiments::{
-    extensions, fig12, fig3, fig4, fig5, fig6, fig9, pareto, section4c, tables,
-};
+use hiss::experiments::{extensions, fig4, fig9, section4c, tables};
 use hiss::{ExperimentBuilder, Mitigation, Ns, QosParams, RunReport, SystemConfig};
 use hiss_bench::baseline::{self, BaselineFile, SuiteSnapshot};
 use hiss_bench::compare;
@@ -1115,16 +1113,9 @@ fn banner(title: &str) {
 /// the scaled-down app subsets. EXPERIMENTS.md records the
 /// paper-vs-measured comparison for the most recent full run.
 fn figures(cfg: SystemConfig, quick: bool) {
-    let cpu: Vec<&str> = if quick {
-        hiss::experiments::test_cpu_subset()
-    } else {
-        hiss::parsec_suite().iter().map(|s| s.name).collect()
-    };
-    let gpu: Vec<&str> = if quick {
-        hiss::experiments::test_gpu_subset()
-    } else {
-        hiss::gpu_suite().iter().map(|s| s.name).collect()
-    };
+    use scenario::figures::{self, FIG12_PACK, FIG3_PACK, MITIGATION_GRID_PACK};
+    let fig3_pack = figures::pack(FIG3_PACK);
+    let run_pack = |text| scenario::run_with_metrics(&figures::pack(text), quick);
 
     banner("Table I — GPU system service requests");
     println!("{}", tables::render_table1(&tables::table1(&cfg)));
@@ -1133,54 +1124,51 @@ fn figures(cfg: SystemConfig, quick: bool) {
     println!("{}", tables::render_table2(&tables::table2(&cfg)));
 
     banner("Fig. 3a — normalised CPU application performance under GPU SSRs");
-    let rows3 = fig3::fig3_with(&cfg, &cpu, &gpu);
-    println!("{}", fig3::render(&rows3, |r| r.cpu_perf));
+    let rows3 = scenario::run_with_metrics(&fig3_pack, quick);
+    println!("{}", figures::fig3a(&rows3));
 
     banner("Fig. 3b — normalised GPU performance under CPU interference");
-    println!("{}", fig3::render(&rows3, |r| r.gpu_perf));
-    let s = fig3::summarize(&rows3);
+    println!("{}", figures::fig3b(&rows3));
+    let s = figures::fig3_summary(&rows3);
     println!("{s:#?}");
 
     banner("Fig. 4 — CC6 residency with and without SSRs");
+    let gpu: Vec<&str> = fig3_pack
+        .gpu_apps(quick)
+        .iter()
+        .map(String::as_str)
+        .collect();
     println!("{}", fig4::render(&fig4::fig4_with(&cfg, &gpu)));
 
     banner("Fig. 5 — µarchitectural effects of ubench SSRs");
-    println!("{}", fig5::render(&fig5::fig5_with(&cfg, &cpu)));
+    println!("{}", figures::render_fig5(&figures::fig5(&rows3)));
 
     banner("§IV-C — interrupt distribution, IPIs, coalescing");
     println!("{}", section4c::render(&section4c::section4c(&cfg)));
 
-    for technique in fig6::Technique::ALL {
+    let grid = run_pack(MITIGATION_GRID_PACK);
+    for panel in figures::fig6(&grid) {
         banner(&format!(
             "Fig. 6 — {} (CPU and GPU ratios vs default)",
-            technique.label()
+            panel[0].technique.label()
         ));
-        let rows = fig6::fig6_technique(&cfg, technique, &cpu, &gpu);
-        println!("{}", fig6::render(&rows));
+        println!("{}", figures::render_fig6(&panel));
     }
 
     banner("Fig. 7 — Pareto: mitigation combinations under ubench");
-    let p7 = if quick {
-        pareto::pareto_with(&cfg, &cpu, &["ubench"], &Mitigation::all_combinations())
-    } else {
-        pareto::fig7(&cfg)
-    };
-    println!("{}", pareto::render(&p7));
+    println!("{}", figures::render_pareto(&figures::fig7(&grid)));
 
     banner("Fig. 8 — Pareto: mitigation combinations, full GPU applications");
-    let p8 = if quick {
-        let gpu8: Vec<&str> = gpu.iter().copied().filter(|g| *g != "ubench").collect();
-        pareto::pareto_with(&cfg, &cpu, &gpu8, &Mitigation::all_combinations())
-    } else {
-        pareto::fig8(&cfg)
-    };
-    println!("{}", pareto::render(&p8));
+    println!("{}", figures::render_pareto(&figures::fig8(&grid)));
 
     banner("Fig. 9 — mitigation techniques vs CC6 residency (ubench)");
     println!("{}", fig9::render(&fig9::fig9(&cfg)));
 
     banner("Fig. 12 — QoS throttling (default / th_25 / th_5 / th_1)");
-    println!("{}", fig12::render(&fig12::fig12_with(&cfg, &cpu)));
+    println!(
+        "{}",
+        figures::render_fig12(&figures::fig12(&run_pack(FIG12_PACK)))
+    );
 
     banner("Extension — multi-accelerator scaling (x264 vs N × sssp)");
     println!(

@@ -23,13 +23,19 @@
 // Sanctioned exemption (see lint.toml): scoped OS threads for the
 // accept loop and connection handlers; simulation state is untouched.
 
-use std::io::{BufRead, BufReader, BufWriter};
+use std::io::{BufRead, BufReader, BufWriter, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crate::protocol::{send_line, Request, Response};
 use crate::service::Service;
+
+/// Longest request line the server reads, newline excluded (1 MiB, far
+/// above any scenario pack). A client that sends more without a newline
+/// gets one `resp.error` line and the connection is closed, so a
+/// newline-less stream cannot grow a handler's buffer without limit.
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
 
 /// A bound (but not yet running) server.
 #[derive(Debug)]
@@ -101,6 +107,9 @@ impl Server {
     /// `TCP_NODELAY` socket behind a [`BufWriter`]: one write per line,
     /// flushed at once, so no line waits on Nagle's algorithm for the
     /// client's (delayed) acknowledgement of the previous one.
+    ///
+    /// Request lines are read at most [`MAX_REQUEST_BYTES`] plus the
+    /// newline at a time; a longer line ends the connection.
     fn handle(&self, conn: TcpStream) -> std::io::Result<()> {
         conn.set_nodelay(true)?;
         let mut reader = BufReader::new(conn.try_clone()?);
@@ -108,8 +117,13 @@ impl Server {
         let mut line = String::new();
         loop {
             line.clear();
-            if reader.read_line(&mut line)? == 0 {
+            let limit = MAX_REQUEST_BYTES as u64 + 1;
+            if (&mut reader).take(limit).read_line(&mut line)? == 0 {
                 return Ok(()); // client hung up
+            }
+            if line.len() > MAX_REQUEST_BYTES && !line.ends_with('\n') {
+                let message = format!("request line exceeds {MAX_REQUEST_BYTES} bytes");
+                return send_line(&mut writer, Response::Error { message }.encode());
             }
             let text = line.trim_end_matches(['\r', '\n']);
             if text.is_empty() {
@@ -263,6 +277,34 @@ gpu = ["ubench"]
         line.clear();
         reader.read_line(&mut line).unwrap();
         assert_eq!(Response::decode(line.trim_end()).unwrap(), Response::Bye);
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn oversized_request_line_gets_an_error_line_and_is_closed() {
+        let (server, handle) = start(None);
+        let addr = server.local_addr().unwrap();
+
+        let conn = TcpStream::connect(addr).unwrap();
+        conn.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        let mut reader = BufReader::new(conn.try_clone().unwrap());
+        let mut writer = conn;
+        // One byte past the cap, and no newline ever.
+        writer
+            .write_all(&vec![b'x'; MAX_REQUEST_BYTES + 1])
+            .unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        match Response::decode(line.trim_end()).unwrap() {
+            Response::Error { message } => assert!(message.contains("exceeds"), "{message}"),
+            other => panic!("expected an error line, got {other:?}"),
+        }
+        // Then the server closes the connection: EOF, not a timeout.
+        line.clear();
+        assert_eq!(reader.read_line(&mut line).unwrap(), 0, "{line:?}");
+
+        server.initiate_shutdown();
         handle.join().unwrap();
     }
 

@@ -9,15 +9,20 @@
 //! cargo run --release --example qos_guarantee
 //! ```
 
-use hiss::experiments::{extensions, fig12};
+use hiss::experiments::extensions;
 use hiss::SystemConfig;
+use hiss_scenario::figures::{self, FIG12_PACK};
 
 fn main() {
     let cfg = SystemConfig::a10_7850k();
 
     println!("Fig. 12 — QoS throttling sweep (victims vs ubench)\n");
-    let rows = fig12::fig12_with(&cfg, &["x264", "fluidanimate", "swaptions"]);
-    println!("{}", fig12::render(&rows));
+    let mut fig12 = figures::pack(FIG12_PACK);
+    fig12.workload.cpu = ["x264", "fluidanimate", "swaptions"]
+        .map(String::from)
+        .to_vec();
+    let rows = figures::fig12(&hiss_scenario::run_with_metrics(&fig12, false));
+    println!("{}", figures::render_fig12(&rows));
     println!("Reading: th_1 restores CPU performance to within a few percent");
     println!("of the no-SSR baseline while accelerator throughput collapses —");
     println!("the configured ceiling is an enforced guarantee, not a hint.\n");

@@ -5,12 +5,31 @@
 //! authors' testbed — the bands check that *who wins, by roughly what
 //! factor, and where the crossovers fall* reproduce (see EXPERIMENTS.md
 //! for the per-figure comparison and known deviations).
+//!
+//! Grid figures run their committed packs (`hiss_scenario::figures`)
+//! over the workload subset each claim needs.
 
-use hiss::experiments::{fig12, fig3, fig4, section4c};
+use hiss::experiments::{fig4, section4c};
 use hiss::{ExperimentBuilder, Mitigation, SystemConfig};
+use hiss_obs::MetricsRegistry;
+use hiss_scenario::figures::{self, FIG12_PACK, FIG3_PACK};
+use hiss_scenario::{run_with_metrics, Row};
 
 fn cfg() -> SystemConfig {
     SystemConfig::a10_7850k()
+}
+
+/// Runs the pack `text` over the `cpu` × `gpu` subset of its workload.
+fn run_subset(text: &str, cpu: &[&str], gpu: &[&str]) -> Vec<(Row, MetricsRegistry)> {
+    let mut sc = figures::pack(text);
+    sc.workload.cpu = cpu.iter().map(|s| s.to_string()).collect();
+    sc.workload.gpu = gpu.iter().map(|s| s.to_string()).collect();
+    run_with_metrics(&sc, false)
+}
+
+fn cpu_perf(row: &Row) -> f64 {
+    row.cpu_perf
+        .expect("calibration cells finish the CPU application")
 }
 
 /// §I / §IV-A: "GPU system service requests can degrade contemporaneous
@@ -19,8 +38,9 @@ fn cfg() -> SystemConfig {
 #[test]
 fn ubench_cpu_degradation_band() {
     let cpu: Vec<&str> = hiss::parsec_suite().iter().map(|s| s.name).collect();
-    let rows = fig3::fig3_with(&cfg(), &cpu, &["ubench"]);
-    let s = fig3::summarize(&rows);
+    let pairs = run_subset(FIG3_PACK, &cpu, &["ubench"]);
+    let s = figures::fig3_summary(&pairs);
+    let rows: Vec<&Row> = pairs.iter().map(|(r, _)| r).collect();
     assert!(
         (0.50..=0.80).contains(&s.worst_cpu_ubench),
         "worst-case CPU perf under ubench: {} (paper: 0.56)",
@@ -34,7 +54,7 @@ fn ubench_cpu_degradation_band() {
     // The worst-affected application is one of the µarch-sensitive ones.
     let worst = rows
         .iter()
-        .min_by(|a, b| a.cpu_perf.total_cmp(&b.cpu_perf))
+        .min_by(|a, b| cpu_perf(a).total_cmp(&cpu_perf(b)))
         .unwrap();
     assert!(
         ["x264", "fluidanimate"].contains(&worst.cpu_app.as_str()),
@@ -44,7 +64,7 @@ fn ubench_cpu_degradation_band() {
     // raytrace (single-threaded) is the least affected (paper §IV-A).
     let best = rows
         .iter()
-        .max_by(|a, b| a.cpu_perf.total_cmp(&b.cpu_perf))
+        .max_by(|a, b| cpu_perf(a).total_cmp(&cpu_perf(b)))
         .unwrap();
     assert_eq!(best.cpu_app, "raytrace");
 }
@@ -53,36 +73,39 @@ fn ubench_cpu_degradation_band() {
 /// SSSP), 12% on average for the worst generator.
 #[test]
 fn full_app_cpu_degradation_band() {
-    let rows = fig3::fig3_with(
-        &cfg(),
+    let pairs = run_subset(
+        FIG3_PACK,
         &["fluidanimate", "x264", "raytrace", "swaptions"],
         &["sssp", "bpt"],
     );
+    let rows: Vec<&Row> = pairs.iter().map(|(r, _)| r).collect();
     for r in &rows {
+        let perf = cpu_perf(r);
         // Single-threaded raytrace barely interacts with low-rate
         // generators: its cell can land within noise of 1.0.
         let ceiling = if r.cpu_app == "raytrace" { 1.01 } else { 1.0 };
         assert!(
-            r.cpu_perf < ceiling,
+            perf < ceiling,
             "{}+{}: full apps must still interfere ({})",
             r.cpu_app,
             r.gpu_app,
-            r.cpu_perf
+            perf
         );
         assert!(
-            r.cpu_perf > 0.6,
+            perf > 0.6,
             "{}+{}: implausibly strong interference ({})",
             r.cpu_app,
             r.gpu_app,
-            r.cpu_perf
+            perf
         );
     }
     // fluidanimate is hit harder than swaptions by the same generator.
     let get = |c: &str, g: &str| {
-        rows.iter()
-            .find(|r| r.cpu_app == c && r.gpu_app == g)
-            .unwrap()
-            .cpu_perf
+        cpu_perf(
+            rows.iter()
+                .find(|r| r.cpu_app == c && r.gpu_app == g)
+                .unwrap(),
+        )
     };
     assert!(get("fluidanimate", "sssp") < get("swaptions", "sssp"));
 }
@@ -93,7 +116,8 @@ fn full_app_cpu_degradation_band() {
 #[test]
 fn busy_cpus_delay_gpu_service() {
     let cpu: Vec<&str> = hiss::parsec_suite().iter().map(|s| s.name).collect();
-    let rows = fig3::fig3_with(&cfg(), &cpu, &["sssp", "ubench"]);
+    let pairs = run_subset(FIG3_PACK, &cpu, &["sssp", "ubench"]);
+    let rows: Vec<&Row> = pairs.iter().map(|(r, _)| r).collect();
     let sssp_stream = rows
         .iter()
         .find(|r| r.cpu_app == "streamcluster" && r.gpu_app == "sssp")
@@ -241,15 +265,19 @@ fn coalescing_trade_off() {
 /// throughput (paper: to ~5% of unhindered).
 #[test]
 fn qos_threshold_sweep() {
-    let rows = fig12::fig12_with(&cfg(), &["x264", "fluidanimate", "swaptions"]);
-    let avg = |t: fig12::Throttle, f: fn(&fig12::Fig12Row) -> f64| {
+    let rows = figures::fig12(&run_subset(
+        FIG12_PACK,
+        &["x264", "fluidanimate", "swaptions"],
+        &["ubench"],
+    ));
+    let avg = |t: &str, f: fn(&figures::Fig12Row) -> f64| {
         let v: Vec<f64> = rows.iter().filter(|r| r.throttle == t).map(f).collect();
         hiss_sim_mean(&v)
     };
-    let cpu_def = avg(fig12::Throttle::Default, |r| r.cpu_perf);
-    let cpu_th1 = avg(fig12::Throttle::Th1, |r| r.cpu_perf);
-    let gpu_def = avg(fig12::Throttle::Default, |r| r.gpu_perf);
-    let gpu_th1 = avg(fig12::Throttle::Th1, |r| r.gpu_perf);
+    let cpu_def = avg("default", |r| r.cpu_perf);
+    let cpu_th1 = avg("th_1", |r| r.cpu_perf);
+    let gpu_def = avg("default", |r| r.gpu_perf);
+    let gpu_th1 = avg("th_1", |r| r.gpu_perf);
     assert!(
         cpu_th1 > 0.90,
         "th_1 should cap CPU loss near 1-4% plus pollution residue: {cpu_th1}"
@@ -263,7 +291,7 @@ fn qos_threshold_sweep() {
     // The measured SSR overhead respects the configured ceiling loosely
     // ("the CPU performance loss can be slightly more than x% because our
     // driver enforces the limit periodically").
-    for r in rows.iter().filter(|r| r.throttle == fig12::Throttle::Th1) {
+    for r in rows.iter().filter(|r| r.throttle == "th_1") {
         assert!(
             r.ssr_overhead < 0.05,
             "{}: overhead {} far above th_1",

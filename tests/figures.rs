@@ -1,12 +1,11 @@
 //! End-to-end pin of `hiss-cli figures`, the one entry point that
-//! regenerates the paper's tables and figures: the quick run exits 0,
-//! prints every artifact banner in the paper's order, and its Fig. 3a
-//! block is exactly the library's rendering of the quick grid.
+//! regenerates the paper's tables and figures: the quick and full runs
+//! exit 0 and print, byte for byte, the committed goldens under
+//! `tests/golden/` (every artifact banner in the paper's order, every
+//! rendered row).
 
 use std::path::Path;
 use std::process::Command;
-
-use hiss::experiments::{fig3, test_cpu_subset, test_gpu_subset};
 
 /// Every artifact banner, in print order.
 const BANNERS: &[&str] = &[
@@ -32,19 +31,32 @@ const BANNERS: &[&str] = &[
     "Replication — x264 + ubench over 3 seeds (paper §III methodology)",
 ];
 
-#[test]
-fn quick_figures_print_every_artifact_in_order() {
+/// Runs `hiss-cli figures <args>` and returns its stdout.
+fn figures(args: &[&str]) -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_hiss-cli"))
         .current_dir(Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."))
-        .args(["figures", "--quick"])
+        .arg("figures")
+        .args(args)
         .output()
         .unwrap();
     assert!(
         out.status.success(),
-        "figures --quick failed:\n{}",
+        "figures {args:?} failed:\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let stdout = String::from_utf8(out.stdout).unwrap();
+    String::from_utf8(out.stdout).unwrap()
+}
+
+fn golden(name: &str) -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden")
+        .join(name);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+#[test]
+fn quick_figures_print_every_artifact_in_order() {
+    let stdout = figures(&["--quick"]);
 
     // Each title sits between two rules, and the titles come in order.
     let rule = "=".repeat(74);
@@ -62,20 +74,17 @@ fn quick_figures_print_every_artifact_in_order() {
         "an artifact banner is not in the list"
     );
 
-    // The Fig. 3a block is the library rendering of the quick grid.
-    let rows = fig3::fig3_with(
-        &hiss::SystemConfig::a10_7850k(),
-        &test_cpu_subset(),
-        &test_gpu_subset(),
-    );
-    let block = format!(
-        "\n{}\n{rule}\n{}\n\n{rule}\n{}\n",
-        BANNERS[2],
-        fig3::render(&rows, |r| r.cpu_perf),
-        BANNERS[3]
-    );
     assert!(
-        stdout.contains(&block),
-        "Fig. 3a block differs from fig3::render:\n{stdout}"
+        stdout == golden("figures_quick.txt"),
+        "figures --quick differs from tests/golden/figures_quick.txt:\n{stdout}"
+    );
+}
+
+#[test]
+fn full_figures_match_the_golden() {
+    let stdout = figures(&[]);
+    assert!(
+        stdout == golden("figures_full.txt"),
+        "figures differs from tests/golden/figures_full.txt:\n{stdout}"
     );
 }

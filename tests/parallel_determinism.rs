@@ -2,23 +2,27 @@
 //! figure grids computed on the job pool are required to be bit-for-bit
 //! identical to the serial path, whatever the worker count and whatever
 //! the cache state. These tests pin that contract for a representative
-//! row-grid (`fig3`) and a reduced grid (`pareto`), including the
-//! `HISS_THREADS` override the runner sizes itself from.
+//! row-grid (the `fig3` pack) and a reduced grid (the mitigation grid's
+//! Fig. 7 fold), including the `HISS_THREADS` override the runner sizes
+//! itself from.
 
-use hiss::experiments::{fig3, pareto, test_cpu_subset, test_gpu_subset, BaselineCache};
+use hiss::experiments::BaselineCache;
 use hiss::{
-    run_jobs_on, CoreId, CriticalityConfig, DeviceSpec, DmaParams, ExperimentBuilder, Mitigation,
-    NicParams, SystemConfig,
+    run_jobs_on, CoreId, CriticalityConfig, DeviceSpec, DmaParams, ExperimentBuilder, NicParams,
+    SystemConfig,
 };
+use hiss_obs::MetricsRegistry;
+use hiss_scenario::figures::{self, ParetoPoint, FIG3_PACK, MITIGATION_GRID_PACK};
+use hiss_scenario::{run_with_metrics, Row};
 
 /// Exact (bit-level) fingerprint of a Fig. 3 grid.
-fn fig3_bits(rows: &[fig3::Fig3Row]) -> Vec<(String, String, u64, u64)> {
+fn fig3_bits(rows: &[(Row, MetricsRegistry)]) -> Vec<(String, String, u64, u64)> {
     rows.iter()
-        .map(|r| {
+        .map(|(r, _)| {
             (
                 r.cpu_app.clone(),
                 r.gpu_app.clone(),
-                r.cpu_perf.to_bits(),
+                r.cpu_perf.expect("fig3 cells finish").to_bits(),
                 r.gpu_perf.to_bits(),
             )
         })
@@ -26,7 +30,7 @@ fn fig3_bits(rows: &[fig3::Fig3Row]) -> Vec<(String, String, u64, u64)> {
 }
 
 /// Exact (bit-level) fingerprint of a Pareto chart.
-fn pareto_bits(points: &[pareto::ParetoPoint]) -> Vec<(String, u64, u64)> {
+fn pareto_bits(points: &[ParetoPoint]) -> Vec<(String, u64, u64)> {
     points
         .iter()
         .map(|p| {
@@ -45,20 +49,20 @@ fn pareto_bits(points: &[pareto::ParetoPoint]) -> Vec<(String, u64, u64)> {
 #[test]
 fn hiss_threads_1_and_8_produce_identical_grids() {
     let cfg = SystemConfig::a10_7850k();
-    let cpu = test_cpu_subset();
-    let gpu = test_gpu_subset();
-    let combos = [
-        Mitigation::DEFAULT,
-        Mitigation {
-            coalesce: true,
-            ..Mitigation::DEFAULT
-        },
-    ];
+    let fig3 = figures::pack(FIG3_PACK);
+    let gpu: Vec<&str> = fig3.gpu_apps(true).iter().map(String::as_str).collect();
+    // The quick CPU subset against ubench, default vs coalescing only.
+    let mut grid = figures::pack(MITIGATION_GRID_PACK);
+    grid.workload.quick_gpu = vec!["ubench".to_string()];
+    grid.sweeps[0]
+        .values
+        .retain(|v| ["default", "coalesce"].contains(&v.render().as_str()));
+    let pareto = || figures::fig7(&run_with_metrics(&grid, true));
 
     std::env::set_var("HISS_THREADS", "1");
     BaselineCache::global().clear();
-    let fig3_serial = fig3::fig3_with(&cfg, &cpu, &gpu);
-    let pareto_serial = pareto::pareto_with(&cfg, &cpu, &["ubench"], &combos);
+    let fig3_serial = run_with_metrics(&fig3, true);
+    let pareto_serial = pareto();
 
     // The calendar's own accounting must be as thread-invariant as the
     // simulation results: per-run events pushed/popped/peak are part of
@@ -125,8 +129,8 @@ fn hiss_threads_1_and_8_produce_identical_grids() {
 
     std::env::set_var("HISS_THREADS", "8");
     BaselineCache::global().clear();
-    let fig3_parallel = fig3::fig3_with(&cfg, &cpu, &gpu);
-    let pareto_parallel = pareto::pareto_with(&cfg, &cpu, &["ubench"], &combos);
+    let fig3_parallel = run_with_metrics(&fig3, true);
+    let pareto_parallel = pareto();
     let counters_parallel = counters("8");
     let devices_parallel = device_snapshots("8");
     let crit_parallel = crit_snapshots("8");
@@ -134,10 +138,13 @@ fn hiss_threads_1_and_8_produce_identical_grids() {
     // And once more against a *warm* cache: memoized baselines must not
     // change any value either.
     std::env::set_var("HISS_THREADS", "8");
-    let fig3_warm = fig3::fig3_with(&cfg, &cpu, &gpu);
+    let fig3_warm = run_with_metrics(&fig3, true);
     std::env::remove_var("HISS_THREADS");
 
-    assert_eq!(fig3_serial.len(), cpu.len() * gpu.len());
+    assert_eq!(
+        fig3_serial.len(),
+        fig3.cpu_apps(true).len() * fig3.gpu_apps(true).len()
+    );
     assert_eq!(fig3_bits(&fig3_serial), fig3_bits(&fig3_parallel));
     assert_eq!(fig3_bits(&fig3_serial), fig3_bits(&fig3_warm));
     assert_eq!(pareto_bits(&pareto_serial), pareto_bits(&pareto_parallel));

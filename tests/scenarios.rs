@@ -2,15 +2,9 @@
 //! `scenarios/*.hiss` file must parse, expand, run in quick mode, and
 //! satisfy its own `[expect]` bands — so a behaviour change anywhere in
 //! the simulator trips the band of whichever scenario observes it.
-//!
-//! The fig3 scenario is additionally pinned bit-for-bit against the
-//! `hiss::experiments::fig3` module it re-expresses: the declarative
-//! path and the hard-coded path must be the same experiment.
 
 use std::path::{Path, PathBuf};
 
-use hiss::experiments::fig3;
-use hiss::SystemConfig;
 use hiss_scenario::{check, expand, load, output, run, Scenario};
 
 fn scenarios_dir() -> PathBuf {
@@ -63,61 +57,6 @@ fn committed_scenarios_hold_their_expect_bands() {
                 .collect::<Vec<_>>()
                 .join("\n")
         );
-    }
-}
-
-/// The declarative fig3 scenario is the same experiment as the fig3
-/// module: identical grid order, bit-identical values (quick subsets).
-#[test]
-fn fig3_scenario_is_bit_identical_to_fig3_module() {
-    let sc = load(&scenarios_dir().join("fig3.hiss")).unwrap();
-    let rows = run(&sc, true);
-
-    let cfg = SystemConfig::a10_7850k();
-    let cpu: Vec<&str> = sc.cpu_apps(true).iter().map(String::as_str).collect();
-    let gpu: Vec<&str> = sc.gpu_apps(true).iter().map(String::as_str).collect();
-    let module = fig3::fig3_with(&cfg, &cpu, &gpu);
-
-    assert_eq!(rows.len(), module.len());
-    for (r, m) in rows.iter().zip(&module) {
-        assert_eq!((&r.cpu_app, &r.gpu_app), (&m.cpu_app, &m.gpu_app));
-        assert_eq!(
-            r.cpu_perf.expect("fig3 cells finish").to_bits(),
-            m.cpu_perf.to_bits(),
-            "{}×{} cpu_perf",
-            r.cpu_app,
-            r.gpu_app
-        );
-        assert_eq!(
-            r.gpu_perf.to_bits(),
-            m.gpu_perf.to_bits(),
-            "{}×{} gpu_perf",
-            r.cpu_app,
-            r.gpu_app
-        );
-    }
-}
-
-/// Full 13 × 6 grid bit-identity — the acceptance criterion for
-/// `hiss-cli scenario run scenarios/fig3.hiss`. Ignored by default
-/// (runs the whole paper grid twice); `cargo test -- --ignored` covers
-/// it.
-#[test]
-#[ignore = "full paper grid; run with --ignored"]
-fn fig3_scenario_full_grid_is_bit_identical() {
-    let sc = load(&scenarios_dir().join("fig3.hiss")).unwrap();
-    let rows = run(&sc, false);
-
-    let cfg = SystemConfig::a10_7850k();
-    let cpu: Vec<&str> = sc.cpu_apps(false).iter().map(String::as_str).collect();
-    let gpu: Vec<&str> = sc.gpu_apps(false).iter().map(String::as_str).collect();
-    let module = fig3::fig3_with(&cfg, &cpu, &gpu);
-
-    assert_eq!(rows.len(), module.len());
-    for (r, m) in rows.iter().zip(&module) {
-        assert_eq!((&r.cpu_app, &r.gpu_app), (&m.cpu_app, &m.gpu_app));
-        assert_eq!(r.cpu_perf.unwrap().to_bits(), m.cpu_perf.to_bits());
-        assert_eq!(r.gpu_perf.to_bits(), m.gpu_perf.to_bits());
     }
 }
 
