@@ -11,7 +11,6 @@
 //! | [`section4c`] | §IV-C — interrupt spreading, IPI inflation, coalescing reduction |
 //! | [`fig9`] | Fig. 9 — CC6 residency across mitigation combinations |
 //! | [`extensions`] | beyond the paper: multi-GPU scaling, window/limit sweeps, adaptive QoS |
-//! | [`ablation`] | calibration-knob sweeps separating mechanisms from calibration |
 //!
 //! The co-run grid figures (Figs. 3, 5, 6, 7, 8 and 12) are committed
 //! scenario packs plus pure folds over their rows, in
@@ -22,7 +21,6 @@ pub mod fig9;
 pub mod section4c;
 pub mod tables;
 
-pub mod ablation;
 pub mod cache;
 pub mod extensions;
 

@@ -115,7 +115,7 @@ pub fn expand(sc: &Scenario, quick: bool) -> Vec<Cell> {
             axis.field
                 .apply(&mut knobs, value, axis.line)
                 .expect("sweep values were validated at parse time");
-            axes.push((axis.field.key().to_string(), value.render()));
+            axes.push((axis.field.key.to_string(), value.render()));
         }
         for gpu_app in gpu_apps {
             for cpu_app in cpu_apps {

@@ -3,7 +3,7 @@
 //! regression harness.
 
 use crate::compile::Row;
-use crate::spec::{Agg, Expect, Metric, Scenario};
+use crate::spec::{Agg, Expect, Scenario};
 
 /// One failed expectation.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,27 +27,6 @@ impl std::fmt::Display for Violation {
             (None, line) => write!(f, "line {line}: {}", self.msg),
         }
     }
-}
-
-/// Extracts one metric from a row. `None` only for CPU-perf-derived
-/// metrics of a run whose CPU application never finished.
-fn metric_value(metric: Metric, row: &Row) -> Option<f64> {
-    Some(match metric {
-        Metric::CpuPerf => return row.cpu_perf,
-        Metric::GpuPerf => row.gpu_perf,
-        Metric::Cc6Residency => row.cc6_residency,
-        Metric::SsrOverhead => row.ssr_overhead,
-        Metric::MeanLatencyUs => row.mean_ssr_latency_us,
-        Metric::P99LatencyUs => row.p99_ssr_latency_us,
-        Metric::SsrRate => row.ssr_rate,
-        Metric::GpuThroughput => row.gpu_throughput,
-        Metric::QosDeferrals => row.qos_deferrals as f64,
-        Metric::Ipis => row.ipis as f64,
-        Metric::AuxSsrsRaised => row.aux_ssrs_raised as f64,
-        Metric::EventsPushed => row.events_pushed as f64,
-        Metric::EventsPopped => row.events_popped as f64,
-        Metric::CriticalP99LatencyUs => row.critical_p99_latency_us,
-    })
 }
 
 /// Aggregates the selected values, or `None` when there are none — an
@@ -78,7 +57,7 @@ pub fn check_band(expect: &Expect, rows: &[Row], file: Option<&str>) -> Option<V
     };
     let mut values = Vec::with_capacity(rows.len());
     for row in rows {
-        match metric_value(expect.metric, row) {
+        match (expect.metric.value)(row) {
             Some(v) => values.push(v),
             None => {
                 return violation(format!(

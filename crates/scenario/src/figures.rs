@@ -63,7 +63,8 @@ fn axis<'a>(row: &'a Row, key: &str) -> Option<&'a str> {
 fn mitigation(row: &Row) -> Mitigation {
     let mut knobs = Knobs::default();
     if let Some(combo) = axis(row, "mitigation") {
-        Field::MitigationCombo
+        Field::by_key("mitigation")
+            .expect("the combo knob is in the table")
             .apply(&mut knobs, &Value::Str(combo.to_string()), 0)
             .expect("sweep values were validated at parse time");
     }

@@ -145,7 +145,7 @@ fn check_sweep_axes(file: &str, sc: &Scenario, out: &mut Vec<Diagnostic>) {
                 format!(
                     "sweep axis {:?} has a single value; move it to [system]/[mitigation] \
                      or add more points",
-                    axis.field.key()
+                    axis.field.key
                 ),
             ));
         }
@@ -172,7 +172,7 @@ fn check_sweep_axes(file: &str, sc: &Scenario, out: &mut Vec<Diagnostic>) {
                         axis.line,
                         format!(
                             "sweep axis {:?} lists value {} twice",
-                            axis.field.key(),
+                            axis.field.key,
                             axis.values[j].render()
                         ),
                     ));
@@ -187,7 +187,7 @@ fn check_sweep_axes(file: &str, sc: &Scenario, out: &mut Vec<Diagnostic>) {
                              configurations: every cell of the grid is duplicated",
                             axis.values[i].render(),
                             axis.values[j].render(),
-                            axis.field.key()
+                            axis.field.key
                         ),
                     ));
                 }
@@ -226,10 +226,23 @@ fn check_sweep_axes(file: &str, sc: &Scenario, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// HL009 — a `[system]`/`[mitigation]` key that a sweep axis fully
-/// overrides: its base value is never used by any cell.
+/// The knobs a document's `[system]`/`[mitigation]`/`[criticality]`
+/// sections set, with the line of each entry.
+fn base_knobs(doc: &Document) -> impl Iterator<Item = (&Section, &'static Field, usize)> {
+    doc.sections.iter().flat_map(|section| {
+        section.entries.iter().filter_map(move |e| {
+            Field::in_section(&section.name, &e.key).map(|field| (section, field, e.line))
+        })
+    })
+}
+
+/// HL009 — a `[system]`/`[mitigation]`/`[criticality]` key that a sweep
+/// axis fully overrides: its base value is never used by any cell.
 fn check_shadowed_base_keys(file: &str, doc: &Document, sc: &Scenario, out: &mut Vec<Diagnostic>) {
-    let mut flag = |section: &Section, field: Field, line: usize, axis: Field| {
+    for (section, field, line) in base_knobs(doc) {
+        let Some(axis) = sc.sweeps.iter().find(|a| a.field.drives(field)) else {
+            continue;
+        };
         out.push(Diagnostic::new(
             Code::UnusedBaseKey,
             Some(file),
@@ -237,58 +250,10 @@ fn check_shadowed_base_keys(file: &str, doc: &Document, sc: &Scenario, out: &mut
             format!(
                 "[{}] {:?} is overridden by the {:?} sweep axis on every cell; \
                  its value here is never used",
-                section.name,
-                field.key(),
-                axis.key()
+                section.name, field.key, axis.field.key
             ),
         ));
-    };
-    for name in ["system", "mitigation", "criticality"] {
-        let Some(section) = doc.section(name) else {
-            continue;
-        };
-        for e in &section.entries {
-            let Some(field) = field_by_key(&e.key) else {
-                continue;
-            };
-            let shadowing = sc.sweeps.iter().map(|a| a.field).find(|axis| {
-                *axis == field
-                    || (*axis == Field::MitigationCombo
-                        && matches!(field, Field::Steer | Field::Coalesce | Field::Monolithic))
-            });
-            if let Some(axis) = shadowing {
-                flag(section, field, e.line, axis);
-            }
-        }
     }
-}
-
-/// `Field::by_key` is private to `spec`; the lint only needs the keys
-/// `[system]`/`[mitigation]`/`[criticality]` accept, which `apply`
-/// already validated.
-fn field_by_key(key: &str) -> Option<Field> {
-    [
-        Field::Cores,
-        Field::Gpus,
-        Field::Seed,
-        Field::TimerTickUs,
-        Field::CoalesceWindowUs,
-        Field::MaxSimTimeMs,
-        Field::Cc6,
-        Field::SteerTarget,
-        Field::Steer,
-        Field::Coalesce,
-        Field::Monolithic,
-        Field::QosPercent,
-        Field::MitigationCombo,
-        Field::CritReserve,
-        Field::CritQuota,
-        Field::CritCores,
-        Field::CritWindowUs,
-        Field::BeWindowUs,
-    ]
-    .into_iter()
-    .find(|f| f.key() == key)
 }
 
 /// The number of rows a full (or quick) run of the scenario produces.
@@ -322,7 +287,7 @@ fn check_pinned_rows(file: &str, doc: &Document, sc: &Scenario, out: &mut Vec<Di
 /// in the `hiss-obs` schema (guards against spec/schema drift).
 fn check_expect_schema(file: &str, sc: &Scenario, out: &mut Vec<Diagnostic>) {
     for expect in &sc.expects {
-        let Some(key) = expect.metric.registry_key() else {
+        let Some(key) = expect.metric.registry_key else {
             continue;
         };
         if hiss_obs::schema::lookup(key).is_none() {
@@ -333,7 +298,7 @@ fn check_expect_schema(file: &str, sc: &Scenario, out: &mut Vec<Diagnostic>) {
                 format!(
                     "expect metric `{}` maps to registry name `{key}`, which is not \
                      declared in the hiss-obs schema",
-                    expect.metric.key()
+                    expect.metric.key
                 ),
             ));
         }
@@ -356,15 +321,14 @@ fn check_invariant_bands(file: &str, sc: &Scenario, out: &mut Vec<Diagnostic>) {
     let metric_for = |registry_name: &str| {
         Metric::ALL
             .iter()
-            .copied()
-            .find(|m| m.registry_key() == Some(registry_name))
+            .find(|m| m.registry_key == Some(registry_name))
     };
     let rank = |agg: Agg| match agg {
         Agg::Min => 0,
         Agg::Mean => 1,
         Agg::Max => 2,
     };
-    let mut flag_le = |inv: &Invariant, a: Metric, b: Metric| {
+    let mut flag_le = |inv: &Invariant, a: &Metric, b: &Metric| {
         // a ≤ b row-wise; contradiction: lower-bounding g1(a) above
         // g2(b)'s upper bound with rank(g1) ≤ rank(g2).
         for lo_band in sc.expects.iter().filter(|e| e.metric == a) {
@@ -380,9 +344,9 @@ fn check_invariant_bands(file: &str, sc: &Scenario, out: &mut Vec<Diagnostic>) {
                             lo_band.key,
                             hi_band.key,
                             inv.name,
-                            a.key(),
+                            a.key,
                             inv.rel.as_str(),
-                            b.key(),
+                            b.key,
                             lo_band.key,
                             lo_band.lo,
                             hi_band.key,
@@ -419,8 +383,7 @@ pub fn check_coverage(root: &Path) -> Vec<Diagnostic> {
     let mut exercised_fields: BTreeSet<&'static str> = BTreeSet::new();
 
     // Committed scenario library: expect metrics + every knob set in
-    // [system]/[mitigation] or driven by a sweep axis of the expanded
-    // grid.
+    // [system]/[mitigation]/[criticality] or swept.
     let dir = root.join("scenarios");
     let mut files: Vec<std::path::PathBuf> = std::fs::read_dir(&dir)
         .map(|rd| {
@@ -442,37 +405,17 @@ pub fn check_coverage(root: &Path) -> Vec<Diagnostic> {
             continue;
         };
         for expect in &sc.expects {
-            if let Some(key) = expect.metric.registry_key() {
+            if let Some(key) = expect.metric.registry_key {
                 exercised_metrics.insert(key.to_string());
             }
         }
-        // A combo axis/key drives the three switches it aliases, so
+        // A knob also exercises the switches it aliases, so
         // `mitigation = ["steer", ...]` exercises `steer` too (the same
         // aliasing the HL009 shadow check accounts for).
-        let mut mark = |field: Field| {
-            exercised_fields.insert(field.key());
-            if field == Field::MitigationCombo {
-                for f in [Field::Steer, Field::Coalesce, Field::Monolithic] {
-                    exercised_fields.insert(f.key());
-                }
-            }
-        };
-        for name in ["system", "mitigation", "criticality"] {
-            let Some(section) = doc.section(name) else {
-                continue;
-            };
-            for e in &section.entries {
-                if let Some(field) = field_by_key(&e.key) {
-                    mark(field);
-                }
-            }
-        }
-        for cell in crate::compile::expand(&sc, false) {
-            for (key, _) in &cell.axes {
-                if let Some(field) = field_by_key(key) {
-                    mark(field);
-                }
-            }
+        let base = base_knobs(&doc).map(|(_, field, _)| field);
+        for field in base.chain(sc.sweeps.iter().map(|a| a.field)) {
+            exercised_fields.insert(field.key);
+            exercised_fields.extend(field.aliases);
         }
     }
 
@@ -498,27 +441,8 @@ pub fn check_coverage(root: &Path) -> Vec<Diagnostic> {
     ));
 
     let scenarios_label = dir.display().to_string();
-    for field in [
-        Field::Cores,
-        Field::Gpus,
-        Field::Seed,
-        Field::TimerTickUs,
-        Field::CoalesceWindowUs,
-        Field::MaxSimTimeMs,
-        Field::Cc6,
-        Field::SteerTarget,
-        Field::Steer,
-        Field::Coalesce,
-        Field::Monolithic,
-        Field::QosPercent,
-        Field::MitigationCombo,
-        Field::CritReserve,
-        Field::CritQuota,
-        Field::CritCores,
-        Field::CritWindowUs,
-        Field::BeWindowUs,
-    ] {
-        if !exercised_fields.contains(field.key()) {
+    for field in Field::ALL {
+        if !exercised_fields.contains(field.key) {
             diags.push(Diagnostic::new(
                 Code::DeadKnob,
                 Some(&scenarios_label),
@@ -526,7 +450,7 @@ pub fn check_coverage(root: &Path) -> Vec<Diagnostic> {
                 format!(
                     "spec knob `{}` is set by no committed scenario — \
                      exercise it in the library or retire it from the grammar",
-                    field.key()
+                    field.key
                 ),
             ));
         }
@@ -758,11 +682,11 @@ quick_cpu = []
         // Every metric in the catalog that maps to a registry name must
         // resolve — this is the drift guard itself, as a unit test.
         for metric in crate::spec::Metric::ALL {
-            if let Some(key) = metric.registry_key() {
+            if let Some(key) = metric.registry_key {
                 assert!(
                     hiss_obs::schema::lookup(key).is_some(),
                     "metric {:?} maps to `{key}`, absent from the schema",
-                    metric.key()
+                    metric.key
                 );
             }
         }
