@@ -20,7 +20,10 @@
 //! optional family (e.g. `qos.*`) holds vacuously when the family is
 //! not published.
 
-use crate::schema::{pattern_matches, Scope};
+use std::ops::Range;
+use std::sync::OnceLock;
+
+use crate::schema::{segment_matches, Scope};
 use crate::{MetricValue, MetricsRegistry};
 
 /// The relation an invariant asserts between its two sides.
@@ -62,23 +65,12 @@ impl Term {
         }
     }
 
-    /// Evaluates the term against a registry.
-    fn eval(self, reg: &MetricsRegistry) -> u128 {
-        let mut acc: u128 = 0;
-        for (name, value) in reg.iter() {
-            if !pattern_matches(self.pattern(), name) {
-                continue;
-            }
-            match self {
-                Term::Sum(_) => {
-                    if let MetricValue::Counter(v) = value {
-                        acc += *v as u128;
-                    }
-                }
-                Term::Count(_) => acc += 1,
-            }
+    /// Reads the term's value off its pattern's tally.
+    fn eval(self, tally: Tally) -> u128 {
+        match self {
+            Term::Sum(_) => tally.sum,
+            Term::Count(_) => tally.names,
         }
-        acc
     }
 
     /// Renders the term for diagnostics (`Σ devN.ssrs_raised`,
@@ -560,54 +552,216 @@ fn describe_side(terms: &[Term], value: u128) -> String {
     format!("{} = {value}", rendered.join(" + "))
 }
 
-/// Whether a guarded invariant applies to this registry (unguarded laws
-/// always apply; guarded laws need a published name matching the guard).
-pub fn applies(inv: &Invariant, reg: &MetricsRegistry) -> bool {
-    match inv.guard {
-        None => true,
-        Some(guard) => reg.iter().any(|(name, _)| pattern_matches(guard, name)),
+/// What one registry pass collects for one pattern: the sum of the
+/// matching counters and the number of matching names of any kind.
+#[derive(Clone, Copy, Default)]
+struct Tally {
+    sum: u128,
+    names: u128,
+}
+
+/// A set of distinct patterns as a trie over their dotted segments, so
+/// one walk per name finds every pattern the name matches.
+struct PatternTrie {
+    /// Node 0 is the root. Each node's children form a linked list
+    /// (`child`, then each child's `sibling`), so the whole trie lives
+    /// in this one vector.
+    nodes: Vec<TrieNode>,
+    /// Number of distinct patterns, i.e. of tally slots.
+    slots: usize,
+}
+
+struct TrieNode {
+    /// The pattern segment on the edge into this node.
+    seg: &'static str,
+    child: Option<usize>,
+    sibling: Option<usize>,
+    /// The slot of the pattern that ends at this node.
+    slot: Option<usize>,
+}
+
+impl PatternTrie {
+    fn new() -> Self {
+        PatternTrie {
+            nodes: vec![TrieNode {
+                seg: "",
+                child: None,
+                sibling: None,
+                slot: None,
+            }],
+            slots: 0,
+        }
+    }
+
+    /// The tally slot of `pattern`, added on first sight.
+    fn slot(&mut self, pattern: &'static str) -> usize {
+        let mut node = 0;
+        for seg in pattern.split('.') {
+            let mut edge = self.nodes[node].child;
+            while let Some(e) = edge.filter(|&e| self.nodes[e].seg != seg) {
+                edge = self.nodes[e].sibling;
+            }
+            node = edge.unwrap_or_else(|| {
+                self.nodes.push(TrieNode {
+                    seg,
+                    child: None,
+                    sibling: self.nodes[node].child,
+                    slot: None,
+                });
+                let added = self.nodes.len() - 1;
+                self.nodes[node].child = Some(added);
+                added
+            });
+        }
+        *self.nodes[node].slot.get_or_insert_with(|| {
+            self.slots += 1;
+            self.slots - 1
+        })
+    }
+
+    /// Tallies every pattern in one pass over the registry. A name
+    /// feeds each pattern it matches under
+    /// [`crate::schema::pattern_matches`] (several at once when a `*`
+    /// or `N` segment overlaps a literal).
+    fn tally(&self, reg: &MetricsRegistry) -> Vec<Tally> {
+        let mut tallies = vec![Tally::default(); self.slots];
+        for (name, value) in reg.iter() {
+            let sum = match value {
+                MetricValue::Counter(v) => u128::from(*v),
+                _ => 0,
+            };
+            self.walk(0, Some(name), &mut |slot| {
+                tallies[slot].sum += sum;
+                tallies[slot].names += 1;
+            });
+        }
+        tallies
+    }
+
+    /// Follows every edge whose segment matches the next segment of
+    /// `rest` (the unconsumed tail of the name, `None` once every
+    /// segment is consumed), reporting each pattern fully matched.
+    fn walk(&self, node: usize, rest: Option<&str>, hit: &mut impl FnMut(usize)) {
+        let Some(rest) = rest else {
+            if let Some(slot) = self.nodes[node].slot {
+                hit(slot);
+            }
+            return;
+        };
+        let (seg, tail) = match rest.split_once('.') {
+            Some((seg, tail)) => (seg, Some(tail)),
+            None => (rest, None),
+        };
+        let mut edge = self.nodes[node].child;
+        while let Some(e) = edge {
+            if segment_matches(self.nodes[e].seg, seg) {
+                self.walk(e, tail, hit);
+            }
+            edge = self.nodes[e].sibling;
+        }
     }
 }
 
-/// Evaluates one invariant against a registry. A guarded law whose
-/// guard matches nothing is skipped (returns `None`).
-pub fn check(inv: &Invariant, reg: &MetricsRegistry) -> Option<Violation> {
-    if !applies(inv, reg) {
-        return None;
-    }
-    let lhs: u128 = inv.lhs.iter().map(|t| t.eval(reg)).sum();
-    let rhs: u128 = inv.rhs.iter().map(|t| t.eval(reg)).sum();
-    let holds = match inv.rel {
-        Rel::Eq => lhs == rhs,
-        Rel::Le => lhs <= rhs,
-    };
-    if holds {
-        return None;
-    }
-    Some(Violation {
-        name: inv.name,
-        lhs,
-        rhs,
-        detail: format!(
-            "invariant `{}` violated: {}, expected {} {} ({})",
-            inv.name,
-            describe_side(inv.lhs, lhs),
-            inv.rel.as_str(),
-            describe_side(inv.rhs, rhs),
-            inv.doc,
-        ),
+/// One law with its guard resolved to a tally slot and each side to a
+/// range of [`AuditPlan::terms`], aligned with the law's term list.
+struct CompiledLaw {
+    inv: &'static Invariant,
+    guard: Option<usize>,
+    lhs: Range<usize>,
+    rhs: Range<usize>,
+}
+
+/// Every law of [`INVARIANTS`] over one shared trie: each distinct term
+/// pattern and guard owns one tally slot.
+struct AuditPlan {
+    trie: PatternTrie,
+    /// The tally slot of every term occurrence, law by law.
+    terms: Vec<usize>,
+    laws: Vec<CompiledLaw>,
+}
+
+/// The plan, compiled once per process from the static table.
+fn plan() -> &'static AuditPlan {
+    static PLAN: OnceLock<AuditPlan> = OnceLock::new();
+    PLAN.get_or_init(|| {
+        let mut trie = PatternTrie::new();
+        let mut terms = Vec::new();
+        let mut side = |trie: &mut PatternTrie, side: &[Term]| {
+            let start = terms.len();
+            terms.extend(side.iter().map(|t| trie.slot(t.pattern())));
+            start..terms.len()
+        };
+        let laws = INVARIANTS
+            .iter()
+            .map(|inv| CompiledLaw {
+                inv,
+                guard: inv.guard.map(|g| trie.slot(g)),
+                lhs: side(&mut trie, inv.lhs),
+                rhs: side(&mut trie, inv.rhs),
+            })
+            .collect();
+        AuditPlan { trie, terms, laws }
     })
 }
 
-/// Audits a registry against every declared law of `scope`.
+impl CompiledLaw {
+    /// Whether the law applies: unguarded laws always do, guarded laws
+    /// need a published name matching the guard.
+    fn applies(&self, tallies: &[Tally]) -> bool {
+        self.guard.map_or(true, |g| tallies[g].names > 0)
+    }
+
+    /// Evaluates the law from the tallies; `None` when it holds.
+    fn violation(&self, slots: &[usize], tallies: &[Tally]) -> Option<Violation> {
+        let inv = self.inv;
+        let side = |terms: &[Term], range: &Range<usize>| -> u128 {
+            terms
+                .iter()
+                .zip(&slots[range.clone()])
+                .map(|(t, &slot)| t.eval(tallies[slot]))
+                .sum()
+        };
+        let lhs = side(inv.lhs, &self.lhs);
+        let rhs = side(inv.rhs, &self.rhs);
+        let holds = match inv.rel {
+            Rel::Eq => lhs == rhs,
+            Rel::Le => lhs <= rhs,
+        };
+        if holds {
+            return None;
+        }
+        Some(Violation {
+            name: inv.name,
+            lhs,
+            rhs,
+            detail: format!(
+                "invariant `{}` violated: {}, expected {} {} ({})",
+                inv.name,
+                describe_side(inv.lhs, lhs),
+                inv.rel.as_str(),
+                describe_side(inv.rhs, rhs),
+                inv.doc,
+            ),
+        })
+    }
+}
+
+/// Audits a registry against every declared law of `scope`: one pass
+/// over the registry tallies every pattern of the compiled plan, then
+/// each law of the scope is read off the tallies. A guarded law whose
+/// guard matches nothing is skipped and not counted as checked.
 pub fn audit(reg: &MetricsRegistry, scope: Scope) -> AuditReport {
+    let plan = plan();
+    let tallies = plan.trie.tally(reg);
     let mut report = AuditReport::default();
-    for inv in invariants_for(scope) {
-        if !applies(inv, reg) {
+    for law in &plan.laws {
+        if law.inv.scope != scope || !law.applies(&tallies) {
             continue;
         }
         report.checked += 1;
-        report.violations.extend(check(inv, reg));
+        report
+            .violations
+            .extend(law.violation(&plan.terms, &tallies));
     }
     report
 }
@@ -676,12 +830,64 @@ mod tests {
         reg.counter("dev1.ssrs_raised", 5);
         reg.label("dev0.kind", "gpu");
         reg.gauge("run.gpu_throughput", 0.5); // gauges never contribute
-        assert_eq!(Term::Sum("devN.ssrs_raised").eval(&reg), 15);
-        assert_eq!(Term::Count("devN.ssrs_raised").eval(&reg), 2);
+        let mut trie = PatternTrie::new();
+        let raised = trie.slot("devN.ssrs_raised");
+        let kind = trie.slot("devN.kind");
+        let tallies = trie.tally(&reg);
+        assert_eq!(Term::Sum("devN.ssrs_raised").eval(tallies[raised]), 15);
+        assert_eq!(Term::Count("devN.ssrs_raised").eval(tallies[raised]), 2);
         // Count ranges over every published kind, so the per-device
         // identity labels are countable even though they never sum
-        assert_eq!(Term::Count("devN.kind").eval(&reg), 1);
-        assert_eq!(Term::Sum("devN.kind").eval(&reg), 0);
+        assert_eq!(Term::Count("devN.kind").eval(tallies[kind]), 1);
+        assert_eq!(Term::Sum("devN.kind").eval(tallies[kind]), 0);
+    }
+
+    #[test]
+    fn trie_tallies_agree_with_pattern_matches() {
+        // Every schema pattern plus overlapping synthetic ones, so some
+        // names match several patterns at once.
+        let mut trie = PatternTrie::new();
+        let patterns: Vec<&'static str> = crate::schema::SCHEMA
+            .iter()
+            .map(|e| e.pattern)
+            .chain(["x.*.z", "x.yN.z", "x.y1.z", "x.y1", "x.*"])
+            .collect();
+        let slots: Vec<usize> = patterns.iter().map(|p| trie.slot(p)).collect();
+        let names = [
+            "cpu.core0.user_ns",
+            "cpu.core12.user_ns",
+            "cpu.core.user_ns",
+            "cpu.coreX.user_ns",
+            "cpu.core3.class",
+            "cpu.total.user_ns",
+            "dev10.ssrs_raised",
+            "dev3.kind",
+            "devices.kind",
+            "run.devices",
+            "qos.classes",
+            "qos.class1.requests",
+            "qos.class12.drained",
+            "bench.cell.a-b-r0.elapsed_ns",
+            "bench.cell.a.b.elapsed_ns",
+            "bench.total.elapsed_ns",
+            "x.y1.z",
+            "x.y10.z",
+            "x.y1",
+            "x.y1.z.w",
+            "",
+            ".",
+            "kernel.interrupts.",
+        ];
+        for name in names {
+            let mut reg = MetricsRegistry::new();
+            reg.counter(name, 7);
+            let tallies = trie.tally(&reg);
+            for (p, &slot) in patterns.iter().zip(&slots) {
+                let want = u128::from(crate::schema::pattern_matches(p, name));
+                assert_eq!(tallies[slot].names, want, "{p} vs {name:?}");
+                assert_eq!(tallies[slot].sum, 7 * want, "{p} vs {name:?}");
+            }
+        }
     }
 
     #[test]

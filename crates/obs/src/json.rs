@@ -90,6 +90,7 @@ impl MetricsRegistry {
     /// byte offset.
     pub fn from_json(text: &str) -> Result<Self, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -104,6 +105,8 @@ impl MetricsRegistry {
 
 /// Minimal recursive-descent parser for the snapshot schema.
 struct Parser<'a> {
+    text: &'a str,
+    /// `text` as bytes, for single-byte lookahead.
     bytes: &'a [u8],
     pos: usize,
 }
@@ -166,13 +169,18 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (names/labels may be
-                    // arbitrary strings).
-                    let s = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    let c = s.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run of plain bytes up to the next
+                    // quote or backslash as one slice. Both delimiters
+                    // are ASCII, so the run ends on a char boundary of
+                    // the (already valid) input and needs no
+                    // re-validation; without a delimiter it runs to the
+                    // end and the next turn reports the open string.
+                    let end = self.bytes[self.pos..]
+                        .iter()
+                        .position(|b| matches!(b, b'"' | b'\\'))
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    out.push_str(&self.text[self.pos..end]);
+                    self.pos = end;
                 }
             }
         }
@@ -381,6 +389,115 @@ mod tests {
                 MetricsRegistry::from_json(bad).is_err(),
                 "{bad:?} should not parse"
             );
+        }
+    }
+
+    #[test]
+    fn malformed_snapshot_errors_name_the_fault() {
+        let cases = [
+            ("", "expected '{' at byte 0"),
+            ("[1]", "expected '{' at byte 0"),
+            ("{", "expected '\"' at byte 1"),
+            ("{\"a\":}", "expected a number at byte 5"),
+            ("{\"é\":}", "expected a number at byte 6"),
+            ("{\"a\":1,}", "expected '\"' at byte 7"),
+            ("{\"a\":1}x", "trailing data at byte 7"),
+            ("{\"a\":1 2}", "expected ',' or '}' at byte 7"),
+            ("{\"a\":1.2.3}", "bad number \"1.2.3\" at byte 5"),
+            // Truncated right after a multi-byte character, in a name
+            // and in a label.
+            ("{\"é", "unterminated string"),
+            ("{\"a\":\"x€", "unterminated string"),
+            ("{\"a\\q\":1}", "bad escape Some(113)"),
+            ("{\"a\\", "bad escape None"),
+            ("{\"\\u00\":1}", "bad \\u escape"),
+            ("{\"\\u12", "truncated \\u escape"),
+            ("{\"\\ud800\":1}", "bad \\u code point"),
+            (
+                "{\"a\":{\"count\":1.5}}",
+                "expected an integer before byte 17",
+            ),
+            ("{\"a\":{\"x\":1}}", "unknown histogram field \"x\""),
+            ("{\"a\":{\"buckets\":[1]}}", "expected '[' at byte 17"),
+            ("{\"a\":{\"buckets\":[[1,2]x", "malformed bucket list"),
+            ("{\"a\":{\"count\":1x", "malformed histogram object"),
+        ];
+        for (bad, want) in cases {
+            assert_eq!(
+                MetricsRegistry::from_json(bad).unwrap_err(),
+                want,
+                "{bad:?}"
+            );
+        }
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        /// Pieces that strings are built from: plain ASCII, multi-byte
+        /// characters, and everything the codec escapes, including text
+        /// that looks like an escape.
+        const PIECES: &[&str] = &[
+            "a", "Z", "0", ".", " ", "{", "}", ",", ":", "u", "\"", "\\", "\\u0041", "\n", "\t",
+            "\u{0}", "\u{1f}", "\u{7f}", "é", "ß", "€", "\u{fffd}", "𝄞", "🦀",
+        ];
+
+        fn text(picks: &[usize]) -> String {
+            picks.iter().map(|&i| PIECES[i % PIECES.len()]).collect()
+        }
+
+        /// Builds one metric value of `kind` from raw draws. Gauges are
+        /// NaN, ±inf or -0.0 in half the draws and arbitrary bit
+        /// patterns (subnormals included) otherwise.
+        fn value(kind: usize, bits: u64, picks: &[usize]) -> MetricValue {
+            const SPECIAL: [f64; 4] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0];
+            match kind % 4 {
+                0 => MetricValue::Counter(bits),
+                1 if bits % 2 == 0 => MetricValue::Gauge(SPECIAL[(bits as usize >> 1) % 4]),
+                1 => MetricValue::Gauge(f64::from_bits(bits)),
+                2 => MetricValue::Label(text(picks)),
+                _ => MetricValue::Histogram(HistogramSnapshot {
+                    count: bits,
+                    mean_ns: bits >> 3,
+                    p50_ns: bits >> 5,
+                    p99_ns: bits >> 1,
+                    buckets: picks.iter().map(|&i| (i as u64, bits ^ i as u64)).collect(),
+                }),
+            }
+        }
+
+        /// Decoded equals original, except that a non-finite gauge comes
+        /// back as NaN; finite gauges must keep their exact bits.
+        fn same(decoded: &MetricValue, original: &MetricValue) -> bool {
+            match (decoded, original) {
+                (MetricValue::Gauge(d), MetricValue::Gauge(o)) if !o.is_finite() => d.is_nan(),
+                (MetricValue::Gauge(d), MetricValue::Gauge(o)) => d.to_bits() == o.to_bits(),
+                _ => decoded == original,
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn registries_round_trip_through_json(
+                entries in vec((vec(0usize..64, 0..12), 0usize..4, any::<u64>(), vec(0usize..64, 0..12)), 0..16),
+            ) {
+                let mut r = MetricsRegistry::new();
+                for (name, kind, bits, picks) in &entries {
+                    r.set(text(name), value(*kind, *bits, picks));
+                }
+                let json = r.to_json();
+                let back = MetricsRegistry::from_json(&json).unwrap();
+                prop_assert_eq!(back.to_json(), json);
+                prop_assert_eq!(back.len(), r.len());
+                for ((bn, bv), (rn, rv)) in back.iter().zip(r.iter()) {
+                    prop_assert_eq!(bn, rn);
+                    prop_assert!(same(bv, rv), "{rn:?}: {bv:?} vs {rv:?}");
+                }
+            }
         }
     }
 }

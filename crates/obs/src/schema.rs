@@ -566,7 +566,7 @@ pub const SCHEMA: &[SchemaEntry] = &[
 ///
 /// `*` matches anything; a literal ending in `N` also matches its stem
 /// followed by a decimal index (`coreN` matches `core0`, `core12`).
-fn segment_matches(pat: &str, seg: &str) -> bool {
+pub(crate) fn segment_matches(pat: &str, seg: &str) -> bool {
     if pat == "*" || pat == seg {
         return true;
     }

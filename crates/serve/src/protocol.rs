@@ -292,6 +292,29 @@ mod tests {
         }
     }
 
+    /// A submission as long as the server accepts must decode in time
+    /// linear in its length: a decoder that re-scans the rest of the
+    /// line per character would hold a handler thread for minutes here.
+    #[test]
+    fn a_request_line_at_the_cap_round_trips() {
+        let submit = |scenario: String| Request::Submit {
+            scenario,
+            quick: false,
+        };
+        // ASCII, two- to four-byte UTF-8, and every character the codec
+        // escapes (quote, backslash, control characters), including at
+        // the unit's ends.
+        let unit = "\"[scenario]\nname = \"é€𝄞\\t\u{1}\"\r\n# ß ✓ \\\u{1f}";
+        let framing = submit(String::new()).encode().len();
+        let per_unit = submit(unit.to_string()).encode().len() - framing;
+        let units = (crate::server::MAX_REQUEST_BYTES - framing) / per_unit;
+        let req = submit(unit.repeat(units));
+        let line = req.encode();
+        assert!(line.len() <= crate::server::MAX_REQUEST_BYTES);
+        assert!(line.len() + per_unit > crate::server::MAX_REQUEST_BYTES);
+        assert_eq!(Request::decode(&line).unwrap(), req);
+    }
+
     #[test]
     fn malformed_lines_are_errors_not_panics() {
         assert!(Request::decode("not json").is_err());

@@ -1,15 +1,18 @@
 //! Perturbation tests on the conservation-law sanitizer
 //! (`hiss_obs::invariants`): a finalized run snapshot must audit clean
 //! exactly as produced, and flipping any single counter must be caught
-//! whenever it breaks a declared law. The proptest cross-checks the
-//! auditor against a naive re-evaluation of the invariant table, so a
-//! bug in the auditor's term aggregation cannot hide behind the table
-//! it shares with the oracle's *selection* of laws.
+//! whenever it breaks a declared law. The proptests cross-check the
+//! auditor against a naive re-evaluation of the invariant table, on
+//! mutated run snapshots and on synthetic registries of both scopes, so
+//! a bug in the auditor's one-pass tallying cannot hide behind the
+//! table it shares with the oracle's *selection* of laws.
 
 use std::sync::OnceLock;
 
 use hiss::{CriticalityConfig, ExperimentBuilder, SystemConfig};
-use hiss_obs::invariants::{audit, invariants_for, Invariant, Rel, Term};
+use hiss_obs::invariants::{
+    audit, invariants_for, is_concrete, AuditReport, Invariant, Rel, Term, Violation, INVARIANTS,
+};
 use hiss_obs::schema::{pattern_matches, Scope};
 use hiss_obs::{MetricValue, MetricsRegistry};
 use proptest::prelude::*;
@@ -75,23 +78,143 @@ fn eval_term(reg: &MetricsRegistry, term: Term) -> u128 {
     acc
 }
 
-/// Re-evaluates every run-scope law from scratch: the oracle the
-/// auditor is differentially tested against.
-fn naive_violations(reg: &MetricsRegistry) -> Vec<&'static str> {
-    invariants_for(Scope::Run)
-        .filter_map(|inv| {
-            if !guard_applies(inv, reg) {
-                return None;
-            }
-            let lhs: u128 = inv.lhs.iter().map(|t| eval_term(reg, *t)).sum();
-            let rhs: u128 = inv.rhs.iter().map(|t| eval_term(reg, *t)).sum();
-            let holds = match inv.rel {
-                Rel::Eq => lhs == rhs,
-                Rel::Le => lhs <= rhs,
-            };
-            (!holds).then_some(inv.name)
+/// Naive rendering of one side for a violation's detail string.
+fn describe_side(terms: &[Term], value: u128) -> String {
+    let rendered: Vec<String> = terms
+        .iter()
+        .map(|t| match *t {
+            Term::Sum(p) if is_concrete(p) => p.to_string(),
+            Term::Sum(p) => format!("Σ {p}"),
+            Term::Count(p) => format!("#({p})"),
         })
-        .collect()
+        .collect();
+    format!("{} = {value}", rendered.join(" + "))
+}
+
+/// Re-evaluates every law of `scope` from scratch, one registry scan
+/// per term: the oracle the auditor is differentially tested against,
+/// down to `checked`, both sides and the detail text.
+fn naive_audit(reg: &MetricsRegistry, scope: Scope) -> AuditReport {
+    let mut report = AuditReport::default();
+    for inv in invariants_for(scope) {
+        if !guard_applies(inv, reg) {
+            continue;
+        }
+        report.checked += 1;
+        let lhs: u128 = inv.lhs.iter().map(|t| eval_term(reg, *t)).sum();
+        let rhs: u128 = inv.rhs.iter().map(|t| eval_term(reg, *t)).sum();
+        let holds = match inv.rel {
+            Rel::Eq => lhs == rhs,
+            Rel::Le => lhs <= rhs,
+        };
+        if !holds {
+            report.violations.push(Violation {
+                name: inv.name,
+                lhs,
+                rhs,
+                detail: format!(
+                    "invariant `{}` violated: {}, expected {} {} ({})",
+                    inv.name,
+                    describe_side(inv.lhs, lhs),
+                    inv.rel.as_str(),
+                    describe_side(inv.rhs, rhs),
+                    inv.doc,
+                ),
+            });
+        }
+    }
+    report
+}
+
+/// Every pattern the law table ranges over (terms and guards, both
+/// scopes), in table order with repeats removed.
+fn law_patterns() -> Vec<&'static str> {
+    let mut out: Vec<&'static str> = Vec::new();
+    for inv in INVARIANTS {
+        for p in inv
+            .lhs
+            .iter()
+            .chain(inv.rhs)
+            .map(|t| t.pattern())
+            .chain(inv.guard)
+        {
+            if !out.contains(&p) {
+                out.push(p);
+            }
+        }
+    }
+    out
+}
+
+/// Names that share a family's literal prefix but not its pattern, or
+/// that `*` must not reach across segments.
+const NEAR_MISSES: &[&str] = &[
+    "cpu.core3.class",
+    "cpu.core12.class",
+    "cpu.core.user_ns",
+    "cpu.coreX.user_ns",
+    "cpu.core1x.user_ns",
+    "cpu.core0",
+    "cpu.total",
+    "run.devices.count",
+    "devices.kind",
+    "dev.kind",
+    "devX.kind",
+    "dev0.kind.extra",
+    "gpu.ssrs_raised",
+    "qos.class.requests",
+    "qos.classX.requests",
+    "qos.classes.requests",
+    "kernel.interrupts.core",
+    "kernel.interrupts",
+    "iommu",
+    "bench.cell.elapsed_ns",
+    "bench.cell.a.b.elapsed_ns",
+    "bench.cells.x",
+    "bench.total",
+];
+
+/// Indices for `N` families: single and multi-digit, leading zeros.
+const INDICES: &[&str] = &["0", "1", "2", "7", "10", "12", "99", "123", "01"];
+
+/// Segments a `*` stands for (the bench cell ids).
+const CELL_IDS: &[&str] = &["x264-ubench-r0", "c", "a-b-r12", "cell"];
+
+/// A concrete name for `pattern`: each `N` family segment takes an
+/// index and each `*` a cell id, chosen by `pick`.
+fn instantiate(pattern: &str, pick: u64) -> String {
+    let mut draw = pick;
+    pattern
+        .split('.')
+        .map(|seg| {
+            let choice = draw as usize;
+            draw = draw.rotate_right(7) ^ 0x9e37_79b9;
+            if seg == "*" {
+                CELL_IDS[choice % CELL_IDS.len()].to_string()
+            } else if let Some(stem) = seg.strip_suffix('N') {
+                format!("{stem}{}", INDICES[choice % INDICES.len()])
+            } else {
+                seg.to_string()
+            }
+        })
+        .collect::<Vec<_>>()
+        .join(".")
+}
+
+/// A synthetic value of one of the four kinds, from one draw.
+fn synthetic_value(kind: u8, v: u64) -> MetricValue {
+    match kind % 6 {
+        // Counters dominate and stay small, so sides collide often
+        // enough that equalities hold as well as break.
+        0..=2 => MetricValue::Counter(v % 5),
+        3 => MetricValue::Gauge(v as f64 / 8.0),
+        4 => MetricValue::Label(format!("l{v}")),
+        _ => {
+            let mut h = hiss_sim::Histogram::new();
+            h.record(hiss_sim::Ns::from_nanos(v % 10_000 + 1));
+            MetricValue::Histogram(hiss_obs::HistogramSnapshot::from_histogram(&h))
+        }
+    }
 }
 
 /// Whether `name` contributes to one side of `terms` as a summed
@@ -195,6 +318,55 @@ fn guarded_class_laws_police_only_runs_that_carry_classes() {
     );
 }
 
+/// Multi-digit indices feed their family's sums; names that only share
+/// a family's literal prefix (the per-core class labels, `run.devices`
+/// beside `devN.*`, a `*` that would have to span two segments) and
+/// non-counter values under `Sum` patterns feed nothing.
+#[test]
+fn multi_digit_indices_and_near_misses_tally_like_the_oracle() {
+    let mut reg = MetricsRegistry::new();
+    reg.counter("cpu.core2.user_ns", 5);
+    reg.counter("cpu.core12.user_ns", 7);
+    reg.label("cpu.core12.class", "critical");
+    reg.counter("cpu.core.user_ns", 100);
+    reg.counter("cpu.total.user_ns", 12);
+    reg.counter("run.devices", 2);
+    reg.label("dev0.kind", "gpu");
+    reg.label("dev10.kind", "nic");
+    reg.label("devices.kind", "none");
+    reg.counter("dev10.ssrs_raised", 4);
+    reg.counter("gpu0.ssrs_raised", 4);
+    reg.gauge("dev0.ssrs_raised", 3.0);
+    reg.counter("qos.classes", 2);
+    reg.counter("qos.class1.requests", 4);
+    reg.counter("qos.class10.requests", 1);
+    reg.counter("iommu.requests", 4);
+    reg.counter("iommu.drained", 4);
+    reg.counter("qos.class10.drained", 4);
+    let report = audit(&reg, Scope::Run);
+    assert_eq!(report, naive_audit(&reg, Scope::Run));
+    let broken: Vec<(&str, u128, u128)> = report
+        .violations
+        .iter()
+        .map(|v| (v.name, v.lhs, v.rhs))
+        .collect();
+    assert_eq!(broken, [("class_requests_split", 5, 4)], "{report:?}");
+
+    let mut bench = MetricsRegistry::new();
+    bench.counter("bench.cells", 2);
+    bench.counter("bench.cell.a-b-r0.elapsed_ns", 10);
+    bench.counter("bench.cell.c-d-r12.elapsed_ns", 20);
+    bench.counter("bench.cell.a.b.elapsed_ns", 1_000);
+    let mut h = hiss_sim::Histogram::new();
+    h.record(hiss_sim::Ns::from_nanos(50));
+    bench.histogram("bench.cell.e-f-r1.walker_walks", &h);
+    bench.counter("bench.total.elapsed_ns", 30);
+    bench.counter("bench.total.walker_walks", 0);
+    let report = audit(&bench, Scope::Bench);
+    assert_eq!(report, naive_audit(&bench, Scope::Bench));
+    assert!(report.clean(), "{:?}", report.violations);
+}
+
 /// The boundary case of the calendar bound: popped = pushed is legal,
 /// popped = pushed + 1 is not, and the violation names the law with
 /// both sides of the failed comparison.
@@ -243,12 +415,9 @@ proptest! {
         };
         reg.counter(name.clone(), new);
 
-        let got: Vec<&str> = audit(&reg, Scope::Run)
-            .violations
-            .iter()
-            .map(|v| v.name)
-            .collect();
-        prop_assert_eq!(&got, &naive_violations(&reg));
+        let report = audit(&reg, Scope::Run);
+        prop_assert_eq!(&report, &naive_audit(&reg, Scope::Run));
+        let got: Vec<&str> = report.violations.iter().map(|v| v.name).collect();
 
         if new != old {
             for inv in invariants_for(Scope::Run).filter(|i| i.rel == Rel::Eq) {
@@ -261,6 +430,39 @@ proptest! {
                     );
                 }
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Differential sweep over synthetic registries built from the law
+    /// table's own patterns: multi-digit and zero-padded indices, `*`
+    /// cell ids, near-miss names, and gauges, labels and histograms
+    /// under `Sum` patterns. Both scopes are audited on every
+    /// registry, and the full reports must match the oracle.
+    #[test]
+    fn audit_agrees_with_naive_reevaluation_on_synthetic_registries(
+        entries in proptest::collection::vec((0usize..1_000, any::<u64>(), 0u8..6, 0u64..1_000), 0..48),
+        base in 0u8..3,
+    ) {
+        let patterns = law_patterns();
+        let mut reg = match base {
+            0 => MetricsRegistry::new(),
+            1 => base_snapshot().clone(),
+            _ => crit_snapshot().clone(),
+        };
+        for (which, pick, kind, v) in entries {
+            let name = if which % 4 == 0 {
+                NEAR_MISSES[which / 4 % NEAR_MISSES.len()].to_string()
+            } else {
+                instantiate(patterns[which % patterns.len()], pick)
+            };
+            reg.set(name, synthetic_value(kind, v));
+        }
+        for scope in [Scope::Run, Scope::Bench] {
+            prop_assert_eq!(audit(&reg, scope), naive_audit(&reg, scope));
         }
     }
 }
