@@ -1,5 +1,5 @@
-//! Process-wide memoization of baseline (and default-configuration)
-//! simulation runs.
+//! Memoization of baseline (and default-configuration) simulation runs,
+//! one cache per [`RunCtx`](crate::RunCtx).
 //!
 //! Every figure normalises against the same two baselines — the paper's
 //! Fig. 3a "no-SSR pairing" ([`BaselineCache::cpu_baseline`]) and the
@@ -84,9 +84,10 @@ impl Key {
     }
 }
 
-/// Memoizes baseline [`RunReport`]s across all experiment modules.
+/// Memoizes baseline [`RunReport`]s for every experiment run on one
+/// [`RunCtx`](crate::RunCtx).
 ///
-/// Thread-safe and shared: grid cells running on the
+/// Thread-safe and shared: grid cells running on the context's
 /// [`runner`](crate::runner) pool hit it concurrently. Entries are
 /// *single-flight*: the map hands out a per-key [`OnceLock`] cell under
 /// a short-lived lock, and the simulation itself runs inside
@@ -105,7 +106,9 @@ pub struct BaselineCache {
 }
 
 impl BaselineCache {
-    /// The process-wide cache used by every experiment module.
+    /// A process-wide cache, kept (with [`Self::clear`] and
+    /// [`Self::detach_disk`]) only for the `hissbench` harness until it
+    /// moves to [`RunCtx::cache`](crate::RunCtx::cache).
     pub fn global() -> &'static BaselineCache {
         static GLOBAL: OnceLock<BaselineCache> = OnceLock::new();
         GLOBAL.get_or_init(BaselineCache::default)
@@ -149,22 +152,16 @@ impl BaselineCache {
     /// Attaches a content-addressed [`DiskStore`] as a second cache
     /// tier. Misses in the in-memory map consult the store before
     /// simulating, and freshly computed reports are published to it
-    /// (atomically — see [`DiskStore::save`]). The serving path attaches
-    /// its store to a per-submission cache, never to [`Self::global`];
-    /// batch CLI runs keep the global cache purely in memory, so the
-    /// `bench.cache.*` counters are unaffected.
+    /// (atomically — see [`DiskStore::save`]). Outside `hissbench`, use
+    /// [`RunCtx::with_store`](crate::RunCtx::with_store).
     pub fn attach_disk(&self, store: Arc<DiskStore>) {
         *self.disk.lock().expect("cache poisoned") = Some(store);
     }
 
-    /// Detaches any attached disk tier (in-memory entries survive).
+    /// Detaches any attached disk tier (`hissbench` shim, see
+    /// [`Self::global`]).
     pub fn detach_disk(&self) {
         *self.disk.lock().expect("cache poisoned") = None;
-    }
-
-    /// The currently attached disk tier, if any.
-    pub fn disk(&self) -> Option<Arc<DiskStore>> {
-        self.disk.lock().expect("cache poisoned").clone()
     }
 
     fn get_or_run(&self, key: Key, run: impl FnOnce() -> RunReport) -> Arc<RunReport> {
@@ -185,7 +182,7 @@ impl BaselineCache {
         // Simulate (or load) outside the map lock; get_or_init
         // serialises only the workers that need this same key.
         Arc::clone(cell.get_or_init(|| {
-            let disk = self.disk();
+            let disk = self.disk.lock().expect("cache poisoned").clone();
             if let Some(store) = &disk {
                 if let Some(metrics) = store.load(&skey) {
                     return Arc::new(RunReport::from_metrics(metrics));
@@ -201,21 +198,15 @@ impl BaselineCache {
         }))
     }
 
-    /// Drops every entry (used by benches and tests to measure cold-path
-    /// cost). Long-lived processes bound memory by scoping a cache to a
-    /// unit of work instead, as the serving path does per submission.
+    /// Drops every entry (`hissbench` shim, see [`Self::global`]; a fresh
+    /// [`RunCtx`](crate::RunCtx) has a cold cache).
     pub fn clear(&self) {
         self.map.lock().expect("cache poisoned").clear();
     }
 
     /// Number of memoized runs currently held.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.map.lock().expect("cache poisoned").len()
-    }
-
-    /// `true` when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Lifetime lookup hits — the key existed, though its run may still
@@ -231,9 +222,9 @@ impl BaselineCache {
     }
 
     /// Publishes the cache's lifetime counters into a metrics registry
-    /// under `prefix`. These are process-global and depend on which
-    /// experiments ran first, so they belong in batch-level profiles,
-    /// never in a per-run [`RunReport`] snapshot.
+    /// under `prefix`. They count a whole batch's lookups, so they belong
+    /// in batch-level profiles and bench snapshots, never in a per-run
+    /// [`RunReport`] snapshot.
     pub fn publish(&self, reg: &mut hiss_obs::MetricsRegistry, prefix: &str) {
         reg.counter(format!("{prefix}.hits"), self.hit_count());
         reg.counter(format!("{prefix}.misses"), self.miss_count());
@@ -292,7 +283,7 @@ mod tests {
         cache.corun_default(&cfg, "x264", "ubench");
         assert_eq!(cache.len(), 2);
         cache.clear();
-        assert!(cache.is_empty());
+        assert_eq!(cache.len(), 0);
     }
 
     #[test]
@@ -313,9 +304,9 @@ mod tests {
         // must come back from disk with byte-identical metrics and
         // bit-exact scalar fields — no simulation.
         let reader = BaselineCache::default();
-        reader.attach_disk(Arc::new(DiskStore::open(&dir).expect("reopen store")));
+        let disk = Arc::new(DiskStore::open(&dir).expect("reopen store"));
+        reader.attach_disk(Arc::clone(&disk));
         let loaded = reader.corun_default(&cfg, "x264", "ubench");
-        let disk = reader.disk().expect("attached");
         assert_eq!(disk.hit_count(), 1);
         assert_eq!(disk.write_count(), 0);
         assert_eq!(loaded.metrics.to_json(), fresh.metrics.to_json());

@@ -12,8 +12,8 @@
 //!   automatically from a target CPU performance floor.
 
 use crate::config::SystemConfig;
-use crate::experiments::{cpu_baseline, render_table};
-use crate::runner;
+use crate::experiments::render_table;
+use crate::runner::RunCtx;
 use crate::soc::ExperimentBuilder;
 use hiss_qos::QosParams;
 use hiss_sim::Ns;
@@ -33,13 +33,14 @@ pub struct ScalingRow {
 
 /// Runs `cpu_app` against 1..=`max_gpus` concurrent copies of `gpu_app`.
 pub fn multi_gpu_scaling(
+    ctx: &RunCtx,
     cfg: &SystemConfig,
     cpu_app: &str,
     gpu_app: &str,
     max_gpus: usize,
 ) -> Vec<ScalingRow> {
-    let base = cpu_baseline(cfg, cpu_app, gpu_app);
-    runner::run_jobs(max_gpus, |i| {
+    let base = ctx.cache().cpu_baseline(cfg, cpu_app, gpu_app);
+    ctx.run_jobs(max_gpus, |i| {
         let n = i + 1;
         let mut b = ExperimentBuilder::new(*cfg).cpu_app(cpu_app);
         for _ in 0..n {
@@ -86,16 +87,17 @@ pub struct WindowRow {
 
 /// Sweeps the IOMMU coalescing window from 0 to the hardware maximum.
 pub fn coalescing_window_sweep(
+    ctx: &RunCtx,
     cfg: &SystemConfig,
     cpu_app: &str,
     gpu_app: &str,
     windows_us: &[u64],
 ) -> Vec<WindowRow> {
-    let base = cpu_baseline(cfg, cpu_app, gpu_app);
+    let base = ctx.cache().cpu_baseline(cfg, cpu_app, gpu_app);
     // Window runs are independent; only the normalisation (everything is
     // relative to the *first* window's SSR rate) is order-dependent, so
     // run in parallel and fold the ratios serially afterwards.
-    let runs = runner::par_map(windows_us, |us| {
+    let runs = ctx.par_map(windows_us, |us| {
         let mut cfg2 = *cfg;
         cfg2.coalesce_window = Ns::from_micros(*us);
         ExperimentBuilder::new(cfg2)
@@ -134,8 +136,12 @@ pub struct LimitRow {
 
 /// Shows how the QoS backpressure leverage depends on the hardware
 /// outstanding-request limit.
-pub fn outstanding_limit_sweep(cfg: &SystemConfig, limits: &[usize]) -> Vec<LimitRow> {
-    runner::par_map(limits, |&limit| {
+pub fn outstanding_limit_sweep(
+    ctx: &RunCtx,
+    cfg: &SystemConfig,
+    limits: &[usize],
+) -> Vec<LimitRow> {
+    ctx.par_map(limits, |&limit| {
         let mut cfg2 = *cfg;
         cfg2.gpu.max_outstanding = limit;
         let free = ExperimentBuilder::new(cfg2).gpu_app("ubench").run();
@@ -166,7 +172,7 @@ pub struct ModulePairing {
 /// steering to the other module does not. Runs a single-threaded victim
 /// on core 0 and compares steering targets core 1 (sibling) vs core 2
 /// (remote module).
-pub fn module_pairing(cfg: &SystemConfig, gpu_app: &str) -> ModulePairing {
+pub fn module_pairing(ctx: &RunCtx, cfg: &SystemConfig, gpu_app: &str) -> ModulePairing {
     let victim = {
         // A single-threaded, L2-sensitive victim derived from the catalog.
         let mut spec = hiss_workloads::CpuAppSpec::by_name("fluidanimate").expect("exists");
@@ -190,7 +196,7 @@ pub fn module_pairing(cfg: &SystemConfig, gpu_app: &str) -> ModulePairing {
             .run();
         noisy.cpu_perf_vs(&base).expect("runs finish")
     };
-    let perfs = runner::par_map(&[1usize, 2], |&core| run(core));
+    let perfs = ctx.par_map(&[1usize, 2], |&core| run(core));
     ModulePairing {
         sibling_perf: perfs[0],
         remote_perf: perfs[1],
@@ -215,16 +221,17 @@ pub struct AdaptiveResult {
 ///
 /// The bisection is inherently sequential (each probe depends on the
 /// previous verdict), so this stays off the job pool; its baselines
-/// still come from the shared cache.
+/// still come from the context's cache.
 pub fn adaptive_qos(
+    ctx: &RunCtx,
     cfg: &SystemConfig,
     cpu_app: &str,
     gpu_app: &str,
     max_cpu_loss: f64,
     iterations: usize,
 ) -> AdaptiveResult {
-    let base = cpu_baseline(cfg, cpu_app, gpu_app);
-    let gpu_base = crate::experiments::gpu_idle_baseline(cfg, gpu_app);
+    let base = ctx.cache().cpu_baseline(cfg, cpu_app, gpu_app);
+    let gpu_base = ctx.cache().gpu_idle_baseline(cfg, gpu_app);
     let eval = |pct: f64| {
         let run = ExperimentBuilder::new(*cfg)
             .cpu_app(cpu_app)
@@ -266,7 +273,7 @@ mod tests {
         // sssp is not service-bound on its own, so extra accelerators
         // genuinely add SSR pressure (ubench alone already saturates the
         // handling chain — an interesting finding in its own right).
-        let rows = multi_gpu_scaling(&cfg, "x264", "sssp", 3);
+        let rows = multi_gpu_scaling(&RunCtx::new(2), &cfg, "x264", "sssp", 3);
         assert_eq!(rows.len(), 3);
         assert!(
             rows[2].cpu_perf < rows[0].cpu_perf - 0.02,
@@ -280,7 +287,8 @@ mod tests {
     #[test]
     fn window_sweep_batches_more_with_larger_windows() {
         let cfg = SystemConfig::a10_7850k();
-        let rows = coalescing_window_sweep(&cfg, "blackscholes", "ubench", &[0, 13]);
+        let rows =
+            coalescing_window_sweep(&RunCtx::new(2), &cfg, "blackscholes", "ubench", &[0, 13]);
         assert!(
             rows[1].interrupts_per_ssr < rows[0].interrupts_per_ssr,
             "13µs window should batch: {} vs {}",
@@ -292,7 +300,7 @@ mod tests {
     #[test]
     fn backpressure_works_across_outstanding_limits() {
         let cfg = SystemConfig::a10_7850k();
-        let rows = outstanding_limit_sweep(&cfg, &[4, 256]);
+        let rows = outstanding_limit_sweep(&RunCtx::new(2), &cfg, &[4, 256]);
         // The sweep's finding (EXPERIMENTS.md): throttled throughput is
         // nearly limit-independent — the service *delay* regulates the
         // rate; the hardware limit only bounds the transient. Both
@@ -316,7 +324,7 @@ mod tests {
     #[test]
     fn sibling_steering_hurts_more_than_remote() {
         let cfg = SystemConfig::a10_7850k();
-        let p = module_pairing(&cfg, "ubench");
+        let p = module_pairing(&RunCtx::new(2), &cfg, "ubench");
         assert!(
             p.sibling_perf < p.remote_perf,
             "shared-L2 sibling should suffer more: sibling {} vs remote {}",
@@ -332,7 +340,7 @@ mod tests {
     #[test]
     fn adaptive_qos_meets_its_floor() {
         let cfg = SystemConfig::a10_7850k();
-        let r = adaptive_qos(&cfg, "x264", "ubench", 0.10, 4);
+        let r = adaptive_qos(&RunCtx::new(1), &cfg, "x264", "ubench", 0.10, 4);
         assert!(
             r.cpu_perf >= 0.88,
             "adaptive threshold missed the floor: {}",

@@ -6,8 +6,8 @@
 //! pinned (no-SSR) and demand-paging (SSR) variants of each benchmark.
 
 use crate::config::SystemConfig;
-use crate::experiments::{gpu_idle_baseline, render_table};
-use crate::runner;
+use crate::experiments::render_table;
+use crate::runner::RunCtx;
 use crate::soc::ExperimentBuilder;
 
 /// One cluster of Fig. 4.
@@ -30,10 +30,10 @@ impl Fig4Row {
 
 /// Runs Fig. 4 for an explicit GPU-application subset (one parallel job
 /// per benchmark; the SSR run is the shared idle-CPU baseline).
-pub fn fig4_with(cfg: &SystemConfig, gpu_apps: &[&str]) -> Vec<Fig4Row> {
-    runner::par_map(gpu_apps, |gpu_app| {
+pub fn fig4_with(ctx: &RunCtx, cfg: &SystemConfig, gpu_apps: &[&str]) -> Vec<Fig4Row> {
+    ctx.par_map(gpu_apps, |gpu_app| {
         let quiet = ExperimentBuilder::new(*cfg).gpu_app_pinned(gpu_app).run();
-        let noisy = gpu_idle_baseline(cfg, gpu_app);
+        let noisy = ctx.cache().gpu_idle_baseline(cfg, gpu_app);
         Fig4Row {
             gpu_app: gpu_app.to_string(),
             cc6_no_ssr: quiet.cc6_residency,
@@ -43,9 +43,9 @@ pub fn fig4_with(cfg: &SystemConfig, gpu_apps: &[&str]) -> Vec<Fig4Row> {
 }
 
 /// Runs the full six-application Fig. 4.
-pub fn fig4(cfg: &SystemConfig) -> Vec<Fig4Row> {
+pub fn fig4(ctx: &RunCtx, cfg: &SystemConfig) -> Vec<Fig4Row> {
     let gpu: Vec<&str> = hiss_workloads::gpu_suite().iter().map(|s| s.name).collect();
-    fig4_with(cfg, &gpu)
+    fig4_with(ctx, cfg, &gpu)
 }
 
 /// Renders Fig. 4 as text (percent residency, higher is better).
@@ -71,7 +71,7 @@ mod tests {
     #[test]
     fn ssrs_always_reduce_residency() {
         let cfg = SystemConfig::a10_7850k();
-        let rows = fig4_with(&cfg, &["bfs", "ubench"]);
+        let rows = fig4_with(&RunCtx::new(2), &cfg, &["bfs", "ubench"]);
         for r in &rows {
             assert!(
                 r.cc6_ssr < r.cc6_no_ssr,

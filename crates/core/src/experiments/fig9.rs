@@ -5,8 +5,8 @@
 //! mitigation combinations.
 
 use crate::config::{Mitigation, SystemConfig};
-use crate::experiments::{gpu_idle_baseline, render_table};
-use crate::runner;
+use crate::experiments::render_table;
+use crate::runner::RunCtx;
 use crate::soc::ExperimentBuilder;
 
 /// One bar of Fig. 9.
@@ -20,10 +20,10 @@ pub struct Fig9Row {
 
 /// Runs Fig. 9 for explicit combinations (the no-SSR baseline is always
 /// prepended).
-pub fn fig9_with(cfg: &SystemConfig, combos: &[Mitigation]) -> Vec<Fig9Row> {
+pub fn fig9_with(ctx: &RunCtx, cfg: &SystemConfig, combos: &[Mitigation]) -> Vec<Fig9Row> {
     // Job 0 is the pinned no-SSR baseline; jobs 1.. are the mitigation
     // combinations, so the output keeps the figure's bar order.
-    runner::run_jobs(combos.len() + 1, |i| {
+    ctx.run_jobs(combos.len() + 1, |i| {
         if i == 0 {
             let quiet = ExperimentBuilder::new(*cfg).gpu_app_pinned("ubench").run();
             return Fig9Row {
@@ -33,7 +33,7 @@ pub fn fig9_with(cfg: &SystemConfig, combos: &[Mitigation]) -> Vec<Fig9Row> {
         }
         let m = combos[i - 1];
         let run = if m == Mitigation::DEFAULT {
-            gpu_idle_baseline(cfg, "ubench")
+            ctx.cache().gpu_idle_baseline(cfg, "ubench")
         } else {
             std::sync::Arc::new(
                 ExperimentBuilder::new(*cfg)
@@ -50,8 +50,8 @@ pub fn fig9_with(cfg: &SystemConfig, combos: &[Mitigation]) -> Vec<Fig9Row> {
 }
 
 /// Runs the full Fig. 9 (all eight combinations).
-pub fn fig9(cfg: &SystemConfig) -> Vec<Fig9Row> {
-    fig9_with(cfg, &Mitigation::all_combinations())
+pub fn fig9(ctx: &RunCtx, cfg: &SystemConfig) -> Vec<Fig9Row> {
+    fig9_with(ctx, cfg, &Mitigation::all_combinations())
 }
 
 /// Renders Fig. 9 as text.
@@ -77,7 +77,7 @@ mod tests {
                 ..Mitigation::DEFAULT
             },
         ];
-        let rows = fig9_with(&cfg, &combos);
+        let rows = fig9_with(&RunCtx::new(2), &cfg, &combos);
         assert_eq!(rows.len(), 3);
         let no_ssr = rows[0].cc6_residency;
         let default = rows[1].cc6_residency;

@@ -12,6 +12,10 @@
 //! | [`fig9`] | Fig. 9 — CC6 residency across mitigation combinations |
 //! | [`extensions`] | beyond the paper: multi-GPU scaling, window/limit sweeps, adaptive QoS |
 //!
+//! Every runner takes the [`RunCtx`](crate::RunCtx) it fans its jobs out
+//! on and resolves its normalisation baselines through that context's
+//! [`BaselineCache`].
+//!
 //! The co-run grid figures (Figs. 3, 5, 6, 7, 8 and 12) are committed
 //! scenario packs plus pure folds over their rows, in
 //! `hiss_scenario::figures`.
@@ -25,31 +29,6 @@ pub mod cache;
 pub mod extensions;
 
 pub use cache::BaselineCache;
-
-use std::sync::Arc;
-
-use crate::config::SystemConfig;
-use crate::metrics::RunReport;
-
-/// Runs `cpu_app` against the pinned (no-SSR) variant of `gpu_app` — the
-/// paper's Fig. 3a normalisation baseline ("the same pair of
-/// applications, but without the GPU application generating any SSRs").
-/// Memoized in the global [`BaselineCache`].
-pub(crate) fn cpu_baseline(cfg: &SystemConfig, cpu_app: &str, gpu_app: &str) -> Arc<RunReport> {
-    BaselineCache::global().cpu_baseline(cfg, cpu_app, gpu_app)
-}
-
-/// Runs `gpu_app` alone on idle CPUs — the Fig. 3b normalisation
-/// baseline. Memoized in the global [`BaselineCache`].
-pub(crate) fn gpu_idle_baseline(cfg: &SystemConfig, gpu_app: &str) -> Arc<RunReport> {
-    BaselineCache::global().gpu_idle_baseline(cfg, gpu_app)
-}
-
-/// Runs `cpu_app` against `gpu_app` with default mitigation and no QoS —
-/// the paper's default co-run. Memoized in the global [`BaselineCache`].
-pub(crate) fn corun_default(cfg: &SystemConfig, cpu_app: &str, gpu_app: &str) -> Arc<RunReport> {
-    BaselineCache::global().corun_default(cfg, cpu_app, gpu_app)
-}
 
 /// Renders a fixed-width text table: a header row plus data rows.
 pub fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
@@ -111,11 +90,12 @@ mod tests {
 
     #[test]
     fn baselines_are_quiet() {
-        let cfg = SystemConfig::a10_7850k();
-        let base = cpu_baseline(&cfg, "swaptions", "bfs");
+        let cfg = crate::SystemConfig::a10_7850k();
+        let cache = BaselineCache::default();
+        let base = cache.cpu_baseline(&cfg, "swaptions", "bfs");
         assert_eq!(base.kernel.ssrs_serviced, 0);
         assert!(base.cpu_app_runtime.is_some());
-        let idle = gpu_idle_baseline(&cfg, "bfs");
+        let idle = cache.gpu_idle_baseline(&cfg, "bfs");
         assert!(idle.kernel.ssrs_serviced > 0);
         assert!(idle.cpu_app_runtime.is_none());
     }

@@ -10,8 +10,8 @@
 //!    average of 16 % (quoted in §V-B, measured the same way).
 
 use crate::config::{Mitigation, SystemConfig};
-use crate::experiments::{corun_default, cpu_baseline, render_table};
-use crate::runner;
+use crate::experiments::render_table;
+use crate::runner::RunCtx;
 use crate::soc::ExperimentBuilder;
 
 /// The §IV-C measurements.
@@ -44,15 +44,15 @@ impl Section4c {
 }
 
 /// Runs the §IV-C measurements (against a CPU workload, as in the paper).
-pub fn section4c(cfg: &SystemConfig) -> Section4c {
-    let with_ssrs = corun_default(cfg, "blackscholes", "ubench");
-    let without_ssrs = cpu_baseline(cfg, "blackscholes", "ubench");
+pub fn section4c(ctx: &RunCtx, cfg: &SystemConfig) -> Section4c {
+    let with_ssrs = ctx.cache().corun_default(cfg, "blackscholes", "ubench");
+    let without_ssrs = ctx.cache().cpu_baseline(cfg, "blackscholes", "ubench");
 
     // Coalescing reduction across the suite — one parallel job per GPU
     // application (its plain run is the shared cached co-run).
     let suite = hiss_workloads::gpu_suite();
-    let reductions: Vec<f64> = runner::par_map(&suite, |app| {
-        let plain = corun_default(cfg, "blackscholes", app.name);
+    let reductions = ctx.par_map(&suite, |app| {
+        let plain = ctx.cache().corun_default(cfg, "blackscholes", app.name);
         let coal = ExperimentBuilder::new(*cfg)
             .cpu_app("blackscholes")
             .gpu_app(app.name)
@@ -71,10 +71,8 @@ pub fn section4c(cfg: &SystemConfig) -> Section4c {
         } else {
             None
         }
-    })
-    .into_iter()
-    .flatten()
-    .collect();
+    });
+    let reductions: Vec<f64> = reductions.into_iter().flatten().collect();
 
     let counts = with_ssrs.kernel.interrupts_per_core.clone();
     let max = *counts.iter().max().unwrap_or(&0) as f64;
@@ -124,7 +122,7 @@ mod tests {
     #[test]
     fn measurements_match_paper_shape() {
         let cfg = SystemConfig::a10_7850k();
-        let s = section4c(&cfg);
+        let s = section4c(&RunCtx::new(2), &cfg);
         // Interrupts evenly spread across all four cores.
         assert_eq!(s.interrupts_per_core.len(), 4);
         assert!(

@@ -55,8 +55,7 @@ pub use experiments::BaselineCache;
 pub use metrics::RunReport;
 pub use replicate::{replicate, MetricSummary, Replicated};
 pub use runner::{
-    par_map, pool_totals, run_jobs, run_jobs_on, run_jobs_profiled, thread_count,
-    thread_count_from, PoolProfile,
+    run_jobs_profiled, thread_count, thread_count_from, PoolProfile, PoolTally, RunCtx,
 };
 pub use sanitize::{force_sanitize, sanitize_enabled};
 pub use soc::{ExperimentBuilder, Soc};

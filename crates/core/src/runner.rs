@@ -1,4 +1,4 @@
-//! Deterministic parallel experiment engine.
+//! Deterministic parallel experiment engine, run through a [`RunCtx`].
 //!
 //! Every figure grid in [`crate::experiments`] is a set of *independent*
 //! simulation runs: a cell's result is a pure function of
@@ -11,7 +11,7 @@
 //!
 //! [`thread_count`] defaults to [`std::thread::available_parallelism`]
 //! and honours a `HISS_THREADS` environment variable override (clamped to
-//! at least 1). `HISS_THREADS=1` forces the serial path — no threads are
+//! at least 1). One worker forces the serial path — no threads are
 //! spawned at all. An unparseable override is ignored with a one-time
 //! warning rather than silently forcing the serial path.
 //!
@@ -33,7 +33,7 @@
 //!   caller thread (preserving `should_panic` test behaviour and the
 //!   experiment modules' `expect` diagnostics). In-flight jobs finish;
 //!   queued ones never start.
-//! - [`run_jobs_profiled`] is the same pool with wall-clock
+//! - [`RunCtx::run_jobs_profiled`] is the same pool with wall-clock
 //!   instrumentation ([`PoolProfile`]): per-job durations and per-worker
 //!   occupancy. Wall time is inherently non-deterministic, which is why
 //!   the profile is a separate return value and never enters a
@@ -44,28 +44,104 @@
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Once;
+use std::sync::{Arc, Once};
 use std::time::Instant;
 
 use hiss_obs::MetricsRegistry;
 use hiss_sim::OnlineStats;
 
-/// Lifetime pool invocations (each `run_jobs*` call is one invocation).
-static POOL_INVOCATIONS: AtomicU64 = AtomicU64::new(0);
-/// Lifetime jobs scheduled across every pool invocation.
-static POOL_JOBS: AtomicU64 = AtomicU64::new(0);
+use crate::experiments::BaselineCache;
+use crate::store::DiskStore;
 
-/// Process-lifetime pool work counters: `(invocations, jobs_scheduled)`.
-///
-/// Both are *deterministic* for a fixed workload — the number of pool
-/// calls and the number of jobs handed to them do not depend on worker
-/// count or scheduling — which is what lets `hiss-cli bench` gate on
-/// them (deltas around a suite) without machine noise.
-pub fn pool_totals() -> (u64, u64) {
-    (
-        POOL_INVOCATIONS.load(Ordering::Relaxed),
-        POOL_JOBS.load(Ordering::Relaxed),
-    )
+/// Pool invocations (one per `run_jobs*` call) and jobs scheduled:
+/// deterministic for a fixed workload whatever the worker count, which
+/// lets `hiss-cli bench` gate on them exactly.
+#[derive(Debug, Default)]
+pub struct PoolTally {
+    invocations: AtomicU64,
+    jobs: AtomicU64,
+}
+
+impl PoolTally {
+    /// Adds `(invocations, jobs)` — say, another tally's totals.
+    pub fn add(&self, (invocations, jobs): (u64, u64)) {
+        self.invocations.fetch_add(invocations, Ordering::Relaxed);
+        self.jobs.fetch_add(jobs, Ordering::Relaxed);
+    }
+
+    /// `(invocations, jobs_scheduled)` so far.
+    pub fn totals(&self) -> (u64, u64) {
+        let load = |n: &AtomicU64| n.load(Ordering::Relaxed);
+        (load(&self.invocations), load(&self.jobs))
+    }
+}
+
+/// One unit of work's worker count, [`BaselineCache`] and [`PoolTally`].
+/// Front ends build one per command, the service one per submission, the
+/// bench one per suite and tests their own, so no run state is shared
+/// and every counter a context reports is absolute.
+#[derive(Debug)]
+pub struct RunCtx {
+    threads: usize,
+    cache: BaselineCache,
+    pool: PoolTally,
+}
+
+impl RunCtx {
+    /// A context with `threads` workers (clamped to at least 1), an
+    /// empty in-memory baseline cache and a zero tally.
+    pub fn new(threads: usize) -> RunCtx {
+        RunCtx {
+            threads: threads.max(1),
+            cache: BaselineCache::default(),
+            pool: PoolTally::default(),
+        }
+    }
+
+    /// This context with `store`, if any, as its baseline cache's disk
+    /// tier (see [`BaselineCache::attach_disk`]).
+    pub fn with_store(self, store: Option<Arc<DiskStore>>) -> RunCtx {
+        if let Some(store) = store {
+            self.cache.attach_disk(store);
+        }
+        self
+    }
+
+    /// The context's baseline cache.
+    pub fn cache(&self) -> &BaselineCache {
+        &self.cache
+    }
+
+    /// The pool work done on this context so far.
+    pub fn pool(&self) -> &PoolTally {
+        &self.pool
+    }
+
+    /// Runs jobs `0..n` through `job` on the context's workers and returns
+    /// the results in job-index order: `(0..n).map(job).collect()`,
+    /// including on panic, but parallel.
+    pub fn run_jobs<T: Send>(&self, n: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        self.pool.add((1, n as u64));
+        merge_sorted(run_buckets(self.threads.clamp(1, n.max(1)), n, job), n)
+    }
+
+    /// [`Self::run_jobs`] with wall-clock instrumentation: returns the
+    /// in-order results plus a [`PoolProfile`] of per-job durations and
+    /// per-worker occupancy.
+    pub fn run_jobs_profiled<T: Send>(
+        &self,
+        n: usize,
+        job: impl Fn(usize) -> T + Sync,
+    ) -> (Vec<T>, PoolProfile) {
+        self.pool.add((1, n as u64));
+        run_jobs_profiled(self.threads, n, job)
+    }
+
+    /// Maps `items` through `f` in parallel, preserving input order —
+    /// [`Self::run_jobs`] for slice-shaped grids.
+    pub fn par_map<I: Sync, T: Send>(&self, items: &[I], f: impl Fn(&I) -> T + Sync) -> Vec<T> {
+        self.run_jobs(items.len(), |i| f(&items[i]))
+    }
 }
 
 fn default_threads() -> usize {
@@ -152,8 +228,6 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    POOL_INVOCATIONS.fetch_add(1, Ordering::Relaxed);
-    POOL_JOBS.fetch_add(n as u64, Ordering::Relaxed);
     if threads == 1 {
         return vec![(0..n).map(|i| (i, job(i))).collect()];
     }
@@ -212,34 +286,9 @@ fn merge_sorted<T: Send>(buckets: Vec<Vec<(usize, T)>>, n: usize) -> Vec<T> {
     indexed.into_iter().map(|(_, v)| v).collect()
 }
 
-/// Runs jobs `0..n` through `job` on up to [`thread_count`] workers and
-/// returns the results in job-index order.
-///
-/// Equivalent to `(0..n).map(job).collect()` — including on panic — but
-/// wall-clock scales with the number of cores for independent,
-/// similarly-sized jobs.
-pub fn run_jobs<T, F>(n: usize, job: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_jobs_on(thread_count(), n, job)
-}
-
-/// [`run_jobs`] with an explicit worker count (used by the determinism
-/// tests and the perf harness; everything else should use [`run_jobs`]).
-pub fn run_jobs_on<T, F>(threads: usize, n: usize, job: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let threads = threads.clamp(1, n.max(1));
-    merge_sorted(run_buckets(threads, n, job), n)
-}
-
-/// [`run_jobs_on`] with wall-clock instrumentation: returns the in-order
-/// results plus a [`PoolProfile`] of per-job durations and per-worker
-/// occupancy.
+/// [`RunCtx::run_jobs_profiled`] on `threads` workers, counted on no
+/// context. Kept only for the `hissbench` harness, which calls it with
+/// this signature; it goes when that harness moves to [`RunCtx`].
 pub fn run_jobs_profiled<T, F>(threads: usize, n: usize, job: F) -> (Vec<T>, PoolProfile)
 where
     T: Send,
@@ -275,22 +324,14 @@ where
     (results, profile)
 }
 
-/// Maps `items` through `f` in parallel, preserving input order —
-/// convenience wrapper over [`run_jobs`] for slice-shaped grids.
-pub fn par_map<I, T, F>(items: &[I], f: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(&I) -> T + Sync,
-{
-    run_jobs(items.len(), |i| f(&items[i]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
     use std::time::Duration;
+
+    fn run_jobs_on<T: Send>(threads: usize, n: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        RunCtx::new(threads).run_jobs(n, job)
+    }
 
     #[test]
     fn results_are_in_job_order() {
@@ -321,7 +362,7 @@ mod tests {
     #[test]
     fn par_map_preserves_order() {
         let items = vec!["a", "bb", "ccc"];
-        assert_eq!(par_map(&items, |s| s.len()), vec![1, 2, 3]);
+        assert_eq!(RunCtx::new(2).par_map(&items, |s| s.len()), vec![1, 2, 3]);
     }
 
     #[test]
@@ -360,18 +401,19 @@ mod tests {
         assert!(ran < 32, "pool drained {ran}/64 jobs after a panic");
     }
 
-    /// The lifetime work counters advance by at least one invocation and
-    /// `n` jobs per pool call. (Sibling tests share the process-global
-    /// counters and may run concurrently, so exact deltas are pinned by
-    /// the single-process bench e2e in `tests/bench.rs`, not here.)
+    /// A context's tally advances by one invocation and `n` jobs per
+    /// pool call, profiled or not, and adds into another tally whole.
     #[test]
     fn pool_totals_advance_per_invocation() {
-        let (inv0, jobs0) = pool_totals();
-        run_jobs_on(1, 7, |i| i);
-        run_jobs_on(4, 13, |i| i);
-        let (inv1, jobs1) = pool_totals();
-        assert!(inv1 - inv0 >= 2, "invocations: {inv0} -> {inv1}");
-        assert!(jobs1 - jobs0 >= 20, "jobs: {jobs0} -> {jobs1}");
+        let ctx = RunCtx::new(4);
+        assert_eq!(ctx.pool().totals(), (0, 0));
+        ctx.run_jobs(7, |i| i);
+        ctx.run_jobs_profiled(13, |i| i);
+        assert_eq!(ctx.pool().totals(), (2, 20));
+        let sum = PoolTally::default();
+        sum.add(ctx.pool().totals());
+        sum.add(ctx.pool().totals());
+        assert_eq!(sum.totals(), (4, 40));
     }
 
     #[test]
@@ -400,7 +442,7 @@ mod tests {
     #[test]
     fn profiled_results_match_unprofiled() {
         for threads in [1, 4] {
-            let (out, profile) = run_jobs_profiled(threads, 50, |i| i * 3);
+            let (out, profile) = RunCtx::new(threads).run_jobs_profiled(50, |i| i * 3);
             let want: Vec<usize> = (0..50).map(|i| i * 3).collect();
             assert_eq!(out, want, "threads={threads}");
             assert_eq!(profile.jobs, 50);
@@ -413,7 +455,7 @@ mod tests {
 
     #[test]
     fn pool_profile_publishes() {
-        let (_, profile) = run_jobs_profiled(2, 10, |i| i);
+        let (_, profile) = RunCtx::new(2).run_jobs_profiled(10, |i| i);
         let mut reg = MetricsRegistry::new();
         profile.publish(&mut reg, "pool");
         assert_eq!(reg.counter_value("pool.jobs"), Some(10));

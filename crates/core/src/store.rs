@@ -36,10 +36,12 @@
 //! # Atomic publication
 //!
 //! All writes go through [`DiskStore::atomic_write`]: the entry is
-//! written to a `*.tmp.<pid>` sibling and `rename`d into place, which is
-//! atomic on POSIX filesystems. Readers therefore never observe a
-//! half-written entry, even if a writer dies mid-write or several
-//! worker processes race on the same key (last rename wins; both wrote
+//! written to a `<entry>.<seq>.tmp.<pid>` sibling and `rename`d into
+//! place, which is atomic on POSIX filesystems. `seq` is unique per
+//! write within the store, so no two writers — threads of one server or
+//! separate processes — ever share a temporary. Readers therefore never
+//! observe a half-written entry, even if a writer dies mid-write or
+//! several writers race on the same key (last rename wins; all wrote
 //! identical bytes). The determinism lint's `HL305` check enforces that
 //! no code in the store paths writes an entry any other way.
 
@@ -111,6 +113,8 @@ pub struct DiskStore {
     misses: AtomicU64,
     invalid: AtomicU64,
     writes: AtomicU64,
+    /// Next temporary-file sequence number (see [`Self::atomic_write`]).
+    tmp_seq: AtomicU64,
 }
 
 impl DiskStore {
@@ -124,6 +128,7 @@ impl DiskStore {
             misses: AtomicU64::new(0),
             invalid: AtomicU64::new(0),
             writes: AtomicU64::new(0),
+            tmp_seq: AtomicU64::new(0),
         })
     }
 
@@ -178,11 +183,14 @@ impl DiskStore {
     }
 
     /// The one sanctioned entry-publication primitive: writes `bytes`
-    /// to a `*.tmp.<pid>` sibling of `path`, flushes, and `rename`s it
-    /// into place. Readers never observe a partial entry (`HL305` flags
-    /// store-path writes that bypass this).
+    /// to a `<name>.<seq>.tmp.<pid>` sibling of `path`, unique per call,
+    /// flushes, and `rename`s it into place. Readers never observe a
+    /// partial entry (`HL305` flags store-path writes that bypass this).
     pub fn atomic_write(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-        let tmp = tmp_path(path);
+        let seq = self.tmp_seq.fetch_add(1, Ordering::Relaxed);
+        let mut name = path.file_name().unwrap_or_default().to_os_string();
+        name.push(format!(".{seq}.tmp.{}", std::process::id()));
+        let tmp = path.with_file_name(name);
         {
             let mut f = fs::File::create(&tmp)?;
             f.write_all(bytes)?;
@@ -251,12 +259,6 @@ impl DiskStore {
     pub fn write_count(&self) -> u64 {
         self.writes.load(Ordering::Relaxed)
     }
-}
-
-fn tmp_path(path: &Path) -> PathBuf {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(format!(".tmp.{}", std::process::id()));
-    path.with_file_name(name)
 }
 
 fn read_dir_sorted(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
@@ -413,6 +415,30 @@ mod tests {
         let entry = encode_entry(&sample_registry());
         let err = decode_entry(&entry[..entry.len() - 1]).unwrap_err();
         assert!(err.contains("length"), "{err}");
+    }
+
+    /// Threads of one server publishing the same baseline: concurrent
+    /// same-key saves and loads on the pool. Every save must land and no
+    /// load may read a torn entry, which shared temporaries allowed.
+    #[test]
+    fn concurrent_same_key_saves_and_loads_never_tear() {
+        let store = tmp_store("concurrent");
+        let key = StoreKey::from_parts(&["shared"]);
+        let reg = sample_registry();
+        let saves = crate::RunCtx::new(8).run_jobs(4000, |i| {
+            if i % 2 == 0 {
+                Some(store.save(&key, &reg).map_err(|e| e.to_string()))
+            } else {
+                store.load(&key);
+                None
+            }
+        });
+        for saved in saves.into_iter().flatten() {
+            assert_eq!(saved, Ok(()));
+        }
+        assert_eq!(store.invalid_count(), 0);
+        assert_eq!(store.write_count(), 2000);
+        fs::remove_dir_all(store.root()).unwrap();
     }
 
     #[test]

@@ -156,11 +156,10 @@ impl<'a> Parser<'a> {
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
+                            let code = hex
+                                .iter()
+                                .try_fold(0, |acc, &b| Some(acc * 16 + char::from(b).to_digit(16)?))
+                                .ok_or("bad \\u escape")?;
                             out.push(char::from_u32(code).ok_or("bad \\u code point")?);
                             self.pos += 4;
                         }
@@ -186,8 +185,9 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// A numeric token: integer → `Counter`, anything with `.`/`e` →
-    /// `Gauge`, `null` → non-finite gauge placeholder.
+    /// A numeric token: digits only → `Counter` (must fit a `u64`),
+    /// anything with `.`/`e` → `Gauge`, `null` → non-finite gauge
+    /// placeholder. Like `to_json`, never a `+` or a signed counter.
     fn number_or_null(&mut self) -> Result<MetricValue, String> {
         self.skip_ws();
         if self.bytes[self.pos..].starts_with(b"null") {
@@ -197,7 +197,7 @@ impl<'a> Parser<'a> {
         let start = self.pos;
         while self
             .peek()
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
+            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'.' | b'e' | b'E'))
         {
             self.pos += 1;
         }
@@ -206,8 +206,11 @@ impl<'a> Parser<'a> {
         if token.is_empty() {
             return Err(format!("expected a number at byte {start}"));
         }
-        if let Ok(v) = token.parse::<u64>() {
-            return Ok(MetricValue::Counter(v));
+        if !token.contains(['.', 'e', 'E']) {
+            return token
+                .parse::<u64>()
+                .map(MetricValue::Counter)
+                .map_err(|_| format!("bad counter {token:?} at byte {start}"));
         }
         token
             .parse::<f64>()
@@ -404,6 +407,16 @@ mod tests {
             ("{\"a\":1}x", "trailing data at byte 7"),
             ("{\"a\":1 2}", "expected ',' or '}' at byte 7"),
             ("{\"a\":1.2.3}", "bad number \"1.2.3\" at byte 5"),
+            // Number forms `to_json` never emits: signs on counters, a
+            // `+` anywhere, counters past u64::MAX.
+            ("{\"a\":+5}", "expected a number at byte 5"),
+            ("{\"a\":-0}", "bad counter \"-0\" at byte 5"),
+            ("{\"a\":-5}", "bad counter \"-5\" at byte 5"),
+            ("{\"a\":1e+3}", "bad number \"1e\" at byte 5"),
+            (
+                "{\"a\":18446744073709551616}",
+                "bad counter \"18446744073709551616\" at byte 5",
+            ),
             // Truncated right after a multi-byte character, in a name
             // and in a label.
             ("{\"é", "unterminated string"),
@@ -412,6 +425,7 @@ mod tests {
             ("{\"a\\", "bad escape None"),
             ("{\"\\u00\":1}", "bad \\u escape"),
             ("{\"\\u12", "truncated \\u escape"),
+            ("{\"\\u+041\":1}", "bad \\u escape"),
             ("{\"\\ud800\":1}", "bad \\u code point"),
             (
                 "{\"a\":{\"count\":1.5}}",

@@ -3,11 +3,12 @@
 //! A *suite* executes a fixed workload and condenses it into one
 //! [`MetricsRegistry`] snapshot of `bench.*` work counters (see
 //! `hiss_obs::schema` and `docs/BENCH.md`). Everything in the snapshot
-//! is deterministic: derived from simulation state, pool/cache work
-//! totals, and (in the engine suite) the calling thread's allocation
-//! tally — never from host timing or scheduling. That is the property
-//! that lets `bench check` hold the counters to exact equality against
-//! the committed baseline.
+//! is deterministic: derived from simulation state, the pool/cache work
+//! of the suite's own [`RunCtx`], and (in the engine suite) the calling
+//! thread's allocation tally — never from host timing or scheduling.
+//! That is the property that lets `bench check` hold the counters to
+//! exact equality against the committed baseline, and since no state is
+//! shared between suites, any number of them may run at once.
 //!
 //! The suites:
 //!
@@ -27,9 +28,11 @@
 
 use std::path::Path;
 
-use hiss::{BaselineCache, ExperimentBuilder, MetricsRegistry, SystemConfig};
+use hiss::{ExperimentBuilder, MetricsRegistry, RunCtx, SystemConfig};
 use hiss_bench::baseline::SuiteSnapshot;
 use hiss_bench::AllocProbe;
+
+use crate::Row;
 
 /// The per-cell counters a suite snapshot records, as
 /// `(bench key suffix, run-registry name)` pairs. Each appears both as
@@ -52,56 +55,39 @@ pub const CELL_COUNTERS: &[(&str, &str)] = &[
     ("pending_at_end", "run.pending_at_end"),
 ];
 
-/// Names of every suite, in execution order.
-pub const SUITES: &[&str] = &[
-    "engine",
-    "fig3_quick",
-    "qos_quick",
-    "devices",
-    "mixed_criticality",
-];
-
 /// One cell's identity as a single schema segment: dots in axis values
 /// would split into extra pattern segments, so they become underscores
 /// (`th_1-ubench-qos_percent=1_5-r0`).
-fn cell_key(cpu: &str, gpu: &str, axes: &[(String, String)], replica: u32) -> String {
-    let mut key = format!("{cpu}-{gpu}");
-    for (k, v) in axes {
+fn cell_key(row: &Row) -> String {
+    let mut key = format!("{}-{}", row.cpu_app, row.gpu_app);
+    for (k, v) in &row.axes {
         key.push('-');
         key.push_str(&k.replace('.', "_"));
         key.push('=');
         key.push_str(&v.replace('.', "_"));
     }
-    key.push_str(&format!("-r{replica}"));
+    key.push_str(&format!("-r{}", row.replica));
     key
 }
 
-/// Shared scaffolding: clears the cache, runs `body`, and folds the
-/// pool/cache work deltas into a suite snapshot. Public so `hiss-serve`
-/// builds its serving suite on the same scaffolding.
-///
-/// The counters are deltas of process-wide state, so they are exact
-/// only while nothing else in the process uses
-/// [`BaselineCache::global()`] or the runner pool during the suite.
-/// Another thread that clears the cache or runs a batch meanwhile (a
-/// sibling test in the same test binary, say) corrupts the counters,
-/// e.g. `bench.cache.entries` reads 0 instead of 27.
-pub fn measure(suite: &str, body: impl FnOnce(&mut MetricsRegistry)) -> SuiteSnapshot {
-    let cache = BaselineCache::global();
-    cache.clear();
-    let (inv0, jobs0) = hiss::pool_totals();
-    let (hits0, misses0) = (cache.hit_count(), cache.miss_count());
-
+/// Shared scaffolding: runs `body` on a fresh [`RunCtx`] of `threads`
+/// workers and folds that context's pool and cache counters
+/// (`bench.pool.*`, `bench.cache.*`) into a suite snapshot. Public so
+/// `hiss-serve` builds its serving suite on the same scaffolding.
+pub fn measure(
+    suite: &str,
+    threads: usize,
+    body: impl FnOnce(&RunCtx, &mut MetricsRegistry),
+) -> SuiteSnapshot {
+    let ctx = RunCtx::new(threads);
     let mut metrics = MetricsRegistry::new();
     metrics.label("bench.suite", suite);
-    body(&mut metrics);
+    body(&ctx, &mut metrics);
 
-    let (inv1, jobs1) = hiss::pool_totals();
-    metrics.counter("bench.pool.invocations", inv1 - inv0);
-    metrics.counter("bench.pool.jobs", jobs1 - jobs0);
-    metrics.counter("bench.cache.hits", cache.hit_count() - hits0);
-    metrics.counter("bench.cache.misses", cache.miss_count() - misses0);
-    metrics.counter("bench.cache.entries", cache.len() as u64);
+    let (invocations, jobs) = ctx.pool().totals();
+    metrics.counter("bench.pool.invocations", invocations);
+    metrics.counter("bench.pool.jobs", jobs);
+    ctx.cache().publish(&mut metrics, "bench.cache");
 
     SuiteSnapshot {
         line: 0,
@@ -110,65 +96,65 @@ pub fn measure(suite: &str, body: impl FnOnce(&mut MetricsRegistry)) -> SuiteSna
     }
 }
 
-/// Runs a committed scenario in quick mode and records per-cell and
-/// summed work counters.
-fn scenario_suite(suite: &str, root: &Path, file: &str) -> Result<SuiteSnapshot, String> {
-    let path = root.join("scenarios").join(file);
-    let sc = crate::load(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-    Ok(measure(suite, |metrics| {
-        let results = crate::run_with_metrics(&sc, true);
-        metrics.counter("bench.cells", results.len() as u64);
-        let mut totals: Vec<u64> = vec![0; CELL_COUNTERS.len()];
-        for (row, cell) in &results {
-            let key = cell_key(&row.cpu_app, &row.gpu_app, &row.axes, row.replica);
-            for (i, (suffix, source)) in CELL_COUNTERS.iter().enumerate() {
-                let v = cell.counter_value(source).unwrap_or(0);
-                metrics.counter(format!("bench.cell.{key}.{suffix}"), v);
-                totals[i] += v;
-            }
+/// Records `bench.cells` and every [`CELL_COUNTERS`] entry, per cell and
+/// summed, from the cells' rows and run registries.
+fn record_cells(metrics: &mut MetricsRegistry, cells: &[(Row, MetricsRegistry)]) {
+    let mut totals = vec![0; CELL_COUNTERS.len()];
+    for (row, cell) in cells {
+        let key = cell_key(row);
+        for ((suffix, source), total) in CELL_COUNTERS.iter().zip(&mut totals) {
+            let v = cell.counter_value(source).unwrap_or(0);
+            metrics.counter(format!("bench.cell.{key}.{suffix}"), v);
+            *total += v;
         }
-        for (i, (suffix, _)) in CELL_COUNTERS.iter().enumerate() {
-            metrics.counter(format!("bench.total.{suffix}"), totals[i]);
-        }
-    }))
+    }
+    metrics.counter("bench.cells", cells.len() as u64);
+    for ((suffix, _), total) in CELL_COUNTERS.iter().zip(totals) {
+        metrics.counter(format!("bench.total.{suffix}"), total);
+    }
 }
 
 /// The engine suite: one serial co-run on the calling thread, so the
 /// allocation probe sees exactly the simulation's own traffic (no pool
 /// workers, no cache sharing, no scenario machinery).
 fn engine_suite() -> SuiteSnapshot {
-    measure("engine", |metrics| {
+    measure("engine", 1, |_, metrics| {
         let probe = AllocProbe::start();
         let report = ExperimentBuilder::new(SystemConfig::default())
             .cpu_app("x264")
             .gpu_app("ubench")
             .run();
         let (bytes, allocs) = probe.finish();
-        metrics.counter("bench.cells", 1);
         metrics.counter("bench.alloc.bytes", bytes);
         metrics.counter("bench.alloc.allocs", allocs);
-        let key = cell_key("x264", "ubench", &[], 0);
-        let mut totals: Vec<u64> = vec![0; CELL_COUNTERS.len()];
-        for (i, (suffix, source)) in CELL_COUNTERS.iter().enumerate() {
-            let v = report.metrics.counter_value(source).unwrap_or(0);
-            metrics.counter(format!("bench.cell.{key}.{suffix}"), v);
-            totals[i] += v;
-        }
-        for (i, (suffix, _)) in CELL_COUNTERS.iter().enumerate() {
-            metrics.counter(format!("bench.total.{suffix}"), totals[i]);
-        }
+        let row = Row {
+            cpu_app: "x264".into(),
+            gpu_app: "ubench".into(),
+            ..Row::default()
+        };
+        record_cells(metrics, &[(row, report.metrics)]);
     })
 }
 
-/// Runs every suite against the repo at `root`, in [`SUITES`] order.
-pub fn run_all(root: &Path) -> Result<Vec<SuiteSnapshot>, String> {
-    Ok(vec![
-        engine_suite(),
-        scenario_suite("fig3_quick", root, "fig3.hiss")?,
-        scenario_suite("qos_quick", root, "qos_sweep.hiss")?,
-        scenario_suite("devices", root, "topology.hiss")?,
-        scenario_suite("mixed_criticality", root, "mixed_criticality.hiss")?,
-    ])
+/// Runs the suite named `suite` (listed above; `hiss_serve::suite::SUITES`
+/// adds `serve`) against the repo at `root` on `threads` workers. Every
+/// suite but `engine` runs a committed scenario in quick mode and records
+/// per-cell and summed work counters.
+pub fn run_suite(suite: &str, root: &Path, threads: usize) -> Result<SuiteSnapshot, String> {
+    let file = match suite {
+        "engine" => return Ok(engine_suite()),
+        "fig3_quick" => "fig3.hiss",
+        "qos_quick" => "qos_sweep.hiss",
+        "devices" => "topology.hiss",
+        "mixed_criticality" => "mixed_criticality.hiss",
+        other => return Err(format!("unknown bench suite {other:?}")),
+    };
+    let path = root.join("scenarios").join(file);
+    let sc = crate::load(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+    Ok(measure(suite, threads, |ctx, metrics| {
+        let results = crate::run_with_metrics(ctx, &sc, true);
+        record_cells(metrics, &results);
+    }))
 }
 
 #[cfg(test)]
@@ -178,7 +164,12 @@ mod tests {
 
     #[test]
     fn cell_keys_are_single_schema_segments() {
-        let key = cell_key("x264", "ubench", &[("qos_percent".into(), "1.5".into())], 0);
+        let key = cell_key(&Row {
+            cpu_app: "x264".into(),
+            gpu_app: "ubench".into(),
+            axes: vec![("qos_percent".into(), "1.5".into())],
+            ..Row::default()
+        });
         assert_eq!(key, "x264-ubench-qos_percent=1_5-r0");
         assert!(!key.contains('.'));
         assert!(
@@ -211,14 +202,17 @@ mod tests {
             assert_eq!(e.scope, schema::Scope::Bench, "{name}");
         }
         assert_eq!(snap.metrics.counter_value("bench.cells"), Some(1));
-        // (Exact pool/cache deltas are pinned by the single-process CLI
-        // e2e in tests/bench.rs — sibling unit tests share the global
-        // counters, so here we only require the keys to exist.)
-        assert!(snap
-            .metrics
-            .counter_value("bench.pool.invocations")
-            .is_some());
-        assert!(snap.metrics.counter_value("bench.cache.misses").is_some());
+        // The engine suite runs its one co-run directly: its context sees
+        // no pool work and no cache lookups.
+        for key in [
+            "bench.pool.invocations",
+            "bench.pool.jobs",
+            "bench.cache.hits",
+            "bench.cache.misses",
+            "bench.cache.entries",
+        ] {
+            assert_eq!(snap.metrics.counter_value(key), Some(0), "{key}");
+        }
         assert!(
             snap.metrics
                 .counter_value("bench.total.events_pushed")

@@ -13,15 +13,15 @@
 //! knobs, so rows are bit-identical whatever the worker count. The
 //! paper's grid figures are folds over these rows ([`crate::figures`]).
 //!
-//! Every cell reuses the process-wide
-//! [`BaselineCache`] for its two normalisation
-//! baselines, and cells whose knobs are the paper's default
+//! A batch runs on the [`RunCtx`] its caller passes: every cell resolves
+//! its two normalisation baselines through the context's
+//! [`BaselineCache`], and cells whose knobs are the paper's default
 //! configuration resolve the noisy run through the cache too (sharing it
-//! with every other cell and batch in the process).
+//! with every other cell and batch on that context).
 
 use hiss::{
     BaselineCache, CoreId, DeviceKind, DeviceSpec, DmaParams, ExperimentBuilder, GpuAppSpec,
-    Mitigation, NicParams, QosParams, RunReport,
+    Mitigation, NicParams, QosParams, RunCtx, RunReport,
 };
 use hiss_obs::MetricsRegistry;
 
@@ -156,15 +156,17 @@ pub fn expand(sc: &Scenario, quick: bool) -> Vec<Cell> {
     }
 }
 
-/// Runs one cell: the noisy run plus its two cached baselines, memoized
-/// in the process-wide [`BaselineCache::global`].
+/// [`run_cell_report_in`] against the process-wide cache
+/// ([`BaselineCache`]'s `global()`). Kept only for the `hissbench`
+/// harness, which calls it with this signature; it goes when that
+/// harness moves to [`RunCtx`].
 pub fn run_cell_report(cell: &Cell) -> (Row, std::sync::Arc<RunReport>) {
     run_cell_report_in(cell, BaselineCache::global())
 }
 
-/// [`run_cell_report`] with its baselines memoized in `cache`. Public so
-/// the serving layer (`hiss-serve`) can execute store-miss cells through
-/// exactly the batch compiler's path while owning the cache's lifetime.
+/// Runs one cell: the noisy run plus its two baselines, memoized in
+/// `cache`. Public so the serving layer (`hiss-serve`) executes
+/// store-miss cells through exactly the batch compiler's path.
 pub fn run_cell_report_in(cell: &Cell, cache: &BaselineCache) -> (Row, std::sync::Arc<RunReport>) {
     let cfg = &cell.knobs.cfg;
     let base = cache.cpu_baseline(cfg, &cell.cpu_app, &cell.gpu_app);
@@ -209,10 +211,6 @@ pub fn run_cell_report_in(cell: &Cell, cache: &BaselineCache) -> (Row, std::sync
     };
     let row = row_from_report(cell, &run, &base, &gpu_base);
     (row, run)
-}
-
-fn run_cell(cell: &Cell) -> Row {
-    run_cell_report(cell).0
 }
 
 /// The cell's metrics snapshot: the run's registry plus `cell.*` labels
@@ -274,41 +272,37 @@ fn row_from_report(cell: &Cell, run: &RunReport, base: &RunReport, gpu_base: &Ru
     }
 }
 
-/// Expands and executes a scenario on the parallel runner, returning
-/// rows in grid order (bit-identical whatever the worker count).
-pub fn run(sc: &Scenario, quick: bool) -> Vec<Row> {
-    let cells = expand(sc, quick);
-    hiss::run_jobs(cells.len(), |i| run_cell(&cells[i]))
+/// One cell's row and metrics snapshot (the run's
+/// [`hiss::RunReport::metrics`] registry plus `cell.*` identity labels).
+fn run_cell(ctx: &RunCtx, cell: &Cell) -> (Row, MetricsRegistry) {
+    let (row, report) = run_cell_report_in(cell, ctx.cache());
+    (row, cell_metrics(cell, &report))
 }
 
-/// [`run`], additionally returning each cell's metrics snapshot (the
-/// run's [`hiss::RunReport::metrics`] registry plus `cell.*` identity
-/// labels). Snapshots are built purely from deterministic simulation
-/// state, so they too are bit-identical whatever the worker count.
-pub fn run_with_metrics(sc: &Scenario, quick: bool) -> Vec<(Row, MetricsRegistry)> {
+/// Expands and executes a scenario on `ctx`'s pool, returning each
+/// cell's row and metrics snapshot in grid order. Both are built purely
+/// from deterministic simulation state, so they are bit-identical
+/// whatever the worker count and whatever the cache holds.
+pub fn run_with_metrics(ctx: &RunCtx, sc: &Scenario, quick: bool) -> Vec<(Row, MetricsRegistry)> {
     let cells = expand(sc, quick);
-    hiss::run_jobs(cells.len(), |i| {
-        let (row, report) = run_cell_report(&cells[i]);
-        let metrics = cell_metrics(&cells[i], &report);
-        (row, metrics)
-    })
+    ctx.run_jobs(cells.len(), |i| run_cell(ctx, &cells[i]))
 }
 
 /// [`run_with_metrics`] with batch-level profiling: also returns a
-/// registry of pool wall-times (`pool.*`) and process-wide baseline-cache
-/// counters (`baseline_cache.*`). Unlike the per-cell snapshots, this
-/// profile is wall-clock- and scheduling-dependent — it is reported
-/// separately and never mixed into cell snapshots.
-pub fn run_profiled(sc: &Scenario, quick: bool) -> (Vec<(Row, MetricsRegistry)>, MetricsRegistry) {
+/// registry of pool wall-times (`pool.*`) and the context's
+/// baseline-cache counters (`baseline_cache.*`). Unlike the per-cell
+/// snapshots, this profile is wall-clock- and scheduling-dependent — it
+/// is reported separately and never mixed into cell snapshots.
+pub fn run_profiled(
+    ctx: &RunCtx,
+    sc: &Scenario,
+    quick: bool,
+) -> (Vec<(Row, MetricsRegistry)>, MetricsRegistry) {
     let cells = expand(sc, quick);
-    let (rows, profile) = hiss::run_jobs_profiled(hiss::thread_count(), cells.len(), |i| {
-        let (row, report) = run_cell_report(&cells[i]);
-        let metrics = cell_metrics(&cells[i], &report);
-        (row, metrics)
-    });
+    let (rows, profile) = ctx.run_jobs_profiled(cells.len(), |i| run_cell(ctx, &cells[i]));
     let mut batch = MetricsRegistry::new();
     profile.publish(&mut batch, "pool");
-    BaselineCache::global().publish(&mut batch, "baseline_cache");
+    ctx.cache().publish(&mut batch, "baseline_cache");
     (rows, batch)
 }
 
@@ -410,7 +404,8 @@ qos_percent = [0, 1]
 "#,
         )
         .unwrap();
-        let pairs = run_with_metrics(&sc, false);
+        let ctx = RunCtx::new(2);
+        let pairs = run_with_metrics(&ctx, &sc, false);
         assert_eq!(pairs.len(), 2);
         for (row, m) in &pairs {
             assert_eq!(m.label_value("cell.cpu_app"), Some("x264"));
@@ -427,10 +422,8 @@ qos_percent = [0, 1]
             );
             assert_eq!(m.gauge_value("run.cc6_residency"), Some(row.cc6_residency));
         }
-        // Plain `run` and the metrics variant agree row-for-row.
-        let rows = run(&sc, false);
-        let row_only: Vec<&Row> = pairs.iter().map(|(r, _)| r).collect();
-        assert_eq!(rows.iter().collect::<Vec<_>>(), row_only);
+        // A warm re-run on the same context agrees row-for-row.
+        assert_eq!(run_with_metrics(&ctx, &sc, false), pairs);
     }
 
     /// The acceptance gate for the device generalisation: a `[topology]`
@@ -455,10 +448,14 @@ gpu = ["ubench", "sssp"]
         ] {
             let hardwired = Scenario::from_str(&format!("{base}{knob}")).unwrap();
             let declared = Scenario::from_str(&format!("{base}{topo}")).unwrap();
-            let a = run(&hardwired, false);
-            let b = run(&declared, false);
-            let a_json: Vec<String> = a.iter().map(crate::output::row_json).collect();
-            let b_json: Vec<String> = b.iter().map(crate::output::row_json).collect();
+            let ctx = RunCtx::new(2);
+            let json = |sc| -> Vec<String> {
+                run_with_metrics(&ctx, sc, false)
+                    .iter()
+                    .map(|(row, _)| crate::output::row_json(row))
+                    .collect()
+            };
+            let (a_json, b_json) = (json(&hardwired), json(&declared));
             assert_eq!(a_json, b_json, "topology {topo:?} diverged from {knob:?}");
         }
     }
@@ -478,7 +475,7 @@ steer = [-1, 3, -1]
 "#,
         )
         .unwrap();
-        let pairs = run_with_metrics(&sc, false);
+        let pairs = run_with_metrics(&RunCtx::new(2), &sc, false);
         assert_eq!(pairs.len(), 1);
         let (row, m) = &pairs[0];
         assert_eq!(m.label_value("cell.topology"), Some("gpu@-,nic@3,dma@-"));
@@ -516,7 +513,7 @@ critical_devices = [0]
         assert_eq!(c.critical_device_mask, 0b1);
         assert!(cells[1].knobs.criticality.is_none(), "x264 is the control");
 
-        let pairs = run_with_metrics(&sc, false);
+        let pairs = run_with_metrics(&RunCtx::new(2), &sc, false);
         let (crit_row, crit_m) = &pairs[0];
         assert_eq!(crit_m.counter_value("qos.classes"), Some(2));
         assert_eq!(

@@ -487,7 +487,7 @@ mod tests {
                 .values
                 .retain(|v| combos.contains(&v.render().as_str()));
         }
-        run_with_metrics(&sc, false)
+        run_with_metrics(&hiss::RunCtx::new(2), &sc, false)
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! - a **typed spec** ([`spec::Scenario`]) with line-numbered
 //!   diagnostics for every schema violation,
 //! - a **batch compiler** ([`compile`]) lowering a scenario into pure
-//!   jobs on the [`hiss::runner`] pool, reusing the process-wide
-//!   [`hiss::BaselineCache`],
+//!   jobs on the pool of the caller's [`hiss::RunCtx`], resolving
+//!   baselines through that context's [`hiss::BaselineCache`],
 //! - **emitters** ([`output`]) for JSON-lines and ASCII tables,
 //! - an **expect checker** ([`expect`]) that turns the committed
 //!   `scenarios/` library into a golden regression harness
@@ -35,7 +35,8 @@
 //! [expect]
 //! min_gpu_perf = [0.0, 1.2]
 //! "#).unwrap();
-//! let rows = hiss_scenario::run(&scenario, false);
+//! let pairs = hiss_scenario::run_with_metrics(&hiss::RunCtx::new(2), &scenario, false);
+//! let rows: Vec<_> = pairs.into_iter().map(|(row, _)| row).collect();
 //! assert_eq!(rows.len(), 2);
 //! // th_1 throttling guts ubench throughput relative to no governor.
 //! assert!(rows[1].gpu_perf < rows[0].gpu_perf);
@@ -52,7 +53,7 @@ pub mod parse;
 pub mod spec;
 
 pub use compile::{
-    cell_metrics, expand, run, run_cell_report, run_cell_report_in, run_profiled, run_with_metrics,
+    cell_metrics, expand, run_cell_report, run_cell_report_in, run_profiled, run_with_metrics,
     Cell, Row,
 };
 pub use expect::{check, Violation};

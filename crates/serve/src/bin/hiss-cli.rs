@@ -70,7 +70,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use hiss::experiments::{extensions, fig4, fig9, section4c, tables};
-use hiss::{ExperimentBuilder, Mitigation, Ns, QosParams, RunReport, SystemConfig};
+use hiss::{ExperimentBuilder, Mitigation, Ns, QosParams, RunCtx, RunReport, SystemConfig};
 use hiss_bench::baseline::{self, BaselineFile, SuiteSnapshot};
 use hiss_bench::compare;
 use hiss_scenario as scenario;
@@ -491,7 +491,7 @@ fn fresh_snapshots(args: &Args, root: &Path) -> Result<Vec<SuiteSnapshot>, Strin
             let file = baseline::parse(&text).map_err(|e| format!("{path}: {e}"))?;
             Ok(file.suites)
         }
-        None => hiss_serve::suite::run_all(root),
+        None => hiss_serve::suite::run_all(root, hiss::thread_count()),
     }
 }
 
@@ -537,7 +537,7 @@ fn bench_command(mut argv: Vec<String>) -> ExitCode {
 
     match verb.as_str() {
         "run" => {
-            let snaps = match hiss_serve::suite::run_all(&root) {
+            let snaps = match fresh_snapshots(&args, &root) {
                 Ok(s) => s,
                 Err(e) => {
                     eprintln!("{e}");
@@ -713,61 +713,56 @@ fn scenario_command(mut argv: Vec<String>) -> ExitCode {
                 // belt-and-braces second reading.
                 hiss::force_sanitize();
             }
-            let metrics_path = args.value("--metrics");
-            let rows = if metrics_path.is_some() || args.flag("--profile") || sanitize {
-                let (pairs, batch) = if args.flag("--profile") {
-                    let (pairs, batch) = scenario::run_profiled(&sc, quick);
-                    (pairs, Some(batch))
-                } else {
-                    (scenario::run_with_metrics(&sc, quick), None)
-                };
-                let (rows, snapshots): (Vec<_>, Vec<_>) = pairs.into_iter().unzip();
-                if let Some(path) = metrics_path {
-                    let mut out = String::new();
-                    for snap in &snapshots {
-                        out.push_str(&snap.to_json());
-                        out.push('\n');
-                    }
-                    if let Err(e) = std::fs::write(path, out) {
-                        eprintln!("cannot write {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-                if let Some(batch) = batch {
-                    // Wall-clock profile: stderr, so piped stdout stays data.
-                    eprint!("{}", batch.to_table());
-                }
-                if sanitize {
-                    let mut checked = 0usize;
-                    let mut failures = Vec::new();
-                    for snap in &snapshots {
-                        let audit = hiss_obs::invariants::audit(snap, hiss_obs::schema::Scope::Run);
-                        checked += audit.checked;
-                        for v in audit.violations {
-                            failures.push(hiss_lint::Diagnostic::new(
-                                hiss_lint::Code::RunInvariantViolated,
-                                Some(file.as_str()),
-                                0,
-                                v.detail,
-                            ));
-                        }
-                    }
-                    for d in &failures {
-                        eprintln!("{d}");
-                    }
-                    eprintln!(
-                        "sanitize: {} cell(s), {checked} invariant check(s), {} violation(s)",
-                        snapshots.len(),
-                        failures.len()
-                    );
-                    if !failures.is_empty() {
-                        return ExitCode::FAILURE;
-                    }
-                }
-                rows
+            let ctx = RunCtx::new(hiss::thread_count());
+            let (pairs, batch) = if args.flag("--profile") {
+                let (pairs, batch) = scenario::run_profiled(&ctx, &sc, quick);
+                (pairs, Some(batch))
             } else {
-                scenario::run(&sc, quick)
+                (scenario::run_with_metrics(&ctx, &sc, quick), None)
             };
+            let (rows, snapshots): (Vec<_>, Vec<_>) = pairs.into_iter().unzip();
+            if let Some(path) = args.value("--metrics") {
+                let mut out = String::new();
+                for snap in &snapshots {
+                    out.push_str(&snap.to_json());
+                    out.push('\n');
+                }
+                if let Err(e) = std::fs::write(path, out) {
+                    eprintln!("cannot write {path}: {e}");
+                    return ExitCode::FAILURE;
+                }
+            }
+            if let Some(batch) = batch {
+                // Wall-clock profile: stderr, so piped stdout stays data.
+                eprint!("{}", batch.to_table());
+            }
+            if sanitize {
+                let mut checked = 0usize;
+                let mut failures = Vec::new();
+                for snap in &snapshots {
+                    let audit = hiss_obs::invariants::audit(snap, hiss_obs::schema::Scope::Run);
+                    checked += audit.checked;
+                    for v in audit.violations {
+                        failures.push(hiss_lint::Diagnostic::new(
+                            hiss_lint::Code::RunInvariantViolated,
+                            Some(file.as_str()),
+                            0,
+                            v.detail,
+                        ));
+                    }
+                }
+                for d in &failures {
+                    eprintln!("{d}");
+                }
+                eprintln!(
+                    "sanitize: {} cell(s), {checked} invariant check(s), {} violation(s)",
+                    snapshots.len(),
+                    failures.len()
+                );
+                if !failures.is_empty() {
+                    return ExitCode::FAILURE;
+                }
+            }
             if args.flag("--json") {
                 print!("{}", scenario::output::to_jsonl(&rows));
             } else {
@@ -847,16 +842,18 @@ fn serve_command(argv: Vec<String>) -> ExitCode {
         eprintln!("unexpected argument {stray:?}");
         return ExitCode::FAILURE;
     }
-    if let Some(threads) = args.value("--threads") {
-        if threads.parse::<usize>().map(|n| n == 0).unwrap_or(true) {
-            eprintln!("--threads expects a positive integer, got {threads:?}");
-            return ExitCode::FAILURE;
-        }
-        // The runner pool sizes itself from HISS_THREADS at first use;
-        // setting it here (before any simulation) is the worker-count
-        // knob. Results are bit-identical at any setting.
-        env::set_var("HISS_THREADS", threads);
-    }
+    // Worker count per submission; results are bit-identical at any
+    // setting.
+    let threads = match args.value("--threads") {
+        None => hiss::thread_count(),
+        Some(v) => match v.parse::<usize>() {
+            Ok(n) if n > 0 => n,
+            _ => {
+                eprintln!("--threads expects a positive integer, got {v:?}");
+                return ExitCode::FAILURE;
+            }
+        },
+    };
     let addr = args.value("--addr").unwrap_or("127.0.0.1:7477");
     let store_dir = PathBuf::from(args.value("--store").unwrap_or("target/serve-store"));
     let store = match hiss::DiskStore::open(&store_dir) {
@@ -866,7 +863,7 @@ fn serve_command(argv: Vec<String>) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let service = std::sync::Arc::new(hiss_serve::Service::new(Some(store)));
+    let service = std::sync::Arc::new(hiss_serve::Service::new(Some(store), threads));
     let server = match hiss_serve::Server::bind(addr, service) {
         Ok(s) => s,
         Err(e) => {
@@ -1114,8 +1111,9 @@ fn banner(title: &str) {
 /// paper-vs-measured comparison for the most recent full run.
 fn figures(cfg: SystemConfig, quick: bool) {
     use scenario::figures::{self, FIG12_PACK, FIG3_PACK, MITIGATION_GRID_PACK};
+    let ctx = RunCtx::new(hiss::thread_count());
     let fig3_pack = figures::pack(FIG3_PACK);
-    let run_pack = |text| scenario::run_with_metrics(&figures::pack(text), quick);
+    let run_pack = |text| scenario::run_with_metrics(&ctx, &figures::pack(text), quick);
 
     banner("Table I — GPU system service requests");
     println!("{}", tables::render_table1(&tables::table1(&cfg)));
@@ -1124,7 +1122,7 @@ fn figures(cfg: SystemConfig, quick: bool) {
     println!("{}", tables::render_table2(&tables::table2(&cfg)));
 
     banner("Fig. 3a — normalised CPU application performance under GPU SSRs");
-    let rows3 = scenario::run_with_metrics(&fig3_pack, quick);
+    let rows3 = scenario::run_with_metrics(&ctx, &fig3_pack, quick);
     println!("{}", figures::fig3a(&rows3));
 
     banner("Fig. 3b — normalised GPU performance under CPU interference");
@@ -1138,13 +1136,13 @@ fn figures(cfg: SystemConfig, quick: bool) {
         .iter()
         .map(String::as_str)
         .collect();
-    println!("{}", fig4::render(&fig4::fig4_with(&cfg, &gpu)));
+    println!("{}", fig4::render(&fig4::fig4_with(&ctx, &cfg, &gpu)));
 
     banner("Fig. 5 — µarchitectural effects of ubench SSRs");
     println!("{}", figures::render_fig5(&figures::fig5(&rows3)));
 
     banner("§IV-C — interrupt distribution, IPIs, coalescing");
-    println!("{}", section4c::render(&section4c::section4c(&cfg)));
+    println!("{}", section4c::render(&section4c::section4c(&ctx, &cfg)));
 
     let grid = run_pack(MITIGATION_GRID_PACK);
     for panel in figures::fig6(&grid) {
@@ -1162,7 +1160,7 @@ fn figures(cfg: SystemConfig, quick: bool) {
     println!("{}", figures::render_pareto(&figures::fig8(&grid)));
 
     banner("Fig. 9 — mitigation techniques vs CC6 residency (ubench)");
-    println!("{}", fig9::render(&fig9::fig9(&cfg)));
+    println!("{}", fig9::render(&fig9::fig9(&ctx, &cfg)));
 
     banner("Fig. 12 — QoS throttling (default / th_25 / th_5 / th_1)");
     println!(
@@ -1173,11 +1171,13 @@ fn figures(cfg: SystemConfig, quick: bool) {
     banner("Extension — multi-accelerator scaling (x264 vs N × sssp)");
     println!(
         "{}",
-        extensions::render_scaling(&extensions::multi_gpu_scaling(&cfg, "x264", "sssp", 4))
+        extensions::render_scaling(&extensions::multi_gpu_scaling(
+            &ctx, &cfg, "x264", "sssp", 4
+        ))
     );
 
     banner("Extension — coalescing window sweep (x264 vs ubench)");
-    for w in extensions::coalescing_window_sweep(&cfg, "x264", "ubench", &[0, 2, 5, 9, 13]) {
+    for w in extensions::coalescing_window_sweep(&ctx, &cfg, "x264", "ubench", &[0, 2, 5, 9, 13]) {
         println!(
             "  window {:>8}: CPU {:.3}  GPU ratio {:.3}  interrupts/SSR {:.2}",
             w.window.to_string(),
@@ -1188,7 +1188,7 @@ fn figures(cfg: SystemConfig, quick: bool) {
     }
 
     banner("Extension — outstanding-SSR-limit sweep (QoS leverage)");
-    for l in extensions::outstanding_limit_sweep(&cfg, &[8, 16, 64, 256]) {
+    for l in extensions::outstanding_limit_sweep(&ctx, &cfg, &[8, 16, 64, 256]) {
         println!(
             "  limit {:>4}: throttled ubench at {:.1}% of unhindered",
             l.limit,
@@ -1197,14 +1197,14 @@ fn figures(cfg: SystemConfig, quick: bool) {
     }
 
     banner("Extension — adaptive QoS threshold (x264 within 10%)");
-    let a = extensions::adaptive_qos(&cfg, "x264", "ubench", 0.10, 5);
+    let a = extensions::adaptive_qos(&ctx, &cfg, "x264", "ubench", 0.10, 5);
     println!(
         "  threshold th_{:.2}: CPU {:.3}, ubench {:.3}",
         a.threshold_percent, a.cpu_perf, a.gpu_perf
     );
 
     banner("Extension — module pairing (shared-L2 siblings, steered handlers)");
-    let mp = extensions::module_pairing(&cfg, "ubench");
+    let mp = extensions::module_pairing(&ctx, &cfg, "ubench");
     println!(
         "  victim on core 0: steer to sibling core 1 -> {:.3}; steer to remote core 2 -> {:.3}",
         mp.sibling_perf, mp.remote_perf

@@ -193,7 +193,8 @@ gpu = ["ubench"]
     // transport-only thread so the test can drive the server it hosts.
     #[allow(clippy::disallowed_methods)]
     fn start(store: Option<Arc<DiskStore>>) -> (Arc<Server>, std::thread::JoinHandle<()>) {
-        let server = Arc::new(Server::bind("127.0.0.1:0", Arc::new(Service::new(store))).unwrap());
+        let server =
+            Arc::new(Server::bind("127.0.0.1:0", Arc::new(Service::new(store, 2))).unwrap());
         let runner = Arc::clone(&server);
         let handle = std::thread::spawn(move || runner.run().unwrap());
         (server, handle)

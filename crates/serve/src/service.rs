@@ -22,21 +22,22 @@
 //! # Baselines
 //!
 //! A store-miss cell also needs its two normalisation baselines (and,
-//! for default-configuration cells, the co-run). Each submission
-//! resolves them through its own [`BaselineCache`], dropped when the
-//! submission ends and backed by the service's store as a second tier:
+//! for default-configuration cells, the co-run). Each submission runs on
+//! its own [`RunCtx`], dropped when the submission ends, whose
+//! [`BaselineCache`] is backed by the service's store as a second tier:
 //! cells of one submission share a baseline through the cache's
 //! single-flight memo, and submissions — across connections and
 //! restarts — share it through the store. Memory is therefore bounded
 //! by one submission's baselines, not by lifetime traffic. Two
 //! concurrent submissions that need the same not-yet-stored baseline
 //! may each simulate it; both get the same deterministic result, and
-//! the store's write-then-rename publication keeps the entry whole.
+//! the store's write-then-rename publication (one temporary per write)
+//! keeps the entry whole.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use hiss::{BaselineCache, DiskStore, RunReport, StoreKey};
+use hiss::{BaselineCache, DiskStore, PoolTally, RunCtx, RunReport, StoreKey};
 use hiss_lint::{Diagnostic, Severity};
 use hiss_obs::MetricsRegistry;
 use hiss_scenario::{cell_metrics, expand, run_cell_report_in, Cell, Scenario};
@@ -45,7 +46,7 @@ use hiss_scenario::{cell_metrics, expand, run_cell_report_in, Cell, Scenario};
 /// that results reach the client incrementally, large enough to keep
 /// the workers busy. A constant (not the thread count) so the pool
 /// invocation count — a gated bench counter — is identical under any
-/// `HISS_THREADS`.
+/// worker count.
 pub const STREAM_CHUNK: usize = 8;
 
 /// What one completed submission did.
@@ -84,6 +85,8 @@ pub fn cell_store_key(cell: &Cell) -> StoreKey {
 #[derive(Debug)]
 pub struct Service {
     store: Option<Arc<DiskStore>>,
+    threads: usize,
+    pool: PoolTally,
     requests: AtomicU64,
     rejected: AtomicU64,
     queue_peak: AtomicU64,
@@ -95,10 +98,13 @@ pub struct Service {
 }
 
 impl Service {
-    /// A service backed by `store` (or purely in-memory when `None`).
-    pub fn new(store: Option<Arc<DiskStore>>) -> Service {
+    /// A service backed by `store` (or purely in-memory when `None`)
+    /// that runs each submission's cells on `threads` workers.
+    pub fn new(store: Option<Arc<DiskStore>>, threads: usize) -> Service {
         Service {
             store,
+            threads,
+            pool: PoolTally::default(),
             requests: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             queue_peak: AtomicU64::new(0),
@@ -113,6 +119,11 @@ impl Service {
     /// The backing disk store, if any.
     pub fn store(&self) -> Option<&Arc<DiskStore>> {
         self.store.as_ref()
+    }
+
+    /// Pool work of every submission so far.
+    pub fn pool(&self) -> &PoolTally {
+        &self.pool
     }
 
     /// Validates and executes one submission, calling `emit` with each
@@ -154,12 +165,10 @@ impl Service {
             simulated: 0,
             from_store: 0,
         };
-        let baselines = BaselineCache::default();
-        if let Some(store) = &self.store {
-            baselines.attach_disk(Arc::clone(store));
-        }
+        let ctx = RunCtx::new(self.threads).with_store(self.store.clone());
+        let baselines = ctx.cache();
         for chunk in cells.chunks(STREAM_CHUNK) {
-            let results = hiss::run_jobs(chunk.len(), |i| self.run_cell(&chunk[i], &baselines));
+            let results = ctx.run_jobs(chunk.len(), |i| self.run_cell(&chunk[i], baselines));
             for (snapshot, from_store) in results {
                 if from_store {
                     summary.from_store += 1;
@@ -173,6 +182,7 @@ impl Service {
             .fetch_add(baselines.hit_count(), Ordering::Relaxed);
         self.baseline_misses
             .fetch_add(baselines.miss_count(), Ordering::Relaxed);
+        self.pool.add(ctx.pool().totals());
         Ok(summary)
     }
 
@@ -196,25 +206,21 @@ impl Service {
     /// *fresh* result violating a law is a simulator bug and panics
     /// with the named diff rather than poisoning the store.
     fn run_cell(&self, cell: &Cell, baselines: &BaselineCache) -> (MetricsRegistry, bool) {
-        if let Some(store) = &self.store {
-            let key = cell_store_key(cell);
-            if let Some(metrics) = store.load(&key) {
-                if self.audit(&metrics).clean() {
-                    self.cells_from_store.fetch_add(1, Ordering::Relaxed);
-                    let report = RunReport::from_metrics(metrics);
-                    return (cell_metrics(cell, &report), true);
-                }
+        let key = cell_store_key(cell);
+        if let Some(metrics) = self.store.as_ref().and_then(|store| store.load(&key)) {
+            if self.audit(&metrics).clean() {
+                self.cells_from_store.fetch_add(1, Ordering::Relaxed);
+                let report = RunReport::from_metrics(metrics);
+                return (cell_metrics(cell, &report), true);
             }
-            let (_, report) = run_cell_report_in(cell, baselines);
-            require_clean(&self.audit(&report.metrics), cell);
-            // Best-effort publish: a failed write degrades to
-            // recompute-next-time, never to a wrong result.
-            let _ = store.save(&key, &report.metrics);
-            self.cells_simulated.fetch_add(1, Ordering::Relaxed);
-            return (cell_metrics(cell, &report), false);
         }
         let (_, report) = run_cell_report_in(cell, baselines);
         require_clean(&self.audit(&report.metrics), cell);
+        if let Some(store) = &self.store {
+            // Best-effort publish: a failed write degrades to
+            // recompute-next-time, never to a wrong result.
+            let _ = store.save(&key, &report.metrics);
+        }
         self.cells_simulated.fetch_add(1, Ordering::Relaxed);
         (cell_metrics(cell, &report), false)
     }
@@ -223,38 +229,18 @@ impl Service {
     /// one is attached) under `prefix` — the `bench.serve.*` rows when
     /// called with `"bench.serve"`.
     pub fn publish(&self, reg: &mut MetricsRegistry, prefix: &str) {
-        reg.counter(
-            format!("{prefix}.requests"),
-            self.requests.load(Ordering::Relaxed),
-        );
-        reg.counter(
-            format!("{prefix}.rejected"),
-            self.rejected.load(Ordering::Relaxed),
-        );
-        reg.counter(
-            format!("{prefix}.queue_peak"),
-            self.queue_peak.load(Ordering::Relaxed),
-        );
-        reg.counter(
-            format!("{prefix}.cells_simulated"),
-            self.cells_simulated.load(Ordering::Relaxed),
-        );
-        reg.counter(
-            format!("{prefix}.cells_from_store"),
-            self.cells_from_store.load(Ordering::Relaxed),
-        );
-        reg.counter(
-            format!("{prefix}.cells_audited"),
-            self.cells_audited.load(Ordering::Relaxed),
-        );
-        reg.counter(
-            format!("{prefix}.baseline_hits"),
-            self.baseline_hits.load(Ordering::Relaxed),
-        );
-        reg.counter(
-            format!("{prefix}.baseline_misses"),
-            self.baseline_misses.load(Ordering::Relaxed),
-        );
+        for (name, value) in [
+            ("requests", &self.requests),
+            ("rejected", &self.rejected),
+            ("queue_peak", &self.queue_peak),
+            ("cells_simulated", &self.cells_simulated),
+            ("cells_from_store", &self.cells_from_store),
+            ("cells_audited", &self.cells_audited),
+            ("baseline_hits", &self.baseline_hits),
+            ("baseline_misses", &self.baseline_misses),
+        ] {
+            reg.counter(format!("{prefix}.{name}"), value.load(Ordering::Relaxed));
+        }
         if let Some(store) = &self.store {
             reg.counter(format!("{prefix}.store_hits"), store.hit_count());
             reg.counter(format!("{prefix}.store_misses"), store.miss_count());
@@ -304,7 +290,7 @@ gpu = ["ubench"]
 
     #[test]
     fn invalid_scenarios_are_rejected_with_diagnostics() {
-        let service = Service::new(None);
+        let service = Service::new(None, 1);
         let err = service
             .submit("t.hiss", "[scenario]\nname = \"t\"\n", false, |_| {
                 panic!("nothing should stream")
@@ -321,7 +307,7 @@ gpu = ["ubench"]
 
     #[test]
     fn warnings_alone_do_not_reject() {
-        let service = Service::new(None);
+        let service = Service::new(None, 1);
         // HL006 (degenerate axis) is Warn severity.
         let text = format!("{TINY}[sweep]\ngpus = [1]\n");
         let mut streamed = 0;
@@ -333,7 +319,7 @@ gpu = ["ubench"]
     #[test]
     fn second_submission_serves_every_cell_from_the_store() {
         let store = tmp_store("resubmit");
-        let service = Service::new(Some(Arc::clone(&store)));
+        let service = Service::new(Some(Arc::clone(&store)), 2);
 
         let mut first = Vec::new();
         let s1 = service
@@ -360,6 +346,8 @@ gpu = ["ubench"]
         assert_eq!(reg.counter_value("bench.serve.baseline_hits"), Some(0));
         assert_eq!(reg.counter_value("bench.serve.baseline_misses"), Some(3));
         assert_eq!(reg.counter_value("bench.serve.queue_peak"), Some(1));
+        // One single-cell chunk per submission.
+        assert_eq!(service.pool().totals(), (2, 2));
 
         std::fs::remove_dir_all(store.root()).unwrap();
     }
@@ -367,7 +355,7 @@ gpu = ["ubench"]
     #[test]
     fn served_snapshots_match_the_batch_compiler() {
         let store = tmp_store("batch_match");
-        let service = Service::new(Some(Arc::clone(&store)));
+        let service = Service::new(Some(Arc::clone(&store)), 2);
         // Warm the store, then serve from it.
         service.submit("tiny.hiss", TINY, false, |_| {}).unwrap();
         let mut served = Vec::new();
@@ -376,7 +364,7 @@ gpu = ["ubench"]
             .unwrap();
 
         let sc = Scenario::from_str(TINY).unwrap();
-        let direct: Vec<String> = hiss_scenario::run_with_metrics(&sc, false)
+        let direct: Vec<String> = hiss_scenario::run_with_metrics(&RunCtx::new(2), &sc, false)
             .into_iter()
             .map(|(_, m)| m.to_json())
             .collect();
@@ -388,7 +376,7 @@ gpu = ["ubench"]
     #[test]
     fn law_violating_store_entries_are_recomputed_and_healed() {
         let store = tmp_store("law_violation");
-        let service = Service::new(Some(Arc::clone(&store)));
+        let service = Service::new(Some(Arc::clone(&store)), 2);
         let mut first = Vec::new();
         service
             .submit("tiny.hiss", TINY, false, |m| first.push(m.to_json()))
@@ -430,7 +418,7 @@ gpu = ["ubench"]
     #[test]
     fn corrupt_store_entries_fall_back_to_recompute() {
         let store = tmp_store("corrupt_fallback");
-        let service = Service::new(Some(Arc::clone(&store)));
+        let service = Service::new(Some(Arc::clone(&store)), 2);
         let mut first = Vec::new();
         service
             .submit("tiny.hiss", TINY, false, |m| first.push(m.to_json()))

@@ -8,9 +8,11 @@
 //! simulates every cell; the second serves 100% from the store and
 //! must stream byte-identical snapshot lines. Every `bench.serve.*`
 //! counter this records is a deterministic work count — `bench check`
-//! holds them to exact equality under any `HISS_THREADS`.
+//! holds them to exact equality under any worker count. `bench.pool.*`
+//! is the service's pool tally; `bench.cache.*` stays 0.
 
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use hiss::DiskStore;
@@ -19,8 +21,8 @@ use hiss_scenario::bench_suite::measure;
 
 use crate::service::Service;
 
-/// Names of every suite, in execution order: the scenario crate's
-/// suites plus the serving suite.
+/// Names of every suite, in execution (and baseline file) order: the
+/// scenario crate's suites plus the serving suite.
 pub const SUITES: &[&str] = &[
     "engine",
     "fig3_quick",
@@ -30,33 +32,43 @@ pub const SUITES: &[&str] = &[
     "serve",
 ];
 
+/// Runs the suite named `suite` (one of [`SUITES`]) against the repo at
+/// `root` on `threads` workers.
+pub fn run_suite(suite: &str, root: &Path, threads: usize) -> Result<SuiteSnapshot, String> {
+    match suite {
+        "serve" => serve_suite(root, threads),
+        other => hiss_scenario::bench_suite::run_suite(other, root, threads),
+    }
+}
+
 /// Runs every suite against the repo at `root`, in [`SUITES`] order.
-pub fn run_all(root: &Path) -> Result<Vec<SuiteSnapshot>, String> {
-    let mut all = hiss_scenario::bench_suite::run_all(root)?;
-    all.push(serve_suite(root)?);
-    Ok(all)
+pub fn run_all(root: &Path, threads: usize) -> Result<Vec<SuiteSnapshot>, String> {
+    SUITES.iter().map(|s| run_suite(s, root, threads)).collect()
 }
 
 /// Double-submits fig3 quick through an in-process service against a
 /// wiped store and snapshots the serving counters.
-pub fn serve_suite(root: &Path) -> Result<SuiteSnapshot, String> {
+pub fn serve_suite(root: &Path, threads: usize) -> Result<SuiteSnapshot, String> {
     let path = root.join("scenarios").join("fig3.hiss");
     let text = std::fs::read_to_string(&path)
         .map_err(|e| format!("{}: cannot read: {e}", path.display()))?;
     // Under `target/` so a bench run never dirties the working tree;
-    // wiped before and removed after so the first pass always cold-
+    // unique per call so concurrent suites in one process never share
+    // it; wiped before and removed after so the first pass always cold-
     // misses and reruns are bit-identical.
+    static CALLS: AtomicU64 = AtomicU64::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
     let store_dir = root
         .join("target")
-        .join(format!("bench-serve-store-{}", std::process::id()));
+        .join(format!("bench-serve-store-{}-{call}", std::process::id()));
     let _ = std::fs::remove_dir_all(&store_dir);
     let store =
         Arc::new(DiskStore::open(&store_dir).map_err(|e| format!("open bench store: {e}"))?);
 
     let mut streamed_first = Vec::new();
     let mut streamed_second = Vec::new();
-    let snapshot = measure("serve", |metrics| {
-        let service = Service::new(Some(Arc::clone(&store)));
+    let snapshot = measure("serve", threads, |ctx, metrics| {
+        let service = Service::new(Some(Arc::clone(&store)), threads);
         let first = service
             .submit("scenarios/fig3.hiss", &text, true, |m| {
                 streamed_first.push(m.to_json())
@@ -80,6 +92,7 @@ pub fn serve_suite(root: &Path) -> Result<SuiteSnapshot, String> {
             "served snapshots must be byte-identical to simulated ones"
         );
         service.publish(metrics, "bench.serve");
+        ctx.pool().add(service.pool().totals());
     });
 
     let _ = std::fs::remove_dir_all(&store_dir);
@@ -112,7 +125,6 @@ mod tests {
             ],
             "baseline file order depends on this"
         );
-        assert_eq!(&SUITES[..5], hiss_scenario::bench_suite::SUITES);
     }
 
     /// The serving suite's snapshot conforms to the bench schema and
@@ -120,7 +132,7 @@ mod tests {
     /// then everything served from the store.
     #[test]
     fn serve_snapshot_conforms_and_records_the_double_submission() {
-        let snap = serve_suite(&repo_root()).unwrap();
+        let snap = serve_suite(&repo_root(), 2).unwrap();
         assert_eq!(snap.suite, "serve");
         for (name, _) in snap.metrics.iter() {
             let e = schema::lookup(name).unwrap_or_else(|| panic!("{name} not in schema"));
@@ -144,5 +156,12 @@ mod tests {
         assert_eq!(c("bench.serve.store_hits"), cells);
         assert_eq!(c("bench.serve.store_misses"), cells + baselines);
         assert_eq!(c("bench.serve.store_invalid"), 0);
+        // Two submissions, one pool call per stream chunk; the suite's
+        // own context does no lookups.
+        let chunks = cells.div_ceil(crate::service::STREAM_CHUNK as u64);
+        assert_eq!(c("bench.pool.invocations"), 2 * chunks);
+        assert_eq!(c("bench.pool.jobs"), 2 * cells);
+        assert_eq!(c("bench.cache.misses"), 0);
+        assert_eq!(c("bench.cache.entries"), 0);
     }
 }

@@ -11,20 +11,21 @@
 //! ```
 
 use hiss::experiments::extensions;
-use hiss::{ExperimentBuilder, QosParams, SystemConfig};
+use hiss::{ExperimentBuilder, QosParams, RunCtx, SystemConfig};
 
 fn main() {
     let cfg = SystemConfig::a10_7850k();
+    let ctx = RunCtx::new(hiss::thread_count());
 
     println!("Multi-accelerator scaling: x264 vs N copies of sssp\n");
-    let rows = extensions::multi_gpu_scaling(&cfg, "x264", "sssp", 4);
+    let rows = extensions::multi_gpu_scaling(&ctx, &cfg, "x264", "sssp", 4);
     println!("{}", extensions::render_scaling(&rows));
     println!("Reading: every added accelerator steals more CPU time and");
     println!("sleep opportunity — the paper's motivation for treating SSR");
     println!("interference as a first-class QoS problem.\n");
 
     println!("The saturation effect: N copies of ubench\n");
-    let rows = extensions::multi_gpu_scaling(&cfg, "x264", "ubench", 3);
+    let rows = extensions::multi_gpu_scaling(&ctx, &cfg, "x264", "ubench", 3);
     println!("{}", extensions::render_scaling(&rows));
     println!("Reading: one ubench already saturates the SSR service chain,");
     println!("so additional copies mostly starve each other rather than");

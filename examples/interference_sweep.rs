@@ -11,11 +11,12 @@
 //! ```
 
 use hiss::experiments::section4c;
-use hiss::SystemConfig;
+use hiss::{RunCtx, SystemConfig};
 use hiss_scenario::figures::{self, FIG3_PACK};
 
 fn main() {
     let cfg = SystemConfig::a10_7850k();
+    let ctx = RunCtx::new(hiss::thread_count());
     let mut fig3 = figures::pack(FIG3_PACK);
     fig3.workload.cpu = [
         "blackscholes",
@@ -30,7 +31,7 @@ fn main() {
 
     println!("Fig. 3a — CPU application performance under GPU SSRs");
     println!("(normalised to the same pairing without SSRs; lower = more interference)\n");
-    let rows = hiss_scenario::run_with_metrics(&fig3, false);
+    let rows = hiss_scenario::run_with_metrics(&ctx, &fig3, false);
     println!("{}", figures::fig3a(&rows));
 
     println!("Fig. 3b — GPU performance while CPU applications run");
@@ -53,6 +54,6 @@ fn main() {
     println!();
 
     println!("§IV-C — sources of SSR overhead\n");
-    let analysis = section4c::section4c(&cfg);
+    let analysis = section4c::section4c(&ctx, &cfg);
     println!("{}", section4c::render(&analysis));
 }

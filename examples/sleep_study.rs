@@ -10,20 +10,21 @@
 //! ```
 
 use hiss::experiments::{fig4, fig9};
-use hiss::{ExperimentBuilder, Mitigation, SystemConfig};
+use hiss::{ExperimentBuilder, Mitigation, RunCtx, SystemConfig};
 
 fn main() {
     let cfg = SystemConfig::a10_7850k();
+    let ctx = RunCtx::new(hiss::thread_count());
 
     println!("Fig. 4 — CC6 residency with and without SSRs (no CPU work)\n");
-    let rows = fig4::fig4(&cfg);
+    let rows = fig4::fig4(&ctx, &cfg);
     println!("{}", fig4::render(&rows));
     println!("Reading: bfs clusters faults early and lets the CPUs sleep");
     println!("afterwards; the streaming applications keep at least one core");
     println!("awake; ubench nearly eliminates sleep (paper: 86% -> 12%).\n");
 
     println!("Fig. 9 — mitigation techniques vs sleep (ubench)\n");
-    let rows = fig9::fig9(&cfg);
+    let rows = fig9::fig9(&ctx, &cfg);
     println!("{}", fig9::render(&rows));
     println!("Reading: steering confines the wake-ups to the steered core,");
     println!("letting the others sleep; coalescing alone still wakes every");

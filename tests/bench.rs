@@ -2,8 +2,9 @@
 //! style of `tests/lint.rs`: the committed `BENCH_BASELINE.json` must
 //! stay parseable, schema-clean, and in agreement with a fresh run; a
 //! doctored baseline must make `hiss-cli bench check` fail with a
-//! `file:line:`-style diff; and the deterministic-counter report must
-//! be byte-identical whatever `HISS_THREADS` is.
+//! `file:line:`-style diff; the deterministic-counter report must be
+//! byte-identical whatever `HISS_THREADS` is; and suites share no state,
+//! so they match the baseline even when run all at once.
 //!
 //! The CLI end-to-end tests run `bench run` once into a snapshot file
 //! and replay it through `bench check --fresh`, so each test re-uses
@@ -65,14 +66,35 @@ fn committed_baseline_lints_clean_against_the_schema() {
 /// gate performs, without process overhead.
 #[test]
 fn fresh_library_run_matches_the_committed_baseline() {
-    let snaps = hiss_serve::suite::run_all(&repo_root()).unwrap();
-    let cmp = hiss_bench::compare::compare(&committed_baseline(), &snaps);
+    let snaps = hiss_serve::suite::run_all(&repo_root(), 2).unwrap();
+    assert_matches_baseline(&snaps);
+}
+
+fn assert_matches_baseline(snaps: &[SuiteSnapshot]) {
+    let cmp = hiss_bench::compare::compare(&committed_baseline(), snaps);
     let shown: Vec<String> = cmp
         .findings
         .iter()
         .map(|f| f.render(baseline::DEFAULT_PATH))
         .collect();
     assert!(cmp.passed(), "{shown:#?}");
+}
+
+/// Each suite runs on its own context (and the serve suite on its own
+/// store), so every suite, twice, all at once on separate pool jobs —
+/// the first pass serial, the second on two workers — still matches the
+/// committed baseline exactly.
+#[test]
+fn concurrent_suites_each_match_the_committed_baseline() {
+    let suites = hiss_serve::suite::SUITES;
+    let root = repo_root();
+    let snaps = hiss::RunCtx::new(2 * suites.len()).run_jobs(2 * suites.len(), |i| {
+        let threads = 1 + i / suites.len();
+        hiss_serve::suite::run_suite(suites[i % suites.len()], &root, threads).unwrap()
+    });
+    for pass in snaps.chunks(suites.len()) {
+        assert_matches_baseline(pass);
+    }
 }
 
 #[test]

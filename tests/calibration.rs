@@ -10,7 +10,7 @@
 //! over the workload subset each claim needs.
 
 use hiss::experiments::{fig4, section4c};
-use hiss::{ExperimentBuilder, Mitigation, SystemConfig};
+use hiss::{ExperimentBuilder, Mitigation, RunCtx, SystemConfig};
 use hiss_obs::MetricsRegistry;
 use hiss_scenario::figures::{self, FIG12_PACK, FIG3_PACK};
 use hiss_scenario::{run_with_metrics, Row};
@@ -24,7 +24,7 @@ fn run_subset(text: &str, cpu: &[&str], gpu: &[&str]) -> Vec<(Row, MetricsRegist
     let mut sc = figures::pack(text);
     sc.workload.cpu = cpu.iter().map(|s| s.to_string()).collect();
     sc.workload.gpu = gpu.iter().map(|s| s.to_string()).collect();
-    run_with_metrics(&sc, false)
+    run_with_metrics(&RunCtx::new(hiss::thread_count()), &sc, false)
 }
 
 fn cpu_perf(row: &Row) -> f64 {
@@ -146,7 +146,11 @@ fn busy_cpus_delay_gpu_service() {
 /// bfs (clustered early) loses far less than the streaming apps.
 #[test]
 fn cc6_residency_collapse() {
-    let rows = fig4::fig4_with(&cfg(), &["bfs", "sssp", "ubench"]);
+    let rows = fig4::fig4_with(
+        &RunCtx::new(hiss::thread_count()),
+        &cfg(),
+        &["bfs", "sssp", "ubench"],
+    );
     let get = |n: &str| rows.iter().find(|r| r.gpu_app == n).unwrap();
     let ubench = get("ubench");
     assert!(
@@ -172,7 +176,7 @@ fn cc6_residency_collapse() {
 /// average).
 #[test]
 fn section4c_interrupt_analysis() {
-    let s = section4c::section4c(&cfg());
+    let s = section4c::section4c(&RunCtx::new(hiss::thread_count()), &cfg());
     assert!(
         s.interrupt_imbalance < 1.2,
         "interrupts not evenly spread: {:?}",

@@ -8,7 +8,8 @@
 
 use std::path::{Path, PathBuf};
 
-use hiss_scenario::{check, load, run};
+use hiss::RunCtx;
+use hiss_scenario::{check, load, run_with_metrics};
 
 fn scenario_path() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios/mixed_criticality.hiss")
@@ -25,7 +26,10 @@ fn critical_bound_is_violated_without_core_reservation() {
     assert!(crit.reserve, "the committed scenario reserves cores");
     crit.reserve = false;
 
-    let rows = run(&sc, true);
+    let rows: Vec<_> = run_with_metrics(&RunCtx::new(2), &sc, true)
+        .into_iter()
+        .map(|(row, _)| row)
+        .collect();
     let protected = rows
         .iter()
         .find(|r| r.cpu_app == "raytrace")
@@ -52,7 +56,7 @@ fn critical_bound_is_violated_without_core_reservation() {
 fn class_accounting_survives_reservation_toggle() {
     let mut sc = load(&scenario_path()).expect("committed scenario loads");
     sc.base.criticality.as_mut().unwrap().reserve = false;
-    let pairs = hiss_scenario::run_with_metrics(&sc, true);
+    let pairs = run_with_metrics(&RunCtx::new(2), &sc, true);
     let (_, m) = pairs
         .iter()
         .find(|(r, _)| r.cpu_app == "raytrace")

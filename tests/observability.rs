@@ -4,7 +4,7 @@
 //!
 //! 1. **Determinism** — `RunReport::metrics` is built purely from
 //!    simulation state, so serialized snapshots must be *byte-identical*
-//!    whatever `HISS_THREADS` says (wall-clock profiling lives in the
+//!    whatever the worker count (wall-clock profiling lives in the
 //!    separate batch profile, never in a run snapshot).
 //! 2. **Sufficiency** — the paper's headline numbers (the 477× IPI
 //!    inflation of §IV-C, the coalescing interrupt reduction of §V-B,
@@ -12,8 +12,9 @@
 //!    from parsed JSON snapshots alone, without touching `RunReport`
 //!    fields.
 
-use hiss::experiments::BaselineCache;
-use hiss::{ExperimentBuilder, MetricsRegistry, Mitigation, QosParams, RunReport, SystemConfig};
+use hiss::{
+    ExperimentBuilder, MetricsRegistry, Mitigation, QosParams, RunCtx, RunReport, SystemConfig,
+};
 use hiss_obs::schema::{self, MetricKind, Scope};
 use hiss_obs::MetricValue;
 use hiss_scenario::{run_with_metrics, Scenario};
@@ -31,27 +32,19 @@ mitigation = ["default", "steer+coalesce"]
 "#;
 
 /// Serializes every cell snapshot of a batch to its JSON line.
-fn snapshot_lines(sc: &Scenario) -> Vec<String> {
-    run_with_metrics(sc, true)
+fn snapshot_lines(ctx: &RunCtx, sc: &Scenario) -> Vec<String> {
+    run_with_metrics(ctx, sc, true)
         .iter()
         .map(|(_, m)| m.to_json())
         .collect()
 }
 
-/// One test owns `HISS_THREADS` end to end (tests in a binary share the
-/// process environment, so the mutation must not span `#[test]`s).
 #[test]
 fn snapshots_are_byte_identical_across_worker_counts() {
     let sc = Scenario::from_str(SCENARIO).unwrap();
 
-    std::env::set_var("HISS_THREADS", "1");
-    BaselineCache::global().clear();
-    let serial = snapshot_lines(&sc);
-
-    std::env::set_var("HISS_THREADS", "8");
-    BaselineCache::global().clear();
-    let parallel = snapshot_lines(&sc);
-    std::env::remove_var("HISS_THREADS");
+    let serial = snapshot_lines(&RunCtx::new(1), &sc);
+    let parallel = snapshot_lines(&RunCtx::new(8), &sc);
 
     // 2 gpu × 1 cpu × 2 replicas × 2 sweep points.
     assert_eq!(serial.len(), 8);
@@ -199,7 +192,7 @@ fn published_metrics_conform_to_the_declared_schema() {
     assert_conforms(&report.metrics, &[Scope::Run], "run registry");
 
     let sc = Scenario::from_str(SCENARIO).unwrap();
-    let (pairs, profile) = hiss_scenario::run_profiled(&sc, true);
+    let (pairs, profile) = hiss_scenario::run_profiled(&RunCtx::new(2), &sc, true);
     for (_, cell) in &pairs {
         assert_conforms(cell, &[Scope::Run, Scope::Cell], "cell snapshot");
     }

@@ -3,12 +3,10 @@
 //! identical to the serial path, whatever the worker count and whatever
 //! the cache state. These tests pin that contract for a representative
 //! row-grid (the `fig3` pack) and a reduced grid (the mitigation grid's
-//! Fig. 7 fold), including the `HISS_THREADS` override the runner sizes
-//! itself from.
+//! Fig. 7 fold), on contexts of 1 and 8 workers.
 
-use hiss::experiments::BaselineCache;
 use hiss::{
-    run_jobs_on, CoreId, CriticalityConfig, DeviceSpec, DmaParams, ExperimentBuilder, NicParams,
+    CoreId, CriticalityConfig, DeviceSpec, DmaParams, ExperimentBuilder, NicParams, RunCtx,
     SystemConfig,
 };
 use hiss_obs::MetricsRegistry;
@@ -43,9 +41,6 @@ fn pareto_bits(points: &[ParetoPoint]) -> Vec<(String, u64, u64)> {
         .collect()
 }
 
-/// One test owns the `HISS_THREADS` variable end to end: tests within a
-/// binary run on concurrent threads, so the env mutation must not be
-/// split across several `#[test]` functions.
 #[test]
 fn hiss_threads_1_and_8_produce_identical_grids() {
     let cfg = SystemConfig::a10_7850k();
@@ -57,20 +52,17 @@ fn hiss_threads_1_and_8_produce_identical_grids() {
     grid.sweeps[0]
         .values
         .retain(|v| ["default", "coalesce"].contains(&v.render().as_str()));
-    let pareto = || figures::fig7(&run_with_metrics(&grid, true));
+    let pareto = |ctx: &RunCtx| figures::fig7(&run_with_metrics(ctx, &grid, true));
 
-    std::env::set_var("HISS_THREADS", "1");
-    BaselineCache::global().clear();
-    let fig3_serial = run_with_metrics(&fig3, true);
-    let pareto_serial = pareto();
+    let serial = RunCtx::new(1);
+    let fig3_serial = run_with_metrics(&serial, &fig3, true);
+    let pareto_serial = pareto(&serial);
 
     // The calendar's own accounting must be as thread-invariant as the
     // simulation results: per-run events pushed/popped/peak are part of
     // the bench gate, so the runner must not perturb them either.
-    let counters = |threads: &str| -> Vec<(u64, u64, u64)> {
-        std::env::set_var("HISS_THREADS", threads);
-        let n: usize = threads.parse().expect("numeric HISS_THREADS");
-        run_jobs_on(n, gpu.len(), |i| {
+    let counters = |ctx: &RunCtx| -> Vec<(u64, u64, u64)> {
+        ctx.run_jobs(gpu.len(), |i| {
             let r = ExperimentBuilder::new(cfg)
                 .cpu_app("x264")
                 .gpu_app(gpu[i])
@@ -82,16 +74,14 @@ fn hiss_threads_1_and_8_produce_identical_grids() {
             )
         })
     };
-    let counters_serial = counters("1");
+    let counters_serial = counters(&serial);
 
     // Mixed device topologies (GPU + NIC + DMA, one steered) must be as
     // thread-invariant as the all-GPU grids: the full metric snapshot —
     // `devN.*` rows included — is pinned byte-identical across worker
     // counts.
-    let device_snapshots = |threads: &str| -> Vec<String> {
-        std::env::set_var("HISS_THREADS", threads);
-        let n: usize = threads.parse().expect("numeric HISS_THREADS");
-        run_jobs_on(n, gpu.len(), |i| {
+    let device_snapshots = |ctx: &RunCtx| -> Vec<String> {
+        ctx.run_jobs(gpu.len(), |i| {
             ExperimentBuilder::new(cfg)
                 .cpu_app("x264")
                 .gpu_app(gpu[i])
@@ -102,16 +92,14 @@ fn hiss_threads_1_and_8_produce_identical_grids() {
                 .to_json()
         })
     };
-    let devices_serial = device_snapshots("1");
+    let devices_serial = device_snapshots(&serial);
 
     // Mixed-criticality partitions publish per-class metric families
     // (`qos.classN.*`) and reroute interrupts off reserved cores; both
     // must be as thread-invariant as everything else, snapshot
     // byte-identical across worker counts.
-    let crit_snapshots = |threads: &str| -> Vec<String> {
-        std::env::set_var("HISS_THREADS", threads);
-        let n: usize = threads.parse().expect("numeric HISS_THREADS");
-        run_jobs_on(n, gpu.len(), |i| {
+    let crit_snapshots = |ctx: &RunCtx| -> Vec<String> {
+        ctx.run_jobs(gpu.len(), |i| {
             ExperimentBuilder::new(cfg)
                 .cpu_app("x264")
                 .gpu_app(gpu[i])
@@ -125,21 +113,18 @@ fn hiss_threads_1_and_8_produce_identical_grids() {
                 .to_json()
         })
     };
-    let crit_serial = crit_snapshots("1");
+    let crit_serial = crit_snapshots(&serial);
 
-    std::env::set_var("HISS_THREADS", "8");
-    BaselineCache::global().clear();
-    let fig3_parallel = run_with_metrics(&fig3, true);
-    let pareto_parallel = pareto();
-    let counters_parallel = counters("8");
-    let devices_parallel = device_snapshots("8");
-    let crit_parallel = crit_snapshots("8");
+    let parallel = RunCtx::new(8);
+    let fig3_parallel = run_with_metrics(&parallel, &fig3, true);
+    let pareto_parallel = pareto(&parallel);
+    let counters_parallel = counters(&parallel);
+    let devices_parallel = device_snapshots(&parallel);
+    let crit_parallel = crit_snapshots(&parallel);
 
-    // And once more against a *warm* cache: memoized baselines must not
-    // change any value either.
-    std::env::set_var("HISS_THREADS", "8");
-    let fig3_warm = run_with_metrics(&fig3, true);
-    std::env::remove_var("HISS_THREADS");
+    // And once more against the same, now *warm* cache: memoized
+    // baselines must not change any value either.
+    let fig3_warm = run_with_metrics(&parallel, &fig3, true);
 
     assert_eq!(
         fig3_serial.len(),
@@ -193,9 +178,9 @@ fn explicit_worker_counts_agree_on_simulation_results() {
             r.kernel.ipis,
         )
     };
-    let serial = run_jobs_on(1, cells.len(), job);
+    let serial = RunCtx::new(1).run_jobs(cells.len(), job);
     for threads in [2, 4, 8] {
-        let parallel = run_jobs_on(threads, cells.len(), job);
+        let parallel = RunCtx::new(threads).run_jobs(cells.len(), job);
         assert_eq!(serial, parallel, "threads={threads}");
     }
 }

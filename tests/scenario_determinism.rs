@@ -1,9 +1,10 @@
 //! The batch compiler inherits the runner's determinism contract:
-//! scenario results must be bit-identical whatever `HISS_THREADS` says,
+//! scenario results must be bit-identical whatever the worker count,
 //! and whatever the baseline-cache state.
 
-use hiss::experiments::BaselineCache;
-use hiss_scenario::{run, Row, Scenario};
+use hiss::RunCtx;
+use hiss_obs::MetricsRegistry;
+use hiss_scenario::{run_with_metrics, Row, Scenario};
 
 /// A scenario exercising every compiler feature that could plausibly
 /// interact with scheduling: a mitigation sweep (uncached treated
@@ -20,9 +21,9 @@ replicas = 2
 mitigation = ["default", "steer+coalesce"]
 "#;
 
-fn bits(rows: &[Row]) -> Vec<(String, String, u32, Option<u64>, u64, u64)> {
+fn bits(rows: &[(Row, MetricsRegistry)]) -> Vec<(String, String, u32, Option<u64>, u64, u64)> {
     rows.iter()
-        .map(|r| {
+        .map(|(r, _)| {
             (
                 r.cpu_app.clone(),
                 r.gpu_app.clone(),
@@ -35,23 +36,16 @@ fn bits(rows: &[Row]) -> Vec<(String, String, u32, Option<u64>, u64, u64)> {
         .collect()
 }
 
-/// One test owns `HISS_THREADS` end to end (tests in a binary share the
-/// process environment, so the mutation must not span `#[test]`s).
 #[test]
 fn scenario_batches_are_bit_identical_across_worker_counts() {
     let sc = Scenario::from_str(SCENARIO).unwrap();
 
-    std::env::set_var("HISS_THREADS", "1");
-    BaselineCache::global().clear();
-    let serial = run(&sc, false);
+    let serial = run_with_metrics(&RunCtx::new(1), &sc, false);
 
-    std::env::set_var("HISS_THREADS", "8");
-    BaselineCache::global().clear();
-    let parallel = run(&sc, false);
-
+    let ctx = RunCtx::new(8);
+    let parallel = run_with_metrics(&ctx, &sc, false);
     // Warm cache: memoized baselines must not change any value.
-    let warm = run(&sc, false);
-    std::env::remove_var("HISS_THREADS");
+    let warm = run_with_metrics(&ctx, &sc, false);
 
     // 2 sweep points × 2 gpu × 2 cpu × 2 replicas.
     assert_eq!(serial.len(), 16);

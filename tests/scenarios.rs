@@ -5,7 +5,16 @@
 
 use std::path::{Path, PathBuf};
 
-use hiss_scenario::{check, expand, load, output, run, Scenario};
+use hiss::RunCtx;
+use hiss_scenario::{check, expand, load, output, run_with_metrics, Row, Scenario};
+
+/// The rows of a batch run on `ctx`.
+fn run(ctx: &RunCtx, sc: &Scenario, quick: bool) -> Vec<Row> {
+    run_with_metrics(ctx, sc, quick)
+        .into_iter()
+        .map(|(row, _)| row)
+        .collect()
+}
 
 fn scenarios_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
@@ -42,9 +51,11 @@ fn committed_scenarios_validate() {
 /// enforce its `[expect]` bands.
 #[test]
 fn committed_scenarios_hold_their_expect_bands() {
+    // One context for the library, so packs share their baselines.
+    let ctx = RunCtx::new(hiss::thread_count());
     for path in committed_scenarios() {
         let sc = load(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        let rows = run(&sc, true);
+        let rows = run(&ctx, &sc, true);
         assert_eq!(rows.len(), expand(&sc, true).len(), "{}", path.display());
         let violations = check(&sc, &rows);
         assert!(
@@ -74,7 +85,7 @@ gpu = ["sssp", "ubench"]
 "#,
     )
     .unwrap();
-    let rows = run(&sc, false);
+    let rows = run(&RunCtx::new(2), &sc, false);
     let jsonl = output::to_jsonl(&rows);
     for (line, row) in jsonl.lines().zip(&rows) {
         // Extract the gpu_perf field textually and re-parse.

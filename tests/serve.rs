@@ -379,7 +379,7 @@ fn topology_cells_never_hit_a_plain_cells_store_entry() {
     let dir = tmp("topology_key_collision");
     let _ = std::fs::remove_dir_all(&dir);
     let store = Arc::new(DiskStore::open(&dir).unwrap());
-    let service = Service::new(Some(Arc::clone(&store)));
+    let service = Service::new(Some(Arc::clone(&store)), 2);
 
     let mut plain = Vec::new();
     service
@@ -439,7 +439,7 @@ fn corrupt_store_entries_are_detected_recomputed_and_healed() {
         std::fs::create_dir_all(entry.parent().unwrap()).unwrap();
         std::fs::copy(fixture, &entry).unwrap();
 
-        let service = Service::new(Some(Arc::clone(&store)));
+        let service = Service::new(Some(Arc::clone(&store)), 2);
         let mut streamed = Vec::new();
         let s = service
             .submit("tiny", TINY, false, |m| streamed.push(m.to_json()))
