@@ -98,17 +98,18 @@ impl Key {
 #[derive(Debug, Default)]
 pub struct BaselineCache {
     map: Mutex<HashMap<Key, Arc<OnceLock<Arc<RunReport>>>>>,
-    /// Optional second tier: a content-addressed disk store shared
-    /// across processes and restarts (see [`Self::attach_disk`]).
+    /// Optional second tier, `hissbench` shim only (see
+    /// [`Self::attach_disk`]).
     disk: Mutex<Option<Arc<DiskStore>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
 impl BaselineCache {
-    /// A process-wide cache, kept (with [`Self::clear`] and
-    /// [`Self::detach_disk`]) only for the `hissbench` harness until it
-    /// moves to [`RunCtx::cache`](crate::RunCtx::cache).
+    /// A process-wide cache, kept (with [`Self::clear`],
+    /// [`Self::attach_disk`] and [`Self::detach_disk`]) only for the
+    /// `hissbench` harness until it moves to
+    /// [`RunCtx::cache`](crate::RunCtx::cache).
     pub fn global() -> &'static BaselineCache {
         static GLOBAL: OnceLock<BaselineCache> = OnceLock::new();
         GLOBAL.get_or_init(BaselineCache::default)
@@ -150,10 +151,10 @@ impl BaselineCache {
     }
 
     /// Attaches a content-addressed [`DiskStore`] as a second cache
-    /// tier. Misses in the in-memory map consult the store before
-    /// simulating, and freshly computed reports are published to it
-    /// (atomically — see [`DiskStore::save`]). Outside `hissbench`, use
-    /// [`RunCtx::with_store`](crate::RunCtx::with_store).
+    /// tier (`hissbench` shim, see [`Self::global`]). Misses in the
+    /// in-memory map consult the store before simulating, and freshly
+    /// computed reports are published to it (atomically — see
+    /// [`DiskStore::save`]).
     pub fn attach_disk(&self, store: Arc<DiskStore>) {
         *self.disk.lock().expect("cache poisoned") = Some(store);
     }

@@ -44,14 +44,13 @@
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Once};
+use std::sync::Once;
 use std::time::Instant;
 
 use hiss_obs::MetricsRegistry;
 use hiss_sim::OnlineStats;
 
 use crate::experiments::BaselineCache;
-use crate::store::DiskStore;
 
 /// Pool invocations (one per `run_jobs*` call) and jobs scheduled:
 /// deterministic for a fixed workload whatever the worker count, which
@@ -96,15 +95,6 @@ impl RunCtx {
             cache: BaselineCache::default(),
             pool: PoolTally::default(),
         }
-    }
-
-    /// This context with `store`, if any, as its baseline cache's disk
-    /// tier (see [`BaselineCache::attach_disk`]).
-    pub fn with_store(self, store: Option<Arc<DiskStore>>) -> RunCtx {
-        if let Some(store) = store {
-            self.cache.attach_disk(store);
-        }
-        self
     }
 
     /// The context's baseline cache.

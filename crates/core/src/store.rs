@@ -417,7 +417,7 @@ mod tests {
         assert!(err.contains("length"), "{err}");
     }
 
-    /// Threads of one server publishing the same baseline: concurrent
+    /// Threads of one server publishing the same cell: concurrent
     /// same-key saves and loads on the pool. Every save must land and no
     /// load may read a torn entry, which shared temporaries allowed.
     #[test]

@@ -481,15 +481,6 @@ pub const SCHEMA: &[SchemaEntry] = &[
         "run registries audited against the conservation laws before \
          being served or stored",
     ),
-    bench_c(
-        "bench.serve.baseline_hits",
-        "baseline lookups answered by an entry of the same submission",
-    ),
-    bench_c(
-        "bench.serve.baseline_misses",
-        "baseline lookups that loaded or simulated the entry, summed \
-         over the submissions' own caches",
-    ),
     bench_c("bench.cell.*.kernel_ipis", "per-cell kernel.ipis"),
     bench_c(
         "bench.cell.*.kernel_ssrs_serviced",

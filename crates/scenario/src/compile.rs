@@ -17,7 +17,8 @@
 //! its two normalisation baselines through the context's
 //! [`BaselineCache`], and cells whose knobs are the paper's default
 //! configuration resolve the noisy run through the cache too (sharing it
-//! with every other cell and batch on that context).
+//! with every other cell and batch on that context). [`simulate`] is a
+//! cell's own run without baselines, which is all the service needs.
 
 use hiss::{
     BaselineCache, CoreId, DeviceKind, DeviceSpec, DmaParams, ExperimentBuilder, GpuAppSpec,
@@ -156,7 +157,7 @@ pub fn expand(sc: &Scenario, quick: bool) -> Vec<Cell> {
     }
 }
 
-/// [`run_cell_report_in`] against the process-wide cache
+/// `run_cell_report_in` against the process-wide cache
 /// ([`BaselineCache`]'s `global()`). Kept only for the `hissbench`
 /// harness, which calls it with this signature; it goes when that
 /// harness moves to [`RunCtx`].
@@ -164,10 +165,10 @@ pub fn run_cell_report(cell: &Cell) -> (Row, std::sync::Arc<RunReport>) {
     run_cell_report_in(cell, BaselineCache::global())
 }
 
-/// Runs one cell: the noisy run plus its two baselines, memoized in
-/// `cache`. Public so the serving layer (`hiss-serve`) executes
-/// store-miss cells through exactly the batch compiler's path.
-pub fn run_cell_report_in(cell: &Cell, cache: &BaselineCache) -> (Row, std::sync::Arc<RunReport>) {
+/// A batch cell: the noisy run plus its two baselines, memoized in
+/// `cache`. Default-configuration cells take the noisy run from the
+/// cache's co-run memo, the rest [`simulate`].
+fn run_cell_report_in(cell: &Cell, cache: &BaselineCache) -> (Row, std::sync::Arc<RunReport>) {
     let cfg = &cell.knobs.cfg;
     let base = cache.cpu_baseline(cfg, &cell.cpu_app, &cell.gpu_app);
     let gpu_base = cache.gpu_idle_baseline(cfg, &cell.gpu_app);
@@ -181,54 +182,70 @@ pub fn run_cell_report_in(cell: &Cell, cache: &BaselineCache) -> (Row, std::sync
     let run = if is_default {
         cache.corun_default(cfg, &cell.cpu_app, &cell.gpu_app)
     } else {
-        let mut b = ExperimentBuilder::new(*cfg)
-            .cpu_app(&cell.cpu_app)
-            .mitigation(cell.knobs.mitigation);
-        if let Some(top) = &cell.topology {
-            for (kind, steer) in top.devices.iter().zip(&top.steer) {
-                let spec = match kind {
-                    DeviceKind::Gpu => DeviceSpec::Gpu(
-                        GpuAppSpec::by_name(&cell.gpu_app)
-                            .expect("workload names were validated at parse time"),
-                    ),
-                    DeviceKind::Nic => DeviceSpec::Nic(NicParams::default()),
-                    DeviceKind::Dma => DeviceSpec::Dma(DmaParams::default()),
-                };
-                b = b.device_steered(spec, steer.map(CoreId));
-            }
-        } else {
-            for _ in 0..cell.knobs.gpus {
-                b = b.gpu_app(&cell.gpu_app);
-            }
-        }
-        if cell.knobs.qos_percent > 0.0 {
-            b = b.qos(QosParams::threshold_percent(cell.knobs.qos_percent));
-        }
-        if let Some(c) = cell.knobs.criticality {
-            b = b.criticality(c);
-        }
-        std::sync::Arc::new(b.run())
+        std::sync::Arc::new(simulate(cell))
     };
     let row = row_from_report(cell, &run, &base, &gpu_base);
     (row, run)
 }
 
-/// The cell's metrics snapshot: the run's registry plus `cell.*` labels
-/// (application names, replica, sweep coordinates) so a snapshot file is
-/// self-describing without the surrounding row. Public so `hiss-serve`
-/// labels store-served registries identically to freshly run ones.
-pub fn cell_metrics(cell: &Cell, run: &RunReport) -> MetricsRegistry {
-    let mut m = run.metrics.clone();
-    m.label("cell.cpu_app", &cell.cpu_app);
-    m.label("cell.gpu_app", &cell.gpu_app);
-    m.counter("cell.replica", cell.replica as u64);
+/// The cell's own simulation, no baselines: its knobs and `[topology]`
+/// lowered onto an [`ExperimentBuilder`]. The serving layer
+/// (`hiss-serve`) runs exactly this on a store miss; for a
+/// default-configuration cell it is the same run as the co-run memo the
+/// batch path takes.
+pub fn simulate(cell: &Cell) -> RunReport {
+    let mut b = ExperimentBuilder::new(cell.knobs.cfg)
+        .cpu_app(&cell.cpu_app)
+        .mitigation(cell.knobs.mitigation);
     if let Some(top) = &cell.topology {
-        m.label("cell.topology", top.render());
+        for (kind, steer) in top.devices.iter().zip(&top.steer) {
+            let spec = match kind {
+                DeviceKind::Gpu => DeviceSpec::Gpu(
+                    GpuAppSpec::by_name(&cell.gpu_app)
+                        .expect("workload names were validated at parse time"),
+                ),
+                DeviceKind::Nic => DeviceSpec::Nic(NicParams::default()),
+                DeviceKind::Dma => DeviceSpec::Dma(DmaParams::default()),
+            };
+            b = b.device_steered(spec, steer.map(CoreId));
+        }
+    } else {
+        for _ in 0..cell.knobs.gpus {
+            b = b.gpu_app(&cell.gpu_app);
+        }
     }
-    for (key, value) in &cell.axes {
-        m.label(format!("cell.axis.{key}"), value);
+    if cell.knobs.qos_percent > 0.0 {
+        b = b.qos(QosParams::threshold_percent(cell.knobs.qos_percent));
     }
-    m
+    if let Some(c) = cell.knobs.criticality {
+        b = b.criticality(c);
+    }
+    b.run()
+}
+
+/// The cell's metrics snapshot: the run's registry [`Cell::labelled`].
+pub fn cell_metrics(cell: &Cell, run: &RunReport) -> MetricsRegistry {
+    cell.labelled(run.metrics.clone())
+}
+
+impl Cell {
+    /// `metrics` (a bare run registry) plus `cell.*` labels (application
+    /// names, replica, sweep coordinates), so a snapshot file is
+    /// self-describing without the surrounding row. `hiss-serve` labels
+    /// stored and fresh registries with it, which keeps a served
+    /// snapshot byte-identical to the batch compiler's.
+    pub fn labelled(&self, mut metrics: MetricsRegistry) -> MetricsRegistry {
+        metrics.label("cell.cpu_app", &self.cpu_app);
+        metrics.label("cell.gpu_app", &self.gpu_app);
+        metrics.counter("cell.replica", self.replica as u64);
+        if let Some(top) = &self.topology {
+            metrics.label("cell.topology", top.render());
+        }
+        for (key, value) in &self.axes {
+            metrics.label(format!("cell.axis.{key}"), value);
+        }
+        metrics
+    }
 }
 
 /// `gpu_app`'s figure metric of `run` against `base`: ubench's is SSR

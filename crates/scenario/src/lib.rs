@@ -53,8 +53,7 @@ pub mod parse;
 pub mod spec;
 
 pub use compile::{
-    cell_metrics, expand, run_cell_report, run_cell_report_in, run_profiled, run_with_metrics,
-    Cell, Row,
+    cell_metrics, expand, run_cell_report, run_profiled, run_with_metrics, simulate, Cell, Row,
 };
 pub use expect::{check, Violation};
 pub use parse::{Document, ScenarioError, Value};

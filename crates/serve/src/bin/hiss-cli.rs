@@ -162,6 +162,23 @@ impl Args {
             .find(|(f, _)| *f == name)
             .map(|(_, v)| v.as_str())
     }
+    /// `name`'s value as a `T` that `valid` accepts, `None` when the
+    /// flag is absent. Any other value is an error naming the flag,
+    /// what it `expects` and the value: never a silent default.
+    fn parsed<T: std::str::FromStr>(
+        &self,
+        name: &str,
+        expects: &str,
+        valid: impl Fn(&T) -> bool,
+    ) -> Result<Option<T>, String> {
+        let Some(v) = self.value(name) else {
+            return Ok(None);
+        };
+        match v.parse() {
+            Ok(x) if valid(&x) => Ok(Some(x)),
+            _ => Err(format!("{name} expects {expects}, got {v:?}")),
+        }
+    }
 }
 
 fn print_report(r: &RunReport, json: bool) {
@@ -220,23 +237,20 @@ fn report_json(r: &RunReport) -> String {
     )
 }
 
-fn build(cfg: SystemConfig, args: &Args) -> Option<ExperimentBuilder> {
+fn build(cfg: SystemConfig, args: &Args) -> Result<ExperimentBuilder, String> {
     let mut b = ExperimentBuilder::new(cfg);
     if let Some(cpu) = args.value("--cpu") {
         if hiss::CpuAppSpec::by_name(cpu).is_none() {
-            eprintln!("unknown CPU app {cpu:?}; see `hiss-cli list`");
-            return None;
+            return Err(format!("unknown CPU app {cpu:?}; see `hiss-cli list`"));
         }
         b = b.cpu_app(cpu);
     }
-    let n_gpus: usize = args
-        .value("--gpus")
-        .and_then(|v| v.parse().ok())
+    let n_gpus = args
+        .parsed("--gpus", "an integer in 1..=64", |n| (1..=64).contains(n))?
         .unwrap_or(1);
     if let Some(gpu) = args.value("--gpu") {
         if hiss::GpuAppSpec::by_name(gpu).is_none() {
-            eprintln!("unknown GPU app {gpu:?}; see `hiss-cli list`");
-            return None;
+            return Err(format!("unknown GPU app {gpu:?}; see `hiss-cli list`"));
         }
         for _ in 0..n_gpus {
             b = if args.flag("--pinned") {
@@ -251,19 +265,35 @@ fn build(cfg: SystemConfig, args: &Args) -> Option<ExperimentBuilder> {
         coalesce: args.flag("--coalesce"),
         monolithic_bottom_half: args.flag("--mono"),
     });
-    if let Some(pct) = args.value("--qos") {
-        match pct.parse::<f64>() {
-            Ok(p) if p > 0.0 && p <= 100.0 => b = b.qos(QosParams::threshold_percent(p)),
-            _ => {
-                eprintln!("--qos expects a percentage in (0, 100]");
-                return None;
-            }
-        }
+    if let Some(p) = args.parsed("--qos", "a percentage in (0, 100]", |&p| {
+        p > 0.0 && p <= 100.0
+    })? {
+        b = b.qos(QosParams::threshold_percent(p));
     }
-    if let Some(seed) = args.value("--seed").and_then(|v| v.parse().ok()) {
+    if let Some(seed) = args.parsed("--seed", "a non-negative integer", |_| true)? {
         b = b.seed(seed);
     }
-    Some(b)
+    Ok(b)
+}
+
+/// `timeline`'s run, traced over `--from-us`..`--to-us` (µs), and its
+/// gantt `--width` (default 100 columns).
+fn timeline(cfg: SystemConfig, args: &Args) -> Result<(ExperimentBuilder, usize), String> {
+    let us = "a non-negative integer";
+    let (Some(from), Some(to)) = (
+        args.parsed("--from-us", us, |_| true)?,
+        args.parsed("--to-us", us, |_| true)?,
+    ) else {
+        return Err("timeline requires --from-us and --to-us".into());
+    };
+    if to <= from {
+        return Err("--to-us must exceed --from-us".into());
+    }
+    let width = args
+        .parsed("--width", "a positive integer", |&w| w > 0)?
+        .unwrap_or(100);
+    let b = build(cfg, args)?.trace_window(Ns::from_micros(from), Ns::from_micros(to));
+    Ok((b, width))
 }
 
 /// `hiss-cli report <snapshot> [--json] [--sanitize]` — renders a
@@ -844,15 +874,12 @@ fn serve_command(argv: Vec<String>) -> ExitCode {
     }
     // Worker count per submission; results are bit-identical at any
     // setting.
-    let threads = match args.value("--threads") {
-        None => hiss::thread_count(),
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!("--threads expects a positive integer, got {v:?}");
-                return ExitCode::FAILURE;
-            }
-        },
+    let threads = match args.parsed("--threads", "a positive integer", |&n| n > 0) {
+        Ok(n) => n.unwrap_or_else(hiss::thread_count),
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
     };
     let addr = args.value("--addr").unwrap_or("127.0.0.1:7477");
     let store_dir = PathBuf::from(args.value("--store").unwrap_or("target/serve-store"));
@@ -1046,8 +1073,12 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "run" => {
-            let Some(b) = build(cfg, &args) else {
-                return ExitCode::FAILURE;
+            let b = match build(cfg, &args) {
+                Ok(b) => b,
+                Err(e) => {
+                    eprintln!("{e}");
+                    return ExitCode::FAILURE;
+                }
             };
             let report = b.run();
             if let Some(path) = args.value("--metrics") {
@@ -1063,28 +1094,14 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "timeline" => {
-            let (Some(from), Some(to)) = (
-                args.value("--from-us").and_then(|v| v.parse::<u64>().ok()),
-                args.value("--to-us").and_then(|v| v.parse::<u64>().ok()),
-            ) else {
-                eprintln!("timeline requires --from-us and --to-us");
-                return ExitCode::FAILURE;
+            let (b, width) = match timeline(cfg, &args) {
+                Ok(t) => t,
+                Err(e) => {
+                    eprintln!("{e}");
+                    return ExitCode::FAILURE;
+                }
             };
-            if to <= from {
-                eprintln!("--to-us must exceed --from-us");
-                return ExitCode::FAILURE;
-            }
-            let width = args
-                .value("--width")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(100);
-            let Some(b) = build(cfg, &args) else {
-                return ExitCode::FAILURE;
-            };
-            let report = b
-                .trace_window(Ns::from_micros(from), Ns::from_micros(to))
-                .run();
-            match report.trace {
+            match b.run().trace {
                 Some(trace) => println!("{}", trace.render_gantt(cfg.num_cores, width)),
                 None => eprintln!("no trace recorded"),
             }

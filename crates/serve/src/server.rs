@@ -251,9 +251,8 @@ gpu = ["ubench"]
             .filter(|p| p.to_string_lossy().contains(".tmp."))
             .collect();
         assert!(leftovers.is_empty(), "torn temporaries: {leftovers:?}");
-        // The cell plus the three baselines it resolved (CPU, idle GPU,
-        // default co-run), published by the submission's own cache.
-        assert_eq!(store.write_count(), 4);
+        // One served cell, one entry.
+        assert_eq!(store.write_count(), 1);
 
         std::fs::remove_dir_all(&dir).unwrap();
     }

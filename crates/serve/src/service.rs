@@ -13,34 +13,22 @@
 //! threshold, GPU count) plus the application names and the rendered
 //! `[topology]` (or `"default"`). Sweep coordinates and replica indices
 //! are already folded into the knobs, so the key is exactly the
-//! simulation's input — two scenarios sharing a cell share its entry. The stored payload is the *bare run registry*
-//! (`RunReport::metrics`, no `cell.*` labels); identity labels are
-//! re-applied at stream time with the same
-//! [`hiss_scenario::cell_metrics`] the batch compiler uses, which keeps
-//! a served snapshot byte-identical to a freshly simulated one.
-//!
-//! # Baselines
-//!
-//! A store-miss cell also needs its two normalisation baselines (and,
-//! for default-configuration cells, the co-run). Each submission runs on
-//! its own [`RunCtx`], dropped when the submission ends, whose
-//! [`BaselineCache`] is backed by the service's store as a second tier:
-//! cells of one submission share a baseline through the cache's
-//! single-flight memo, and submissions — across connections and
-//! restarts — share it through the store. Memory is therefore bounded
-//! by one submission's baselines, not by lifetime traffic. Two
-//! concurrent submissions that need the same not-yet-stored baseline
-//! may each simulate it; both get the same deterministic result, and
-//! the store's write-then-rename publication (one temporary per write)
-//! keeps the entry whole.
+//! simulation's input — two scenarios sharing a cell share its entry.
+//! A store miss runs [`hiss_scenario::simulate`], the cell's own
+//! simulation and nothing else (the service streams no normalised
+//! rows, so it needs no baselines), and publishes one entry. The stored
+//! payload is the *bare run registry* (`RunReport::metrics`, no
+//! `cell.*` labels); identity labels are re-applied at stream time with
+//! the same [`Cell::labelled`] the batch compiler uses, which keeps a
+//! served snapshot byte-identical to a freshly simulated one.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use hiss::{BaselineCache, DiskStore, PoolTally, RunCtx, RunReport, StoreKey};
+use hiss::{DiskStore, PoolTally, RunCtx, StoreKey};
 use hiss_lint::{Diagnostic, Severity};
 use hiss_obs::MetricsRegistry;
-use hiss_scenario::{cell_metrics, expand, run_cell_report_in, Cell, Scenario};
+use hiss_scenario::{expand, simulate, Cell, Scenario};
 
 /// Cells per pool invocation when streaming a submission: small enough
 /// that results reach the client incrementally, large enough to keep
@@ -93,8 +81,6 @@ pub struct Service {
     cells_simulated: AtomicU64,
     cells_from_store: AtomicU64,
     cells_audited: AtomicU64,
-    baseline_hits: AtomicU64,
-    baseline_misses: AtomicU64,
 }
 
 impl Service {
@@ -111,8 +97,6 @@ impl Service {
             cells_simulated: AtomicU64::new(0),
             cells_from_store: AtomicU64::new(0),
             cells_audited: AtomicU64::new(0),
-            baseline_hits: AtomicU64::new(0),
-            baseline_misses: AtomicU64::new(0),
         }
     }
 
@@ -165,10 +149,9 @@ impl Service {
             simulated: 0,
             from_store: 0,
         };
-        let ctx = RunCtx::new(self.threads).with_store(self.store.clone());
-        let baselines = ctx.cache();
+        let ctx = RunCtx::new(self.threads);
         for chunk in cells.chunks(STREAM_CHUNK) {
-            let results = ctx.run_jobs(chunk.len(), |i| self.run_cell(&chunk[i], baselines));
+            let results = ctx.run_jobs(chunk.len(), |i| self.run_cell(&chunk[i]));
             for (snapshot, from_store) in results {
                 if from_store {
                     summary.from_store += 1;
@@ -178,10 +161,6 @@ impl Service {
                 emit(snapshot);
             }
         }
-        self.baseline_hits
-            .fetch_add(baselines.hit_count(), Ordering::Relaxed);
-        self.baseline_misses
-            .fetch_add(baselines.miss_count(), Ordering::Relaxed);
         self.pool.add(ctx.pool().totals());
         Ok(summary)
     }
@@ -194,10 +173,9 @@ impl Service {
         hiss_obs::invariants::audit(reg, hiss_obs::schema::Scope::Run)
     }
 
-    /// Serves one cell: disk-store hit if possible, engine otherwise
-    /// (resolving baselines through the submission's `baselines` and
-    /// publishing the fresh result back to the store). The `bool` is
-    /// `true` when the cell came from the store.
+    /// Serves one cell: disk-store hit if possible, otherwise one
+    /// simulation, published back to the store. The `bool` is `true`
+    /// when the cell came from the store.
     ///
     /// Every registry passes the conservation-law audit before it is
     /// served or stored: a stored entry that parses but violates a law
@@ -205,24 +183,23 @@ impl Service {
     /// like a corrupt one — recomputed and healed in place — while a
     /// *fresh* result violating a law is a simulator bug and panics
     /// with the named diff rather than poisoning the store.
-    fn run_cell(&self, cell: &Cell, baselines: &BaselineCache) -> (MetricsRegistry, bool) {
+    fn run_cell(&self, cell: &Cell) -> (MetricsRegistry, bool) {
         let key = cell_store_key(cell);
         if let Some(metrics) = self.store.as_ref().and_then(|store| store.load(&key)) {
             if self.audit(&metrics).clean() {
                 self.cells_from_store.fetch_add(1, Ordering::Relaxed);
-                let report = RunReport::from_metrics(metrics);
-                return (cell_metrics(cell, &report), true);
+                return (cell.labelled(metrics), true);
             }
         }
-        let (_, report) = run_cell_report_in(cell, baselines);
-        require_clean(&self.audit(&report.metrics), cell);
+        let metrics = simulate(cell).metrics;
+        require_clean(&self.audit(&metrics), cell);
         if let Some(store) = &self.store {
             // Best-effort publish: a failed write degrades to
             // recompute-next-time, never to a wrong result.
-            let _ = store.save(&key, &report.metrics);
+            let _ = store.save(&key, &metrics);
         }
         self.cells_simulated.fetch_add(1, Ordering::Relaxed);
-        (cell_metrics(cell, &report), false)
+        (cell.labelled(metrics), false)
     }
 
     /// Publishes the service's lifetime counters (and the store's, when
@@ -236,8 +213,6 @@ impl Service {
             ("cells_simulated", &self.cells_simulated),
             ("cells_from_store", &self.cells_from_store),
             ("cells_audited", &self.cells_audited),
-            ("baseline_hits", &self.baseline_hits),
-            ("baseline_misses", &self.baseline_misses),
         ] {
             reg.counter(format!("{prefix}.{name}"), value.load(Ordering::Relaxed));
         }
@@ -335,16 +310,13 @@ gpu = ["ubench"]
         // Byte-identical snapshots, zero simulations the second time.
         assert_eq!(first, second);
         assert_eq!(store.hit_count(), 1);
-        // The cell plus its three baselines (CPU, idle GPU, default
-        // co-run), which the first submission's cache published.
-        assert_eq!(store.write_count(), 4);
+        // One simulation, one entry: the service resolves no baselines.
+        assert_eq!(store.write_count(), 1);
 
         let mut reg = MetricsRegistry::new();
         service.publish(&mut reg, "bench.serve");
         assert_eq!(reg.counter_value("bench.serve.cells_from_store"), Some(1));
-        assert_eq!(reg.counter_value("bench.serve.store_writes"), Some(4));
-        assert_eq!(reg.counter_value("bench.serve.baseline_hits"), Some(0));
-        assert_eq!(reg.counter_value("bench.serve.baseline_misses"), Some(3));
+        assert_eq!(reg.counter_value("bench.serve.store_writes"), Some(1));
         assert_eq!(reg.counter_value("bench.serve.queue_peak"), Some(1));
         // One single-cell chunk per submission.
         assert_eq!(service.pool().totals(), (2, 2));
@@ -352,46 +324,77 @@ gpu = ["ubench"]
         std::fs::remove_dir_all(store.root()).unwrap();
     }
 
+    /// Served streams equal the batch compiler's on both of its paths:
+    /// default cells, whose noisy run the batch takes from the co-run
+    /// memo, and every knob it lowers onto the builder instead
+    /// (mitigation, `gpus`, QoS, `[criticality]` on raytrace only, and a
+    /// `[topology]` with a NIC). Fresh and store-served alike.
     #[test]
     fn served_snapshots_match_the_batch_compiler() {
         let store = tmp_store("batch_match");
         let service = Service::new(Some(Arc::clone(&store)), 2);
-        // Warm the store, then serve from it.
-        service.submit("tiny.hiss", TINY, false, |_| {}).unwrap();
-        let mut served = Vec::new();
-        service
-            .submit("tiny.hiss", TINY, false, |m| served.push(m.to_json()))
-            .unwrap();
-
-        let sc = Scenario::from_str(TINY).unwrap();
-        let direct: Vec<String> = hiss_scenario::run_with_metrics(&RunCtx::new(2), &sc, false)
-            .into_iter()
-            .map(|(_, m)| m.to_json())
-            .collect();
-        assert_eq!(served, direct);
+        let knobs = r#"
+[scenario]
+name = "knobs"
+[workload]
+cpu = ["raytrace", "x264"]
+gpu = ["ubench"]
+[criticality]
+critical = ["raytrace"]
+critical_devices = [0]
+[sweep]
+mitigation = ["default", "coalesce"]
+gpus = [1, 2]
+qos_percent = [0, 5]
+"#;
+        let topology = format!("{TINY}[topology]\ndevices = [\"gpu\", \"nic\"]\n");
+        for text in [TINY, knobs, &topology] {
+            let sc = Scenario::from_str(text).unwrap();
+            let direct: Vec<String> = hiss_scenario::run_with_metrics(&RunCtx::new(2), &sc, false)
+                .into_iter()
+                .map(|(_, m)| m.to_json())
+                .collect();
+            for pass in ["fresh", "stored"] {
+                let mut served = Vec::new();
+                service
+                    .submit("t.hiss", text, false, |m| served.push(m.to_json()))
+                    .unwrap();
+                assert_eq!(served, direct, "{pass} stream of {text}");
+            }
+        }
+        // 1 + 16 + 1 cells, of which 17 distinct: the grid's default
+        // x264 cell is TINY's, so its first pass already hits that entry.
+        // Each distinct cell is simulated and stored exactly once.
+        assert_eq!(store.write_count(), 17);
+        assert_eq!(store.hit_count(), 18 + 1);
 
         std::fs::remove_dir_all(store.root()).unwrap();
     }
 
-    #[test]
-    fn law_violating_store_entries_are_recomputed_and_healed() {
-        let store = tmp_store("law_violation");
+    /// Submits TINY, overwrites the cell's entry — and the extra key
+    /// `also(cell)` names, if any — with a law-violating copy of it, then
+    /// resubmits. The copy is written through the store's own writer
+    /// (`run.events_popped` bumped past `run.events_pushed`), so it is
+    /// perfectly valid on disk — checksummed, parseable — and only the
+    /// conservation-law audit can reject it. The resubmission must
+    /// recompute, stream byte-identical snapshots and heal the entry.
+    fn resubmit_over_a_doctored_entry(name: &str, also: impl Fn(&Cell) -> Option<StoreKey>) {
+        let store = tmp_store(name);
         let service = Service::new(Some(Arc::clone(&store)), 2);
         let mut first = Vec::new();
         service
             .submit("tiny.hiss", TINY, false, |m| first.push(m.to_json()))
             .unwrap();
 
-        // Doctor the stored registry: bump `run.events_popped` past
-        // `run.events_pushed` and rewrite it through the store's own
-        // writer, so the entry is perfectly valid on disk — checksummed,
-        // parseable — and only the conservation-law audit can reject it.
         let sc = Scenario::from_str(TINY).unwrap();
-        let key = cell_store_key(&expand(&sc, false)[0]);
+        let cell = &expand(&sc, false)[0];
+        let key = cell_store_key(cell);
         let mut doctored = store.load(&key).unwrap();
         let pushed = doctored.counter_value("run.events_pushed").unwrap();
         doctored.counter("run.events_popped", pushed + 1);
-        store.save(&key, &doctored).unwrap();
+        for k in std::iter::once(key.clone()).chain(also(cell)) {
+            store.save(&k, &doctored).unwrap();
+        }
 
         let mut again = Vec::new();
         let summary = service
@@ -413,6 +416,27 @@ gpu = ["ubench"]
         assert_eq!(reg.counter_value("bench.serve.cells_audited"), Some(3));
 
         std::fs::remove_dir_all(store.root()).unwrap();
+    }
+
+    #[test]
+    fn law_violating_store_entries_are_recomputed_and_healed() {
+        resubmit_over_a_doctored_entry("law_violation", |_| None);
+    }
+
+    /// A recompute is a simulation, never another store lookup: the
+    /// same doctored registry, also saved under the default co-run's
+    /// baseline key (`corun_default`), cannot stand in for the fresh
+    /// result.
+    #[test]
+    fn doctored_corun_entries_cannot_satisfy_a_recompute() {
+        resubmit_over_a_doctored_entry("doctored_corun", |cell| {
+            Some(StoreKey::from_parts(&[
+                &format!("{:?}", cell.knobs.cfg),
+                "corun_default",
+                &cell.cpu_app,
+                &cell.gpu_app,
+            ]))
+        });
     }
 
     #[test]

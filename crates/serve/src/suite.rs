@@ -149,12 +149,11 @@ mod tests {
         assert!(cells > 0);
         assert_eq!(c("bench.serve.cells_simulated"), cells);
         assert_eq!(c("bench.serve.cells_from_store"), cells);
-        // Every baseline the first pass resolved was a store miss and
-        // was published next to the cells; the second pass needs none.
-        let baselines = c("bench.serve.baseline_misses");
-        assert_eq!(c("bench.serve.store_writes"), cells + baselines);
+        // The first pass misses and publishes each cell once; the
+        // second hits each one.
+        assert_eq!(c("bench.serve.store_writes"), cells);
         assert_eq!(c("bench.serve.store_hits"), cells);
-        assert_eq!(c("bench.serve.store_misses"), cells + baselines);
+        assert_eq!(c("bench.serve.store_misses"), cells);
         assert_eq!(c("bench.serve.store_invalid"), 0);
         // Two submissions, one pool call per stream chunk; the suite's
         // own context does no lookups.

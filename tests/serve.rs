@@ -149,6 +149,14 @@ fn walk(dir: &Path) -> Vec<PathBuf> {
     out
 }
 
+/// Published entries (`*.entry` files) under the store `dir`.
+fn entries(dir: &Path) -> u64 {
+    walk(dir)
+        .iter()
+        .filter(|p| p.extension().is_some_and(|x| x == "entry"))
+        .count() as u64
+}
+
 /// The full acceptance loop for one server worker count.
 fn resubmission_is_pure_store_hits(threads: &str) {
     let store = tmp(&format!("serve_store_t{threads}"));
@@ -181,6 +189,8 @@ fn resubmission_is_pure_store_hits(threads: &str) {
     let (cells, simulated, from_store) = submit_fig3(&server.addr, &served1);
     assert!(cells > 0);
     assert_eq!((simulated, from_store), (cells, 0), "first pass");
+    // One store entry per served cell, nothing else.
+    assert_eq!(entries(&store), cells, "entries after the first pass");
 
     // Streamed snapshots are byte-identical to the direct run's file.
     let direct_text = std::fs::read_to_string(&direct).unwrap();
@@ -203,6 +213,7 @@ fn resubmission_is_pure_store_hits(threads: &str) {
         served_text,
         "re-served stream diverges (HISS_THREADS={threads})"
     );
+    assert_eq!(entries(&store), cells, "entries after the second pass");
 
     // Graceful shutdown drains and leaves no write temporaries.
     server.shutdown();
