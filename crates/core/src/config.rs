@@ -30,19 +30,6 @@ impl Mitigation {
         monolithic_bottom_half: false,
     };
 
-    /// All eight §V-D combinations, default first.
-    pub fn all_combinations() -> Vec<Mitigation> {
-        let mut out = Vec::with_capacity(8);
-        for bits in 0u8..8 {
-            out.push(Mitigation {
-                steer_single_core: bits & 1 != 0,
-                coalesce: bits & 2 != 0,
-                monolithic_bottom_half: bits & 4 != 0,
-            });
-        }
-        out
-    }
-
     /// A short label matching the paper's figure legends.
     pub fn label(&self) -> String {
         let mut parts = Vec::new();
@@ -129,9 +116,6 @@ pub struct SystemConfig {
     /// Core that single-core steering pins interrupts (and the bottom
     /// half) to.
     pub steer_target: CoreId,
-    /// Number of GPUs (1 in the paper; >1 projects the accelerator-rich
-    /// SoCs of its motivation).
-    pub num_gpus: usize,
     /// Period of the background OS scheduler tick on every core
     /// ([`Ns::ZERO`] disables it). A periodic (non-tickless) tick is what
     /// keeps even a quiet system below 100% CC6 residency — the paper's
@@ -156,7 +140,6 @@ impl SystemConfig {
             costs: HandlerCosts::default(),
             coalesce_window: Iommu::MAX_COALESCE_WINDOW,
             steer_target: CoreId(0),
-            num_gpus: 1,
             timer_tick: Ns::from_millis(2),
             tick_cost: Ns::from_micros(3),
             max_sim_time: Ns::from_secs(30),
@@ -182,6 +165,29 @@ impl SystemConfig {
             Ns::ZERO
         }
     }
+
+    /// This configuration as a run under `mitigation` reads it: the
+    /// steering target and the coalescing window revert to Table II's
+    /// when the technique that reads them is off. A simulation reads
+    /// them only through [`Self::steering`], [`Self::window`] and the
+    /// steered bottom half, so two configurations with equal effective
+    /// forms run identically under `mitigation`.
+    pub fn effective(&self, mitigation: Mitigation) -> SystemConfig {
+        let table2 = SystemConfig::a10_7850k();
+        SystemConfig {
+            steer_target: if mitigation.steer_single_core {
+                self.steer_target
+            } else {
+                table2.steer_target
+            },
+            coalesce_window: if mitigation.coalesce {
+                self.coalesce_window
+            } else {
+                table2.coalesce_window
+            },
+            ..*self
+        }
+    }
 }
 
 impl Default for SystemConfig {
@@ -200,19 +206,24 @@ mod tests {
         assert_eq!(c.num_cores, 4);
         assert!((c.cpu.freq_ghz - 3.7).abs() < 1e-12);
         assert_eq!(c.gpu.freq_mhz, 720);
-        assert_eq!(c.num_gpus, 1);
     }
 
+    /// The eight §V-D combinations have eight distinct legend labels.
     #[test]
     fn eight_mitigation_combinations() {
-        let all = Mitigation::all_combinations();
-        assert_eq!(all.len(), 8);
-        assert_eq!(all[0], Mitigation::DEFAULT);
-        // All distinct.
-        for (i, a) in all.iter().enumerate() {
-            for b in &all[i + 1..] {
-                assert_ne!(a, b);
-            }
+        let labels: Vec<String> = (0u8..8)
+            .map(|bits| {
+                Mitigation {
+                    steer_single_core: bits & 1 != 0,
+                    coalesce: bits & 2 != 0,
+                    monolithic_bottom_half: bits & 4 != 0,
+                }
+                .label()
+            })
+            .collect();
+        assert_eq!(labels[0], "Default");
+        for (i, a) in labels.iter().enumerate() {
+            assert!(!labels[i + 1..].contains(a), "duplicate label {a}");
         }
     }
 

@@ -19,8 +19,12 @@
 //!
 //! The key is the `Debug` rendering of [`SystemConfig`] (which
 //! round-trips every `f64` field exactly and covers the seed) plus the
-//! run kind and application names. Entries are a few kilobytes (traces
-//! are never cached); a full figures regeneration holds a few hundred.
+//! run kind and application names. Every kind runs the default
+//! mitigation, so the config is keyed in its
+//! [`effective`](SystemConfig::effective) form under it: a sweep of the
+//! coalescing window or the steering target shares its baselines.
+//! Entries are a few kilobytes (traces are never cached); a full
+//! figures regeneration holds a few hundred.
 // Sanctioned exemption (see lint.toml): the map is probed by key only,
 // never iterated, so hash order cannot reach any result.
 #![allow(clippy::disallowed_types)]
@@ -29,7 +33,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::config::SystemConfig;
+use crate::config::{Mitigation, SystemConfig};
 use crate::metrics::RunReport;
 use crate::soc::ExperimentBuilder;
 use crate::store::{DiskStore, StoreKey};
@@ -71,7 +75,7 @@ impl Key {
             // Debug formatting round-trips f64 fields exactly, giving a
             // faithful fingerprint without requiring Hash/Eq on a struct
             // full of floats.
-            cfg: format!("{cfg:?}"),
+            cfg: format!("{:?}", cfg.effective(Mitigation::DEFAULT)),
             kind,
             cpu_app: cpu_app.to_string(),
             gpu_app: gpu_app.to_string(),
@@ -274,6 +278,24 @@ mod tests {
         assert_eq!(cache.len(), 2);
         // Different seeds genuinely differ in outcome.
         assert_ne!(a.kernel.ssrs_serviced, b.kernel.ssrs_serviced);
+    }
+
+    /// A default-mitigation run never reads the coalescing window or the
+    /// steering target, so configs differing only there share an entry,
+    /// and the shared report is the one either config simulates.
+    #[test]
+    fn window_and_steer_target_sweeps_share_baselines() {
+        let cache = BaselineCache::default();
+        let cfg = SystemConfig::a10_7850k();
+        let mut other = cfg;
+        other.coalesce_window = hiss_sim::Ns::from_micros(2);
+        other.steer_target = hiss_cpu::CoreId(3);
+        let a = cache.gpu_idle_baseline(&cfg, "ubench");
+        let b = cache.gpu_idle_baseline(&other, "ubench");
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!((cache.hit_count(), cache.miss_count()), (1, 1));
+        let fresh = ExperimentBuilder::new(other).gpu_app("ubench").run();
+        assert_eq!(fresh.metrics.to_json(), b.metrics.to_json());
     }
 
     #[test]

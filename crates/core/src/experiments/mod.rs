@@ -1,32 +1,19 @@
-//! Experiment runners for the paper artifacts that are not co-run grids.
+//! What of the paper's evaluation is not a scenario pack.
 //!
-//! Each submodule corresponds to one artifact and returns structured rows
-//! plus a plain-text rendering identical in shape to what the paper
-//! reports:
-//!
-//! | module | paper artifact |
+//! | module | contents |
 //! |---|---|
 //! | [`tables`] | Table I (SSR catalogue), Table II (system configuration) |
-//! | [`fig4`] | Fig. 4 — CC6 residency with and without SSRs |
-//! | [`section4c`] | §IV-C — interrupt spreading, IPI inflation, coalescing reduction |
-//! | [`fig9`] | Fig. 9 — CC6 residency across mitigation combinations |
-//! | [`extensions`] | beyond the paper: multi-GPU scaling, window/limit sweeps, adaptive QoS |
+//! | [`cache`] | [`BaselineCache`], the per-[`RunCtx`](crate::RunCtx) memo of baseline runs |
+//! | [`extensions`] | beyond the paper: adaptive QoS (a bisection) and module pairing (a custom victim) |
 //!
-//! Every runner takes the [`RunCtx`](crate::RunCtx) it fans its jobs out
-//! on and resolves its normalisation baselines through that context's
-//! [`BaselineCache`].
-//!
-//! The co-run grid figures (Figs. 3, 5, 6, 7, 8 and 12) are committed
-//! scenario packs plus pure folds over their rows, in
+//! Every figure that is a grid of cells — Figs. 3 to 9 and 12, §IV-C,
+//! and the multi-GPU, coalescing-window and outstanding-limit sweeps —
+//! is a committed scenario pack plus a pure fold over its rows, in
 //! `hiss_scenario::figures`.
-
-pub mod fig4;
-pub mod fig9;
-pub mod section4c;
-pub mod tables;
 
 pub mod cache;
 pub mod extensions;
+pub mod tables;
 
 pub use cache::BaselineCache;
 

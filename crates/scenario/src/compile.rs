@@ -14,11 +14,14 @@
 //! paper's grid figures are folds over these rows ([`crate::figures`]).
 //!
 //! A batch runs on the [`RunCtx`] its caller passes: every cell resolves
-//! its two normalisation baselines through the context's
-//! [`BaselineCache`], and cells whose knobs are the paper's default
-//! configuration resolve the noisy run through the cache too (sharing it
-//! with every other cell and batch on that context). [`simulate`] is a
-//! cell's own run without baselines, which is all the service needs.
+//! its normalisation baselines through the context's [`BaselineCache`]
+//! (an [`IDLE_CPU`] cell has no CPU baseline), and cells whose knobs are
+//! the paper's default configuration take their own run from the cache
+//! too, sharing it with every other cell and batch on that context: a
+//! co-run is the `corun_default` entry, a `pinned` co-run the
+//! `cpu_baseline` entry and an idle-CPU run the `gpu_idle_baseline`
+//! entry. [`simulate`] is a cell's own run without baselines, which is
+//! all the service needs.
 
 use hiss::{
     BaselineCache, CoreId, DeviceKind, DeviceSpec, DmaParams, ExperimentBuilder, GpuAppSpec,
@@ -26,12 +29,12 @@ use hiss::{
 };
 use hiss_obs::MetricsRegistry;
 
-use crate::spec::{Knobs, Scenario, Topology};
+use crate::spec::{Knobs, Scenario, Topology, IDLE_CPU};
 
 /// One fully resolved simulation job of a scenario batch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cell {
-    /// CPU (PARSEC) application.
+    /// CPU (PARSEC) application, or [`IDLE_CPU`] for none.
     pub cpu_app: String,
     /// GPU application.
     pub gpu_app: String,
@@ -59,8 +62,9 @@ pub struct Row {
     /// Replica index.
     pub replica: u32,
     /// Normalised CPU application performance (Fig. 3a semantics:
-    /// against the same pairing with no SSRs). `None` if the CPU
-    /// application did not finish within the simulation-time cap.
+    /// against the same pairing with no SSRs). `None` on an
+    /// [`IDLE_CPU`] cell, or if the CPU application did not finish
+    /// within the simulation-time cap.
     pub cpu_perf: Option<f64>,
     /// Normalised GPU performance (Fig. 3b semantics: against the GPU on
     /// idle CPUs; SSR-rate ratio for `ubench`, work-throughput ratio
@@ -165,45 +169,58 @@ pub fn run_cell_report(cell: &Cell) -> (Row, std::sync::Arc<RunReport>) {
     run_cell_report_in(cell, BaselineCache::global())
 }
 
-/// A batch cell: the noisy run plus its two baselines, memoized in
-/// `cache`. Default-configuration cells take the noisy run from the
-/// cache's co-run memo, the rest [`simulate`].
+/// A batch cell: its own run plus its baselines, memoized in `cache`.
+/// A cell with default settings takes its run from the cache: a co-run
+/// is the `corun_default` entry, a pinned co-run the `cpu_baseline`
+/// entry, an idle-CPU run the `gpu_idle_baseline` entry. The rest
+/// [`simulate`].
 fn run_cell_report_in(cell: &Cell, cache: &BaselineCache) -> (Row, std::sync::Arc<RunReport>) {
     let cfg = &cell.knobs.cfg;
-    let base = cache.cpu_baseline(cfg, &cell.cpu_app, &cell.gpu_app);
+    let idle = cell.cpu_app == IDLE_CPU;
+    let base = (!idle).then(|| cache.cpu_baseline(cfg, &cell.cpu_app, &cell.gpu_app));
     let gpu_base = cache.gpu_idle_baseline(cfg, &cell.gpu_app);
-    // Topology cells never use the co-run cache: its key is only
-    // (config, cpu_app, gpu_app), which cannot distinguish device lists.
+    // Topology cells never take their own run from the cache: its key
+    // is only (config, cpu_app, gpu_app), which cannot distinguish
+    // device lists.
     let is_default = cell.knobs.mitigation == Mitigation::DEFAULT
         && cell.knobs.qos_percent == 0.0
         && cell.knobs.gpus == 1
         && cell.knobs.criticality.is_none()
         && cell.topology.is_none();
-    let run = if is_default {
-        cache.corun_default(cfg, &cell.cpu_app, &cell.gpu_app)
-    } else {
-        std::sync::Arc::new(simulate(cell))
+    let run = match (&base, cell.knobs.pinned) {
+        (Some(_), false) if is_default => cache.corun_default(cfg, &cell.cpu_app, &cell.gpu_app),
+        (Some(base), true) if is_default => std::sync::Arc::clone(base),
+        (None, false) if is_default => std::sync::Arc::clone(&gpu_base),
+        _ => std::sync::Arc::new(simulate(cell)),
     };
-    let row = row_from_report(cell, &run, &base, &gpu_base);
+    let row = row_from_report(cell, &run, base.as_deref(), &gpu_base);
     (row, run)
 }
 
 /// The cell's own simulation, no baselines: its knobs and `[topology]`
 /// lowered onto an [`ExperimentBuilder`]. The serving layer
-/// (`hiss-serve`) runs exactly this on a store miss; for a
-/// default-configuration cell it is the same run as the co-run memo the
-/// batch path takes.
+/// (`hiss-serve`) runs exactly this on a store miss; for a cell with
+/// default settings it is the same run as the memo entry the batch path
+/// takes.
 pub fn simulate(cell: &Cell) -> RunReport {
-    let mut b = ExperimentBuilder::new(cell.knobs.cfg)
-        .cpu_app(&cell.cpu_app)
-        .mitigation(cell.knobs.mitigation);
+    let mut b = ExperimentBuilder::new(cell.knobs.cfg);
+    if cell.cpu_app != IDLE_CPU {
+        b = b.cpu_app(&cell.cpu_app);
+    }
+    b = b.mitigation(cell.knobs.mitigation);
+    let gpu = || {
+        let spec = GpuAppSpec::by_name(&cell.gpu_app)
+            .expect("workload names were validated at parse time");
+        if cell.knobs.pinned {
+            spec.pinned()
+        } else {
+            spec
+        }
+    };
     if let Some(top) = &cell.topology {
         for (kind, steer) in top.devices.iter().zip(&top.steer) {
             let spec = match kind {
-                DeviceKind::Gpu => DeviceSpec::Gpu(
-                    GpuAppSpec::by_name(&cell.gpu_app)
-                        .expect("workload names were validated at parse time"),
-                ),
+                DeviceKind::Gpu => DeviceSpec::Gpu(gpu()),
                 DeviceKind::Nic => DeviceSpec::Nic(NicParams::default()),
                 DeviceKind::Dma => DeviceSpec::Dma(DmaParams::default()),
             };
@@ -211,7 +228,7 @@ pub fn simulate(cell: &Cell) -> RunReport {
         }
     } else {
         for _ in 0..cell.knobs.gpus {
-            b = b.gpu_app(&cell.gpu_app);
+            b = b.gpu_spec(gpu());
         }
     }
     if cell.knobs.qos_percent > 0.0 {
@@ -258,13 +275,18 @@ pub(crate) fn gpu_perf_vs(gpu_app: &str, run: &RunReport, base: &RunReport) -> f
     }
 }
 
-fn row_from_report(cell: &Cell, run: &RunReport, base: &RunReport, gpu_base: &RunReport) -> Row {
+fn row_from_report(
+    cell: &Cell,
+    run: &RunReport,
+    base: Option<&RunReport>,
+    gpu_base: &RunReport,
+) -> Row {
     Row {
         cpu_app: cell.cpu_app.clone(),
         gpu_app: cell.gpu_app.clone(),
         axes: cell.axes.clone(),
         replica: cell.replica,
-        cpu_perf: run.cpu_perf_vs(base),
+        cpu_perf: base.and_then(|base| run.cpu_perf_vs(base)),
         gpu_perf: gpu_perf_vs(&cell.gpu_app, run, gpu_base),
         cpu_runtime_ns: run.cpu_app_runtime.map(|t| t.as_nanos()),
         gpu_throughput: run.gpu_throughput,
@@ -441,6 +463,55 @@ qos_percent = [0, 1]
         }
         // A warm re-run on the same context agrees row-for-row.
         assert_eq!(run_with_metrics(&ctx, &sc, false), pairs);
+    }
+
+    /// Cells with default settings take their run from the cache's
+    /// memos instead of simulating: a co-run is the `corun_default`
+    /// entry, a pinned co-run the `cpu_baseline` entry, an idle-CPU run
+    /// the `gpu_idle_baseline` entry. Each is the run [`simulate`]
+    /// makes for the cell.
+    #[test]
+    fn default_cells_reuse_the_baseline_memos() {
+        let sc = Scenario::from_str(
+            r#"
+[scenario]
+name = "t"
+[workload]
+cpu = ["x264", "idle"]
+gpu = ["ubench"]
+[sweep]
+pinned = [false, true]
+"#,
+        )
+        .unwrap();
+        let cells = expand(&sc, false);
+        let cache = BaselineCache::default();
+        let runs: Vec<_> = cells
+            .iter()
+            .map(|c| run_cell_report_in(c, &cache))
+            .collect();
+        // Seven lookups over three keys: x264's co-run and CPU baseline
+        // and ubench's idle-CPU run. Only the pinned idle cell simulates.
+        assert_eq!((cache.miss_count(), cache.hit_count()), (3, 4));
+        let cfg = &cells[0].knobs.cfg;
+        let memo = [
+            cache.corun_default(cfg, "x264", "ubench"),
+            cache.gpu_idle_baseline(cfg, "ubench"),
+            cache.cpu_baseline(cfg, "x264", "ubench"),
+        ];
+        for (i, memo) in memo.iter().enumerate() {
+            assert!(std::sync::Arc::ptr_eq(&runs[i].1, memo), "cell {i}");
+        }
+        for (cell, (_, run)) in cells.iter().zip(&runs) {
+            assert_eq!(simulate(cell).metrics.to_json(), run.metrics.to_json());
+        }
+        let rows: Vec<&Row> = runs.iter().map(|(row, _)| row).collect();
+        assert_eq!(rows[2].cpu_perf, Some(1.0));
+        for idle in [rows[1], rows[3]] {
+            assert_eq!((idle.cpu_perf, idle.cpu_runtime_ns), (None, None));
+        }
+        assert_eq!(rows[1].gpu_perf, 1.0);
+        assert_eq!(rows[3].ssrs_serviced, 0);
     }
 
     /// The acceptance gate for the device generalisation: a `[topology]`

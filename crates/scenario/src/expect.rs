@@ -3,7 +3,7 @@
 //! regression harness.
 
 use crate::compile::Row;
-use crate::spec::{Agg, Expect, Scenario};
+use crate::spec::{Agg, Expect, Scenario, IDLE_CPU};
 
 /// One failed expectation.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,9 +60,13 @@ pub fn check_band(expect: &Expect, rows: &[Row], file: Option<&str>) -> Option<V
         match (expect.metric.value)(row) {
             Some(v) => values.push(v),
             None => {
+                let why = if row.cpu_app == IDLE_CPU {
+                    "runs no CPU application"
+                } else {
+                    "did not finish its CPU application within the simulation-time cap"
+                };
                 return violation(format!(
-                    "{}: cell {}×{} did not finish its CPU application \
-                     within the simulation-time cap",
+                    "{}: cell {}×{} {why}",
                     expect.describe(),
                     row.cpu_app,
                     row.gpu_app
@@ -166,9 +170,15 @@ mod tests {
         let sc = scenario("mean_cpu_perf = [0.0, 1.0]\n");
         let mut r = row(0.5, 1.0);
         r.cpu_perf = None;
-        let v = check(&sc, &[r]);
+        let v = check(&sc, &[r.clone()]);
         assert_eq!(v.len(), 1);
         assert!(v[0].msg.contains("did not finish"), "{}", v[0].msg);
+        r.cpu_app = IDLE_CPU.into();
+        let v = check(&sc, &[r]);
+        assert_eq!(
+            v[0].msg,
+            "mean_cpu_perf in [0, 1]: cell idle×ubench runs no CPU application"
+        );
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //!   `scenarios/` library into a golden regression harness
 //!   (`tests/scenarios.rs`), and
 //! - **figure folds** ([`figures`]): pure functions from the rows of the
-//!   `fig3`, `mitigation_grid` and `fig12` packs to the paper's Figs. 3,
-//!   5, 6, 7, 8 and 12, as `hiss-cli figures` prints them.
+//!   committed figure packs to the paper's Figs. 3 to 9 and 12, §IV-C
+//!   and the extension sweeps, as `hiss-cli figures` prints them.
 //!
 //! # Example
 //!
@@ -57,7 +57,9 @@ pub use compile::{
 };
 pub use expect::{check, Violation};
 pub use parse::{Document, ScenarioError, Value};
-pub use spec::{Agg, Expect, Field, Knobs, Metric, Scenario, SweepAxis, Topology, Workload};
+pub use spec::{
+    Agg, Expect, Field, Knobs, Metric, Scenario, SweepAxis, Topology, Workload, IDLE_CPU,
+};
 
 /// Loads and validates a scenario file from disk. The returned scenario
 /// remembers its path ([`Scenario::source`]), so expect violations are

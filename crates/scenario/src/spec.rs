@@ -5,10 +5,11 @@
 //!
 //! - `[scenario]` — name and description,
 //! - `[system]` — overrides of the Table-II baseline [`SystemConfig`]
-//!   (cores, GPUs, C-states, timer tick, coalescing window, seed),
+//!   (cores, GPUs and whether they are pinned, C-states, timer tick,
+//!   coalescing window, outstanding-SSR limit, seed),
 //! - `[mitigation]` — §V switches and the §VI QoS threshold,
-//! - `[workload]` — the CPU-app list × GPU-app list grid, plus optional
-//!   quick-mode subsets,
+//! - `[workload]` — the CPU-app list (or [`IDLE_CPU`]) × GPU-app list
+//!   grid, plus optional quick-mode subsets,
 //! - `[run]` — seeds/replicas,
 //! - `[sweep]` — cartesian sweep axes over any numeric/enum knob,
 //! - `[expect]` — metric bands the batch results must fall within.
@@ -21,8 +22,8 @@ use crate::compile::Row;
 use crate::parse::{Document, Entry, ScenarioError, Value};
 
 /// Every simulation knob a scenario (or one sweep point of it) pins
-/// down: the system configuration, number of GPU-app copies, mitigation
-/// switches, and QoS threshold.
+/// down: the system configuration, number of GPU-app copies, whether
+/// they are pinned, mitigation switches, and QoS threshold.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Knobs {
     /// Full system configuration (already includes `[system]` overrides
@@ -30,6 +31,9 @@ pub struct Knobs {
     pub cfg: SystemConfig,
     /// Number of concurrent copies of the GPU application.
     pub gpus: usize,
+    /// Whether the GPU application runs its pinned-memory variant, which
+    /// raises no SSRs (the paper's `no_SSR` configuration).
+    pub pinned: bool,
     /// §V mitigation switches.
     pub mitigation: Mitigation,
     /// §VI QoS threshold in percent; 0 disables the governor.
@@ -45,6 +49,7 @@ impl Default for Knobs {
         Knobs {
             cfg: SystemConfig::a10_7850k(),
             gpus: 1,
+            pinned: false,
             mitigation: Mitigation::DEFAULT,
             qos_percent: 0.0,
             criticality: None,
@@ -140,10 +145,9 @@ impl Field {
     pub const ALL: &'static [Field] = &[
         int(SYSTEM, "cores", 1, 64, |k, n| k.cfg.num_cores = n as usize),
         // Concurrent copies of the GPU application.
-        int(SYSTEM, "gpus", 1, 64, |k, n| {
-            k.gpus = n as usize;
-            k.cfg.num_gpus = n as usize;
-        }),
+        int(SYSTEM, "gpus", 1, 64, |k, n| k.gpus = n as usize),
+        // The GPU application's pinned-memory (no-SSR) variant.
+        flag(SYSTEM, "pinned", |k, on| k.pinned = on),
         int(SYSTEM, "seed", 0, i64::MAX, |k, s| k.cfg.seed = s as u64),
         // OS scheduler tick period (0 disables).
         int(SYSTEM, "timer_tick_us", 0, 1_000_000, |k, us| {
@@ -152,6 +156,10 @@ impl Field {
         // IOMMU coalescing window when coalescing is on.
         int(SYSTEM, "coalesce_window_us", 0, 1_000_000, |k, us| {
             k.cfg.coalesce_window = micros(us)
+        }),
+        // The GPU's hardware limit on outstanding SSRs.
+        int(SYSTEM, "outstanding_limit", 1, 4096, |k, n| {
+            k.cfg.gpu.max_outstanding = n as usize
         }),
         // Safety cap on simulated time.
         int(
@@ -754,7 +762,6 @@ impl Scenario {
                 ));
             }
             base.gpus = t.gpu_count();
-            base.cfg.num_gpus = t.gpu_count();
         }
 
         // [criticality] — parsed after [workload]/[topology] (its app
@@ -1212,6 +1219,11 @@ fn parse_critical_devices(
     Ok(mask)
 }
 
+/// The reserved `[workload] cpu` name of a cell with no CPU
+/// application: the GPU application runs alone on idle CPUs (the Fig. 3b
+/// baseline run), and the row has no `cpu_perf` or `cpu_runtime_ns`.
+pub const IDLE_CPU: &str = "idle";
+
 /// Which catalog an application list is checked against.
 enum CatalogKind {
     Cpu,
@@ -1233,7 +1245,9 @@ fn app_list(entry: &Entry, kind: CatalogKind) -> Result<Vec<String>, ScenarioErr
     for item in items {
         let name = expect_str(item, &entry.key, entry.line)?;
         let known = match kind {
-            CatalogKind::Cpu => hiss_workloads::CpuAppSpec::by_name(name).is_some(),
+            CatalogKind::Cpu => {
+                name == IDLE_CPU || hiss_workloads::CpuAppSpec::by_name(name).is_some()
+            }
             CatalogKind::Gpu => hiss_workloads::GpuAppSpec::by_name(name).is_some(),
         };
         if !known {
@@ -1241,6 +1255,7 @@ fn app_list(entry: &Entry, kind: CatalogKind) -> Result<Vec<String>, ScenarioErr
                 CatalogKind::Cpu => hiss_workloads::parsec_suite()
                     .iter()
                     .map(|s| s.name)
+                    .chain([IDLE_CPU])
                     .collect(),
                 CatalogKind::Gpu => hiss_workloads::gpu_suite().iter().map(|s| s.name).collect(),
             };
@@ -1446,7 +1461,7 @@ gpu = ["ubench"]
         .unwrap_err();
         assert_eq!(err.line, 4);
         assert!(err.msg.contains("unknown CPU application"), "{}", err.msg);
-        assert!(err.msg.contains("x264"), "{}", err.msg);
+        assert!(err.msg.contains("x264, idle)"), "{}", err.msg);
     }
 
     #[test]
@@ -1517,7 +1532,6 @@ gpu = ["ubench"]
         assert_eq!(t.render(), "gpu@-,nic@0,gpu@-,dma@3");
         // The device list fixes the GPU count on the base knobs.
         assert_eq!(sc.base.gpus, 2);
-        assert_eq!(sc.base.cfg.num_gpus, 2);
 
         // steer defaults to the shared policy for every device.
         let sc = Scenario::from_str(&with("[topology]\ndevices = [\"gpu\", \"nic\"]\n")).unwrap();
@@ -1805,8 +1819,8 @@ gpu = ["ubench"]
 
     /// The `[system]`, `[mitigation]`, `[criticality]` and `[sweep]` key
     /// lists, as the unknown-key diagnostics print them.
-    const SYSTEM_KEYS: &str = "cores, gpus, seed, timer_tick_us, coalesce_window_us, \
-                               max_sim_time_ms, cc6, steer_target";
+    const SYSTEM_KEYS: &str = "cores, gpus, pinned, seed, timer_tick_us, coalesce_window_us, \
+                               outstanding_limit, max_sim_time_ms, cc6, steer_target";
     const MITIGATION_KEYS: &str = "steer, coalesce, monolithic, qos_percent, mitigation";
     const CRITICALITY_KNOB_KEYS: &str = "reserve, ppr_quota_percent, critical_cores, \
                                          critical_window_us, best_effort_window_us";
@@ -1841,6 +1855,12 @@ gpu = ["ubench"]
                 ("0", r#""gpus" must be an integer in [1, 64], got 0"#),
                 ("65", r#""gpus" must be an integer in [1, 64], got 65"#),
             ],
+        },
+        KnobCase {
+            key: "pinned",
+            section: "system",
+            ok: "true",
+            bad: &[("1", r#""pinned" expects true or false, got integer"#)],
         },
         KnobCase {
             key: "seed",
@@ -1886,6 +1906,25 @@ gpu = ["ubench"]
                 (
                     "1000001",
                     r#""coalesce_window_us" must be an integer in [0, 1000000], got 1000001"#,
+                ),
+            ],
+        },
+        KnobCase {
+            key: "outstanding_limit",
+            section: "system",
+            ok: "8",
+            bad: &[
+                (
+                    "\"8\"",
+                    r#""outstanding_limit" expects an integer, got string"#,
+                ),
+                (
+                    "0",
+                    r#""outstanding_limit" must be an integer in [1, 4096], got 0"#,
+                ),
+                (
+                    "4097",
+                    r#""outstanding_limit" must be an integer in [1, 4096], got 4097"#,
                 ),
             ],
         },
@@ -2070,7 +2109,7 @@ gpu = ["ubench"]
             let err = Scenario::from_str(text).unwrap_err();
             assert_eq!((err.line, err.msg.as_str()), (line, msg), "{text}");
         };
-        assert_eq!(KNOB_CASES.len(), 18);
+        assert_eq!(KNOB_CASES.len(), 20);
         for case in KNOB_CASES {
             let key = case.key;
             // `[criticality]` knobs need a minimal section to be legal.

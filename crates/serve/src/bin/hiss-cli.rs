@@ -69,7 +69,7 @@ use std::env;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use hiss::experiments::{extensions, fig4, fig9, section4c, tables};
+use hiss::experiments::{extensions, tables};
 use hiss::{ExperimentBuilder, Mitigation, Ns, QosParams, RunCtx, RunReport, SystemConfig};
 use hiss_bench::baseline::{self, BaselineFile, SuiteSnapshot};
 use hiss_bench::compare;
@@ -80,6 +80,32 @@ use hiss_scenario as scenario;
 /// the system allocator otherwise.
 #[global_allocator]
 static ALLOC: hiss_bench::CountingAlloc = hiss_bench::CountingAlloc::new();
+
+/// Writes formatted output to stdout. A closed stdout (`hiss-cli
+/// figures | head -1`) ends the process quietly with status 0, as the
+/// reader has all it asked for; any other write error is reported on
+/// stderr with status 1.
+fn emit(args: std::fmt::Arguments) {
+    use std::io::Write as _;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// `print!` through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => { emit(format_args!($($arg)*)) };
+}
+
+/// `println!` through [`emit`].
+macro_rules! outln {
+    () => { emit(format_args!("\n")) };
+    ($($arg:tt)*) => { emit(format_args!("{}\n", format_args!($($arg)*))) };
+}
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -183,26 +209,27 @@ impl Args {
 
 fn print_report(r: &RunReport, json: bool) {
     if json {
-        println!("{}", report_json(r));
+        outln!("{}", report_json(r));
         return;
     }
-    println!("elapsed           : {}", r.elapsed);
+    outln!("elapsed           : {}", r.elapsed);
     if let Some(t) = r.cpu_app_runtime {
-        println!("CPU app runtime   : {t}");
+        outln!("CPU app runtime   : {t}");
     }
-    println!("GPU throughput    : {:.3}", r.gpu_throughput);
-    println!("SSR rate          : {:.0}/s", r.ssr_rate);
-    println!("SSRs serviced     : {}", r.kernel.ssrs_serviced);
-    println!("mean SSR latency  : {}", r.kernel.mean_ssr_latency);
-    println!("p99 SSR latency   : {}", r.kernel.p99_ssr_latency);
-    println!("interrupts/core   : {:?}", r.kernel.interrupts_per_core);
-    println!("IPIs              : {}", r.kernel.ipis);
-    println!("QoS deferrals     : {}", r.kernel.qos_deferrals);
-    println!("CPU SSR overhead  : {:.2}%", r.cpu_ssr_overhead * 100.0);
-    println!("CC6 residency     : {:.1}%", r.cc6_residency * 100.0);
-    println!(
+    outln!("GPU throughput    : {:.3}", r.gpu_throughput);
+    outln!("SSR rate          : {:.0}/s", r.ssr_rate);
+    outln!("SSRs serviced     : {}", r.kernel.ssrs_serviced);
+    outln!("mean SSR latency  : {}", r.kernel.mean_ssr_latency);
+    outln!("p99 SSR latency   : {}", r.kernel.p99_ssr_latency);
+    outln!("interrupts/core   : {:?}", r.kernel.interrupts_per_core);
+    outln!("IPIs              : {}", r.kernel.ipis);
+    outln!("QoS deferrals     : {}", r.kernel.qos_deferrals);
+    outln!("CPU SSR overhead  : {:.2}%", r.cpu_ssr_overhead * 100.0);
+    outln!("CC6 residency     : {:.1}%", r.cc6_residency * 100.0);
+    outln!(
         "CPU energy        : {:.3} J ({:.2} W avg)",
-        r.energy.cpu_joules, r.energy.cpu_avg_watts
+        r.energy.cpu_joules,
+        r.energy.cpu_avg_watts
     );
 }
 
@@ -248,6 +275,14 @@ fn build(cfg: SystemConfig, args: &Args) -> Result<ExperimentBuilder, String> {
     let n_gpus = args
         .parsed("--gpus", "an integer in 1..=64", |n| (1..=64).contains(n))?
         .unwrap_or(1);
+    if args.value("--gpu").is_none() {
+        if let Some(flag) = ["--gpus", "--pinned"]
+            .into_iter()
+            .find(|f| args.flag(f) || args.value(f).is_some())
+        {
+            return Err(format!("{flag} needs --gpu <app>"));
+        }
+    }
     if let Some(gpu) = args.value("--gpu") {
         if hiss::GpuAppSpec::by_name(gpu).is_none() {
             return Err(format!("unknown GPU app {gpu:?}; see `hiss-cli list`"));
@@ -334,12 +369,12 @@ fn report_command(argv: Vec<String>) -> ExitCode {
             }
         };
         if args.flag("--json") {
-            print!("{}", reg.to_jsonl());
+            out!("{}", reg.to_jsonl());
         } else {
             if !first {
-                println!();
+                outln!();
             }
-            print!("{}", reg.to_table());
+            out!("{}", reg.to_table());
         }
         first = false;
     }
@@ -495,7 +530,7 @@ fn lint_command(argv: Vec<String>) -> ExitCode {
 
     hiss_lint::diag::sort(&mut diags);
     for d in &diags {
-        println!("{d}");
+        outln!("{d}");
     }
     let errors = diags
         .iter()
@@ -503,10 +538,10 @@ fn lint_command(argv: Vec<String>) -> ExitCode {
         .count();
     let warnings = diags.len() - errors;
     if diags.is_empty() {
-        println!("lint: clean");
+        outln!("lint: clean");
         ExitCode::SUCCESS
     } else {
-        println!("lint: {errors} error(s), {warnings} warning(s)");
+        outln!("lint: {errors} error(s), {warnings} warning(s)");
         ExitCode::FAILURE
     }
 }
@@ -576,12 +611,12 @@ fn bench_command(mut argv: Vec<String>) -> ExitCode {
             };
             for (i, snap) in snaps.iter().enumerate() {
                 if args.flag("--json") {
-                    print!("{}", snap.metrics.to_jsonl());
+                    out!("{}", snap.metrics.to_jsonl());
                 } else {
                     if i > 0 {
-                        println!();
+                        outln!();
                     }
-                    print!("{}", snap.metrics.to_table());
+                    out!("{}", snap.metrics.to_table());
                 }
             }
             if let Some(path) = args.value("--out") {
@@ -612,22 +647,22 @@ fn bench_command(mut argv: Vec<String>) -> ExitCode {
             let cmp = compare::compare(&base, &snaps);
             let shown = baseline_path.display().to_string();
             for f in &cmp.findings {
-                println!("{}", f.render(&shown));
+                outln!("{}", f.render(&shown));
             }
             if !cmp.findings.is_empty() {
                 // The machine-readable diff through the stock renderers.
                 let reg = cmp.to_registry();
                 if args.flag("--json") {
-                    print!("{}", reg.to_jsonl());
+                    out!("{}", reg.to_jsonl());
                 } else {
-                    print!("{}", reg.to_table());
+                    out!("{}", reg.to_table());
                 }
             }
             if cmp.passed() {
-                println!("bench check: ok — {} suites vs {shown}", snaps.len());
+                outln!("bench check: ok — {} suites vs {shown}", snaps.len());
                 ExitCode::SUCCESS
             } else {
-                println!(
+                outln!(
                     "bench check: {} violation(s) vs {shown}",
                     cmp.findings.len()
                 );
@@ -656,7 +691,7 @@ fn bench_command(mut argv: Vec<String>) -> ExitCode {
                 eprintln!("cannot write {}: {e}", baseline_path.display());
                 return ExitCode::FAILURE;
             }
-            println!(
+            outln!(
                 "bench update: wrote {} ({} suites; reason: {reason})",
                 baseline_path.display(),
                 snaps.len()
@@ -693,7 +728,7 @@ fn scenario_command(mut argv: Vec<String>) -> ExitCode {
                     Ok(sc) => {
                         let cells = scenario::expand(&sc, false).len();
                         let quick = scenario::expand(&sc, true).len();
-                        println!(
+                        outln!(
                             "{file}: ok — \"{}\", {cells} cells ({quick} quick), {} expect bands",
                             sc.name,
                             sc.expects.len()
@@ -794,10 +829,10 @@ fn scenario_command(mut argv: Vec<String>) -> ExitCode {
                 }
             }
             if args.flag("--json") {
-                print!("{}", scenario::output::to_jsonl(&rows));
+                out!("{}", scenario::output::to_jsonl(&rows));
             } else {
-                println!("scenario \"{}\" — {} rows", sc.name, rows.len());
-                print!("{}", scenario::output::to_table(&rows));
+                outln!("scenario \"{}\" — {} rows", sc.name, rows.len());
+                out!("{}", scenario::output::to_table(&rows));
             }
             if args.flag("--no-check") {
                 return ExitCode::SUCCESS;
@@ -805,7 +840,7 @@ fn scenario_command(mut argv: Vec<String>) -> ExitCode {
             let violations = scenario::check(&sc, &rows);
             if violations.is_empty() {
                 if !args.flag("--json") && !sc.expects.is_empty() {
-                    println!("all {} expect bands hold", sc.expects.len());
+                    outln!("all {} expect bands hold", sc.expects.len());
                 }
                 ExitCode::SUCCESS
             } else {
@@ -842,13 +877,13 @@ fn scenario_command(mut argv: Vec<String>) -> ExitCode {
             };
             for path in files {
                 match scenario::load(&path) {
-                    Ok(sc) => println!(
+                    Ok(sc) => outln!(
                         "{:<28} {:<22} {} cells",
                         path.display(),
                         sc.name,
                         scenario::expand(&sc, false).len()
                     ),
-                    Err(e) => println!("{:<28} INVALID: {e}", path.display()),
+                    Err(e) => outln!("{:<28} INVALID: {e}", path.display()),
                 }
             }
             ExitCode::SUCCESS
@@ -902,7 +937,7 @@ fn serve_command(argv: Vec<String>) -> ExitCode {
         Ok(bound) => {
             // Machine-readable first line: with --addr host:0 callers
             // parse the actual port from here.
-            println!(
+            outln!(
                 "hiss-serve: listening on {bound}, store {}",
                 store_dir.display()
             );
@@ -916,7 +951,7 @@ fn serve_command(argv: Vec<String>) -> ExitCode {
     }
     match server.run() {
         Ok(()) => {
-            println!("hiss-serve: drained and flushed, bye");
+            outln!("hiss-serve: drained and flushed, bye");
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -981,7 +1016,7 @@ fn submit_command(argv: Vec<String>) -> ExitCode {
                             return ExitCode::FAILURE;
                         }
                     }
-                    None => print!("{out}"),
+                    None => out!("{out}"),
                 }
                 // Summary on stderr so piped stdout stays pure data.
                 eprintln!("submit: cells={cells} simulated={simulated} from_store={from_store}");
@@ -1053,16 +1088,19 @@ fn main() -> ExitCode {
 
     match command.as_str() {
         "list" => {
-            println!("CPU applications (PARSEC 2.1 models):");
+            outln!("CPU applications (PARSEC 2.1 models):");
             for s in hiss::parsec_suite() {
-                println!(
+                outln!(
                     "  {:>14}: {} threads, cache sens {:.2}, branch sens {:.2}",
-                    s.name, s.threads, s.cache_sensitivity, s.branch_sensitivity
+                    s.name,
+                    s.threads,
+                    s.cache_sensitivity,
+                    s.branch_sensitivity
                 );
             }
-            println!("\nGPU applications (SSR generators):");
+            outln!("\nGPU applications (SSR generators):");
             for s in hiss::gpu_suite() {
-                println!(
+                outln!(
                     "  {:>14}: ~{:.0} SSRs/iteration, blocking {:.0}%, kind {:?}",
                     s.name,
                     s.expected_ssrs(),
@@ -1084,7 +1122,7 @@ fn main() -> ExitCode {
             if let Some(path) = args.value("--metrics") {
                 let snapshot = format!("{}\n", report.metrics.to_json());
                 if path == "-" {
-                    print!("{snapshot}");
+                    out!("{snapshot}");
                 } else if let Err(e) = std::fs::write(path, snapshot) {
                     eprintln!("cannot write {path}: {e}");
                     return ExitCode::FAILURE;
@@ -1102,7 +1140,7 @@ fn main() -> ExitCode {
                 }
             };
             match b.run().trace {
-                Some(trace) => println!("{}", trace.render_gantt(cfg.num_cores, width)),
+                Some(trace) => outln!("{}", trace.render_gantt(cfg.num_cores, width)),
                 None => eprintln!("no trace recorded"),
             }
             ExitCode::SUCCESS
@@ -1116,115 +1154,95 @@ fn main() -> ExitCode {
 }
 
 fn banner(title: &str) {
-    println!("\n{}", "=".repeat(74));
-    println!("{title}");
-    println!("{}", "=".repeat(74));
+    outln!("\n{}", "=".repeat(74));
+    outln!("{title}");
+    outln!("{}", "=".repeat(74));
 }
 
 /// `hiss-cli figures [--quick]` — regenerates every table and figure of
 /// the paper's evaluation, in the paper's layout: the same rows and
-/// series the paper plots, produced by the simulator. `--quick` runs
-/// the scaled-down app subsets. EXPERIMENTS.md records the
-/// paper-vs-measured comparison for the most recent full run.
+/// series the paper plots, produced by the simulator. Every figure is a
+/// committed scenario pack folded by `hiss_scenario::figures`, except
+/// the tables, the two extensions a pack cannot express and the
+/// replication. `--quick` runs the packs' quick subsets. EXPERIMENTS.md
+/// records the paper-vs-measured comparison for the most recent full
+/// run.
 fn figures(cfg: SystemConfig, quick: bool) {
-    use scenario::figures::{self, FIG12_PACK, FIG3_PACK, MITIGATION_GRID_PACK};
+    use scenario::figures::{self as fig, *};
     let ctx = RunCtx::new(hiss::thread_count());
-    let fig3_pack = figures::pack(FIG3_PACK);
-    let run_pack = |text| scenario::run_with_metrics(&ctx, &figures::pack(text), quick);
+    let run_pack = |text| scenario::run_with_metrics(&ctx, &fig::pack(text), quick);
 
     banner("Table I — GPU system service requests");
-    println!("{}", tables::render_table1(&tables::table1(&cfg)));
+    outln!("{}", tables::render_table1(&tables::table1(&cfg)));
 
     banner("Table II — test system configuration");
-    println!("{}", tables::render_table2(&tables::table2(&cfg)));
+    outln!("{}", tables::render_table2(&tables::table2(&cfg)));
 
     banner("Fig. 3a — normalised CPU application performance under GPU SSRs");
-    let rows3 = scenario::run_with_metrics(&ctx, &fig3_pack, quick);
-    println!("{}", figures::fig3a(&rows3));
+    let rows3 = run_pack(FIG3_PACK);
+    outln!("{}", fig::fig3a(&rows3));
 
     banner("Fig. 3b — normalised GPU performance under CPU interference");
-    println!("{}", figures::fig3b(&rows3));
-    let s = figures::fig3_summary(&rows3);
-    println!("{s:#?}");
+    outln!("{}", fig::fig3b(&rows3));
+    let s = fig::fig3_summary(&rows3);
+    outln!("{s:#?}");
 
     banner("Fig. 4 — CC6 residency with and without SSRs");
-    let gpu: Vec<&str> = fig3_pack
-        .gpu_apps(quick)
-        .iter()
-        .map(String::as_str)
-        .collect();
-    println!("{}", fig4::render(&fig4::fig4_with(&ctx, &cfg, &gpu)));
+    let rows4 = run_pack(FIG4_PACK);
+    outln!("{}", fig::render_fig4(&fig::fig4(&rows4)));
 
     banner("Fig. 5 — µarchitectural effects of ubench SSRs");
-    println!("{}", figures::render_fig5(&figures::fig5(&rows3)));
+    outln!("{}", fig::render_fig5(&fig::fig5(&rows3)));
 
     banner("§IV-C — interrupt distribution, IPIs, coalescing");
-    println!("{}", section4c::render(&section4c::section4c(&ctx, &cfg)));
+    let s4c = fig::section4c(&run_pack(SECTION4C_PACK), &run_pack(SECTION4C_NO_SSR_PACK));
+    outln!("{}", fig::render_section4c(&s4c));
 
     let grid = run_pack(MITIGATION_GRID_PACK);
-    for panel in figures::fig6(&grid) {
+    for panel in fig::fig6(&grid) {
         banner(&format!(
             "Fig. 6 — {} (CPU and GPU ratios vs default)",
             panel[0].technique.label()
         ));
-        println!("{}", figures::render_fig6(&panel));
+        outln!("{}", fig::render_fig6(&panel));
     }
 
     banner("Fig. 7 — Pareto: mitigation combinations under ubench");
-    println!("{}", figures::render_pareto(&figures::fig7(&grid)));
+    outln!("{}", fig::render_pareto(&fig::fig7(&grid)));
 
     banner("Fig. 8 — Pareto: mitigation combinations, full GPU applications");
-    println!("{}", figures::render_pareto(&figures::fig8(&grid)));
+    outln!("{}", fig::render_pareto(&fig::fig8(&grid)));
 
     banner("Fig. 9 — mitigation techniques vs CC6 residency (ubench)");
-    println!("{}", fig9::render(&fig9::fig9(&ctx, &cfg)));
+    outln!("{}", fig::fig9(&rows4, &run_pack(FIG9_PACK)));
 
     banner("Fig. 12 — QoS throttling (default / th_25 / th_5 / th_1)");
-    println!(
-        "{}",
-        figures::render_fig12(&figures::fig12(&run_pack(FIG12_PACK)))
-    );
+    outln!("{}", fig::render_fig12(&fig::fig12(&run_pack(FIG12_PACK))));
 
     banner("Extension — multi-accelerator scaling (x264 vs N × sssp)");
-    println!(
-        "{}",
-        extensions::render_scaling(&extensions::multi_gpu_scaling(
-            &ctx, &cfg, "x264", "sssp", 4
-        ))
-    );
+    outln!("{}", fig::scaling(&run_pack(SCALING_PACK)));
 
     banner("Extension — coalescing window sweep (x264 vs ubench)");
-    for w in extensions::coalescing_window_sweep(&ctx, &cfg, "x264", "ubench", &[0, 2, 5, 9, 13]) {
-        println!(
-            "  window {:>8}: CPU {:.3}  GPU ratio {:.3}  interrupts/SSR {:.2}",
-            w.window.to_string(),
-            w.cpu_perf,
-            w.gpu_ratio,
-            w.interrupts_per_ssr
-        );
-    }
+    out!("{}", fig::coalescing_window(&run_pack(WINDOW_PACK)));
 
     banner("Extension — outstanding-SSR-limit sweep (QoS leverage)");
-    for l in extensions::outstanding_limit_sweep(&ctx, &cfg, &[8, 16, 64, 256]) {
-        println!(
-            "  limit {:>4}: throttled ubench at {:.1}% of unhindered",
-            l.limit,
-            l.throttled_ratio * 100.0
-        );
-    }
+    out!("{}", fig::outstanding_limit(&run_pack(LIMIT_PACK)));
 
     banner("Extension — adaptive QoS threshold (x264 within 10%)");
     let a = extensions::adaptive_qos(&ctx, &cfg, "x264", "ubench", 0.10, 5);
-    println!(
+    outln!(
         "  threshold th_{:.2}: CPU {:.3}, ubench {:.3}",
-        a.threshold_percent, a.cpu_perf, a.gpu_perf
+        a.threshold_percent,
+        a.cpu_perf,
+        a.gpu_perf
     );
 
     banner("Extension — module pairing (shared-L2 siblings, steered handlers)");
     let mp = extensions::module_pairing(&ctx, &cfg, "ubench");
-    println!(
+    outln!(
         "  victim on core 0: steer to sibling core 1 -> {:.3}; steer to remote core 2 -> {:.3}",
-        mp.sibling_perf, mp.remote_perf
+        mp.sibling_perf,
+        mp.remote_perf
     );
 
     banner("Replication — x264 + ubench over 3 seeds (paper §III methodology)");
@@ -1234,7 +1252,7 @@ fn figures(cfg: SystemConfig, quick: bool) {
             .gpu_app("ubench"),
         3,
     );
-    println!(
+    outln!(
         "  runtime {:.3} ms ± {:.3} (95% CI over {} seeds); SSR rate {:.0} ± {:.0}",
         reps.cpu_runtime_s.mean * 1e3,
         reps.cpu_runtime_s.ci95(reps.n) * 1e3,

@@ -10,23 +10,27 @@
 //! cargo run --release --example accelerator_scaling
 //! ```
 
-use hiss::experiments::extensions;
 use hiss::{ExperimentBuilder, QosParams, RunCtx, SystemConfig};
+use hiss_scenario::figures::{self, SCALING_PACK};
+use hiss_scenario::Value;
 
 fn main() {
     let cfg = SystemConfig::a10_7850k();
     let ctx = RunCtx::new(hiss::thread_count());
+    let mut pack = figures::pack(SCALING_PACK);
 
     println!("Multi-accelerator scaling: x264 vs N copies of sssp\n");
-    let rows = extensions::multi_gpu_scaling(&ctx, &cfg, "x264", "sssp", 4);
-    println!("{}", extensions::render_scaling(&rows));
+    let rows = hiss_scenario::run_with_metrics(&ctx, &pack, false);
+    println!("{}", figures::scaling(&rows));
     println!("Reading: every added accelerator steals more CPU time and");
     println!("sleep opportunity — the paper's motivation for treating SSR");
     println!("interference as a first-class QoS problem.\n");
 
     println!("The saturation effect: N copies of ubench\n");
-    let rows = extensions::multi_gpu_scaling(&ctx, &cfg, "x264", "ubench", 3);
-    println!("{}", extensions::render_scaling(&rows));
+    pack.workload.gpu = vec!["ubench".into()];
+    pack.sweeps[0].values = (1..=3).map(Value::Int).collect();
+    let rows = hiss_scenario::run_with_metrics(&ctx, &pack, false);
+    println!("{}", figures::scaling(&rows));
     println!("Reading: one ubench already saturates the SSR service chain,");
     println!("so additional copies mostly starve each other rather than");
     println!("adding CPU damage.\n");

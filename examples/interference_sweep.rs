@@ -10,12 +10,10 @@
 //! cargo run --release --example interference_sweep
 //! ```
 
-use hiss::experiments::section4c;
-use hiss::{RunCtx, SystemConfig};
-use hiss_scenario::figures::{self, FIG3_PACK};
+use hiss::RunCtx;
+use hiss_scenario::figures::{self, FIG3_PACK, SECTION4C_NO_SSR_PACK, SECTION4C_PACK};
 
 fn main() {
-    let cfg = SystemConfig::a10_7850k();
     let ctx = RunCtx::new(hiss::thread_count());
     let mut fig3 = figures::pack(FIG3_PACK);
     fig3.workload.cpu = [
@@ -54,6 +52,7 @@ fn main() {
     println!();
 
     println!("§IV-C — sources of SSR overhead\n");
-    let analysis = section4c::section4c(&ctx, &cfg);
-    println!("{}", section4c::render(&analysis));
+    let run_pack = |text| hiss_scenario::run_with_metrics(&ctx, &figures::pack(text), false);
+    let analysis = figures::section4c(&run_pack(SECTION4C_PACK), &run_pack(SECTION4C_NO_SSR_PACK));
+    println!("{}", figures::render_section4c(&analysis));
 }

@@ -11,7 +11,8 @@
 
 use hiss::experiments::extensions;
 use hiss::{RunCtx, SystemConfig};
-use hiss_scenario::figures::{self, FIG12_PACK};
+use hiss_scenario::figures::{self, FIG12_PACK, LIMIT_PACK};
+use hiss_scenario::Value;
 
 fn main() {
     let cfg = SystemConfig::a10_7850k();
@@ -38,11 +39,8 @@ fn main() {
     println!("  ubench throughput: {:.3} of unhindered", r.gpu_perf);
 
     println!("\nBackpressure leverage vs hardware outstanding-SSR limit:\n");
-    for row in extensions::outstanding_limit_sweep(&ctx, &cfg, &[8, 64, 256]) {
-        println!(
-            "  limit {:>4}: throttled ubench runs at {:.1}% of unhindered",
-            row.limit,
-            row.throttled_ratio * 100.0
-        );
-    }
+    let mut limits = figures::pack(LIMIT_PACK);
+    limits.sweeps[0].values = [8, 64, 256].map(Value::Int).to_vec();
+    let rows = hiss_scenario::run_with_metrics(&ctx, &limits, false);
+    print!("{}", figures::outstanding_limit(&rows));
 }

@@ -9,23 +9,23 @@
 //! cargo run --release --example sleep_study
 //! ```
 
-use hiss::experiments::{fig4, fig9};
 use hiss::{ExperimentBuilder, Mitigation, RunCtx, SystemConfig};
+use hiss_scenario::figures::{self, FIG4_PACK, FIG9_PACK};
 
 fn main() {
     let cfg = SystemConfig::a10_7850k();
     let ctx = RunCtx::new(hiss::thread_count());
+    let run_pack = |text| hiss_scenario::run_with_metrics(&ctx, &figures::pack(text), false);
 
     println!("Fig. 4 — CC6 residency with and without SSRs (no CPU work)\n");
-    let rows = fig4::fig4(&ctx, &cfg);
-    println!("{}", fig4::render(&rows));
+    let rows4 = run_pack(FIG4_PACK);
+    println!("{}", figures::render_fig4(&figures::fig4(&rows4)));
     println!("Reading: bfs clusters faults early and lets the CPUs sleep");
     println!("afterwards; the streaming applications keep at least one core");
     println!("awake; ubench nearly eliminates sleep (paper: 86% -> 12%).\n");
 
     println!("Fig. 9 — mitigation techniques vs sleep (ubench)\n");
-    let rows = fig9::fig9(&ctx, &cfg);
-    println!("{}", fig9::render(&rows));
+    println!("{}", figures::fig9(&rows4, &run_pack(FIG9_PACK)));
     println!("Reading: steering confines the wake-ups to the steered core,");
     println!("letting the others sleep; coalescing alone still wakes every");
     println!("core (paper §V-E).\n");

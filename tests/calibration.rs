@@ -6,13 +6,14 @@
 //! factor, and where the crossovers fall* reproduce (see EXPERIMENTS.md
 //! for the per-figure comparison and known deviations).
 //!
-//! Grid figures run their committed packs (`hiss_scenario::figures`)
-//! over the workload subset each claim needs.
+//! Figures run their committed packs (`hiss_scenario::figures`) over
+//! the workload subset each claim needs.
 
-use hiss::experiments::{fig4, section4c};
 use hiss::{ExperimentBuilder, Mitigation, RunCtx, SystemConfig};
 use hiss_obs::MetricsRegistry;
-use hiss_scenario::figures::{self, FIG12_PACK, FIG3_PACK};
+use hiss_scenario::figures::{
+    self, FIG12_PACK, FIG3_PACK, FIG4_PACK, SECTION4C_NO_SSR_PACK, SECTION4C_PACK,
+};
 use hiss_scenario::{run_with_metrics, Row};
 
 fn cfg() -> SystemConfig {
@@ -146,11 +147,11 @@ fn busy_cpus_delay_gpu_service() {
 /// bfs (clustered early) loses far less than the streaming apps.
 #[test]
 fn cc6_residency_collapse() {
-    let rows = fig4::fig4_with(
-        &RunCtx::new(hiss::thread_count()),
-        &cfg(),
+    let rows = figures::fig4(&run_subset(
+        FIG4_PACK,
+        &["idle"],
         &["bfs", "sssp", "ubench"],
-    );
+    ));
     let get = |n: &str| rows.iter().find(|r| r.gpu_app == n).unwrap();
     let ubench = get("ubench");
     assert!(
@@ -176,7 +177,9 @@ fn cc6_residency_collapse() {
 /// average).
 #[test]
 fn section4c_interrupt_analysis() {
-    let s = section4c::section4c(&RunCtx::new(hiss::thread_count()), &cfg());
+    let ctx = RunCtx::new(hiss::thread_count());
+    let run = |text| run_with_metrics(&ctx, &figures::pack(text), false);
+    let s = figures::section4c(&run(SECTION4C_PACK), &run(SECTION4C_NO_SSR_PACK));
     assert!(
         s.interrupt_imbalance < 1.2,
         "interrupts not evenly spread: {:?}",

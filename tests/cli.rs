@@ -1,10 +1,12 @@
-//! End-to-end tests for `hiss-cli`'s numeric flags: a value that does
-//! not parse, or is out of range, exits 1 with one message naming the
-//! flag and the value. It is never replaced by the flag's default, and
-//! it never reaches the simulator.
+//! End-to-end tests for `hiss-cli`'s flags and output: a numeric value
+//! that does not parse, or is out of range, exits 1 with one message
+//! naming the flag and the value. It is never replaced by the flag's
+//! default, and it never reaches the simulator. A flag that needs
+//! `--gpu` is rejected without it, and a closed stdout ends the process
+//! quietly.
 
 use std::path::Path;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 /// Runs `hiss-cli` with `args` and returns its exit code and stderr.
 fn cli(args: &[&str]) -> (Option<i32>, String) {
@@ -96,4 +98,43 @@ fn missing_timeline_window_is_named() {
     let (code, stderr) = cli(&["timeline", "--to-us", "100"]);
     assert_eq!(code, Some(1));
     assert_eq!(stderr, "timeline requires --from-us and --to-us\n");
+}
+
+/// `--gpus` and `--pinned` configure the GPU application, so without
+/// `--gpu` they would silently run no GPU at all.
+#[test]
+fn flags_that_need_a_gpu_are_rejected_by_name() {
+    let cases: &[(&[&str], &str)] = &[
+        (&["run", "--cpu", "x264", "--gpus", "2", "--json"], "--gpus"),
+        (&["run", "--cpu", "x264", "--pinned", "--json"], "--pinned"),
+    ];
+    for (args, flag) in cases {
+        let (code, stderr) = cli(args);
+        assert_eq!(code, Some(1), "hiss-cli {args:?}");
+        assert_eq!(
+            stderr,
+            format!("{flag} needs --gpu <app>\n"),
+            "hiss-cli {args:?}"
+        );
+    }
+}
+
+/// `hiss-cli list | head -1` and the like: once the reader is gone, the
+/// next write fails with a broken pipe, and the process ends quietly
+/// with status 0 instead of panicking.
+#[test]
+fn closed_stdout_ends_quietly() {
+    // A pipe whose only reader has exited, so every write to it fails.
+    let mut reader = Command::new("true").stdin(Stdio::piped()).spawn().unwrap();
+    let write_end = reader.stdin.take().unwrap();
+    reader.wait().unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_hiss-cli"))
+        .arg("list")
+        .stdout(Stdio::from(write_end))
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
 }

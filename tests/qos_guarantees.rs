@@ -72,7 +72,12 @@ fn backpressure_stalls_the_gpu() {
 /// techniques of Section V").
 #[test]
 fn qos_composes_with_mitigations() {
-    for m in Mitigation::all_combinations() {
+    for bits in 0u8..8 {
+        let m = Mitigation {
+            steer_single_core: bits & 1 != 0,
+            coalesce: bits & 2 != 0,
+            monolithic_bottom_half: bits & 4 != 0,
+        };
         let r = ExperimentBuilder::new(cfg())
             .cpu_app("vips")
             .gpu_app("ubench")
