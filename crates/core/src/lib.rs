@@ -55,7 +55,7 @@ pub use experiments::BaselineCache;
 pub use metrics::RunReport;
 pub use replicate::{replicate, MetricSummary, Replicated};
 pub use runner::{
-    run_jobs_profiled, thread_count, thread_count_from, PoolProfile, PoolTally, RunCtx,
+    run_jobs_profiled, thread_count, thread_count_from, PoolProfile, PoolTally, RunCtx, WorkerPool,
 };
 pub use sanitize::{force_sanitize, sanitize_enabled};
 pub use soc::{ExperimentBuilder, Soc};

@@ -38,13 +38,29 @@
 //!   occupancy. Wall time is inherently non-deterministic, which is why
 //!   the profile is a separate return value and never enters a
 //!   [`crate::RunReport`] snapshot.
+//!
+//! # The long-lived pool
+//!
+//! [`WorkerPool`] is the serving path's pool: `threads` persistent
+//! workers, started by the first submission, take jobs from one FIFO
+//! queue shared by every submission. [`WorkerPool::stream`] hands each
+//! result to the submitting thread in job order as soon as every earlier
+//! one is in, so a caller can act on result 0 while the rest still run.
+//! Each submission keeps at most `threads` jobs queued or running, so
+//! concurrent submissions interleave instead of queueing behind one
+//! another, and a bounded number of finished results wait to be emitted.
+//! A panicking job is caught on its worker, which survives, and is
+//! re-raised on the submitting thread. Batch runs keep the scoped
+//! [`RunCtx`] pool above.
 // Sanctioned exemption (see lint.toml): the job pool is the one
 // concurrency boundary, and Instant feeds only the pool.* profile.
 #![allow(clippy::disallowed_types, clippy::disallowed_methods)]
 
+use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Once;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, Once, OnceLock, PoisonError};
+use std::thread::JoinHandle;
 use std::time::Instant;
 
 use hiss_obs::MetricsRegistry;
@@ -76,9 +92,9 @@ impl PoolTally {
 }
 
 /// One unit of work's worker count, [`BaselineCache`] and [`PoolTally`].
-/// Front ends build one per command, the service one per submission, the
-/// bench one per suite and tests their own, so no run state is shared
-/// and every counter a context reports is absolute.
+/// Front ends build one per command, the bench one per suite and tests
+/// their own, so no run state is shared and every counter a context
+/// reports is absolute. The service runs on a [`WorkerPool`] instead.
 #[derive(Debug)]
 pub struct RunCtx {
     threads: usize,
@@ -131,6 +147,201 @@ impl RunCtx {
     /// [`Self::run_jobs`] for slice-shaped grids.
     pub fn par_map<I: Sync, T: Send>(&self, items: &[I], f: impl Fn(&I) -> T + Sync) -> Vec<T> {
         self.run_jobs(items.len(), |i| f(&items[i]))
+    }
+}
+
+/// A queued unit of work: one job of one [`WorkerPool::stream`] call.
+type Task = Box<dyn FnOnce() + Send>;
+
+/// The FIFO every worker of a [`WorkerPool`] takes from.
+#[derive(Default)]
+struct Queue {
+    state: Mutex<QueueState>,
+    ready: Condvar,
+}
+
+#[derive(Default)]
+struct QueueState {
+    tasks: VecDeque<Task>,
+    closing: bool,
+}
+
+impl Queue {
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        // Tasks catch their own panics, so a poisoned lock still holds
+        // a consistent queue.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn push(&self, task: Task) {
+        self.lock().tasks.push_back(task);
+        self.ready.notify_one();
+    }
+
+    /// A worker's life: run tasks in queue order until the pool closes
+    /// and the queue is empty.
+    fn work(&self) {
+        loop {
+            let task = {
+                let mut state = self.lock();
+                loop {
+                    if let Some(task) = state.tasks.pop_front() {
+                        break task;
+                    }
+                    if state.closing {
+                        return;
+                    }
+                    state = self
+                        .ready
+                        .wait(state)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
+            };
+            task();
+        }
+    }
+}
+
+/// Sets a submission's cancel flag when its submitter leaves
+/// [`WorkerPool::stream`], normally or by unwinding, so jobs of it still
+/// queued are skipped rather than run for nobody.
+struct Cancel(Arc<AtomicBool>);
+
+impl Drop for Cancel {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
+}
+
+/// A long-lived pool of `threads` workers shared by every submission of
+/// a service: see the module docs. Workers start on the first
+/// [`Self::stream`] call, not in [`Self::new`], and dropping the pool
+/// joins them.
+pub struct WorkerPool {
+    threads: usize,
+    queue: Arc<Queue>,
+    workers: OnceLock<Vec<JoinHandle<()>>>,
+    tally: PoolTally,
+}
+
+impl std::fmt::Debug for WorkerPool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WorkerPool")
+            .field("threads", &self.threads)
+            .field("started", &self.workers.get().is_some())
+            .field("tally", &self.tally)
+            .finish()
+    }
+}
+
+impl WorkerPool {
+    /// A pool of `threads` workers (clamped to at least 1). Spawns
+    /// nothing until the first submission.
+    pub fn new(threads: usize) -> WorkerPool {
+        WorkerPool {
+            threads: threads.max(1),
+            queue: Arc::default(),
+            workers: OnceLock::new(),
+            tally: PoolTally::default(),
+        }
+    }
+
+    /// The pool work of every submission so far: one invocation and `n`
+    /// jobs per [`Self::stream`] call.
+    pub fn tally(&self) -> &PoolTally {
+        &self.tally
+    }
+
+    /// Runs jobs `0..n` on the pool's workers and calls `emit` on the
+    /// calling thread with each result in job order, as soon as it and
+    /// every earlier result are in.
+    ///
+    /// At most `threads` of these jobs are queued or running at once,
+    /// and at most `backlog.max(threads)` are started but not yet
+    /// emitted, which bounds the finished results waiting on a slow
+    /// `emit`. A panicking job panics the caller with its payload once
+    /// it is the next result due; jobs not yet started are skipped.
+    pub fn stream<T, F>(&self, n: usize, backlog: usize, job: F, mut emit: impl FnMut(T))
+    where
+        T: Send + 'static,
+        F: Fn(usize) -> T + Send + Sync + 'static,
+    {
+        self.tally.add((1, n as u64));
+        if n == 0 {
+            return;
+        }
+        self.start();
+        let job = Arc::new(job);
+        let cancel = Cancel(Arc::default());
+        let (tx, rx) = mpsc::channel();
+        let window = backlog.max(self.threads);
+        // Results not yet emitted, indexed from `emitted`.
+        let mut ready: VecDeque<Option<std::thread::Result<T>>> = VecDeque::new();
+        let (mut queued, mut emitted, mut in_flight) = (0, 0, 0);
+        while emitted < n {
+            while queued < n && in_flight < self.threads && queued - emitted < window {
+                let (job, tx, cancelled) = (Arc::clone(&job), tx.clone(), Arc::clone(&cancel.0));
+                let i = queued;
+                self.queue.push(Box::new(move || {
+                    if !cancelled.load(Ordering::Relaxed) {
+                        let result = panic::catch_unwind(AssertUnwindSafe(|| job(i)));
+                        // The receiver is gone only if the submitter
+                        // already unwound; nobody wants the result then.
+                        let _ = tx.send((i, result));
+                    }
+                }));
+                queued += 1;
+                in_flight += 1;
+            }
+            // Completions go first, so their workers get the next jobs
+            // before a slow `emit`; block only when no result is due.
+            let due = ready.front().is_some_and(Option::is_some);
+            let done = if due {
+                rx.try_recv().ok()
+            } else {
+                Some(rx.recv().expect("the submitter holds a sender"))
+            };
+            if let Some((i, result)) = done {
+                in_flight -= 1;
+                let slot = i - emitted;
+                if ready.len() <= slot {
+                    ready.resize_with(slot + 1, || None);
+                }
+                ready[slot] = Some(result);
+                continue;
+            }
+            emitted += 1;
+            match ready.pop_front().flatten().expect("a result is due") {
+                Ok(v) => emit(v),
+                Err(payload) => panic::resume_unwind(payload),
+            }
+        }
+    }
+
+    /// Spawns the workers, once.
+    fn start(&self) {
+        self.workers.get_or_init(|| {
+            (0..self.threads)
+                .map(|w| {
+                    let queue = Arc::clone(&self.queue);
+                    std::thread::Builder::new()
+                        .name(format!("hiss-worker-{w}"))
+                        .spawn(move || queue.work())
+                        .expect("spawning a pool worker")
+                })
+                .collect()
+        });
+    }
+}
+
+impl Drop for WorkerPool {
+    fn drop(&mut self) {
+        self.queue.lock().closing = true;
+        self.queue.ready.notify_all();
+        for worker in self.workers.take().unwrap_or_default() {
+            // Jobs catch their panics, so a worker only ever returns.
+            let _ = worker.join();
+        }
     }
 }
 
@@ -404,6 +615,111 @@ mod tests {
         sum.add(ctx.pool().totals());
         sum.add(ctx.pool().totals());
         assert_eq!(sum.totals(), (4, 40));
+    }
+
+    /// Streams jobs `0..n` of `pool` into a vector, in emission order.
+    fn collect<T: Send + 'static>(
+        pool: &WorkerPool,
+        n: usize,
+        job: impl Fn(usize) -> T + Send + Sync + 'static,
+    ) -> Vec<T> {
+        let mut out = Vec::new();
+        pool.stream(n, 8, job, |v| out.push(v));
+        out
+    }
+
+    #[test]
+    fn pool_emits_results_in_job_order() {
+        for threads in [1, 2, 8] {
+            let pool = WorkerPool::new(threads);
+            assert!(pool.workers.get().is_none(), "workers start lazily");
+            // Later jobs finish first, so completion order is scrambled.
+            let out = collect(&pool, 40, |i| {
+                std::thread::sleep(Duration::from_micros(((40 - i) % 7) as u64 * 300));
+                i * i
+            });
+            let want: Vec<usize> = (0..40).map(|i| i * i).collect();
+            assert_eq!(out, want, "threads={threads}");
+            assert_eq!(pool.workers.get().map(Vec::len), Some(threads));
+            assert_eq!(pool.tally().totals(), (1, 40));
+        }
+    }
+
+    /// The first result reaches the caller while jobs are still running:
+    /// the last job waits, boundedly, for `emit(0)` to have happened.
+    #[test]
+    fn pool_emits_result_zero_before_the_last_job_starts() {
+        const N: usize = 6;
+        let pool = WorkerPool::new(2);
+        let emitted_zero = Arc::new(AtomicBool::new(false));
+        let seen = Arc::clone(&emitted_zero);
+        let mut out = Vec::new();
+        let job = move |i: usize| {
+            if i < N - 1 {
+                return true;
+            }
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !seen.load(Ordering::SeqCst) {
+                if Instant::now() > deadline {
+                    return false;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            true
+        };
+        pool.stream(N, 8, job, |ok| {
+            emitted_zero.store(true, Ordering::SeqCst);
+            out.push(ok);
+        });
+        assert_eq!(out, vec![true; N], "job {} never saw emit(0)", N - 1);
+    }
+
+    #[test]
+    fn pool_panics_the_submitter_and_survives() {
+        let pool = WorkerPool::new(2);
+        let result = panic::catch_unwind(AssertUnwindSafe(|| {
+            collect(&pool, 16, |i| {
+                if i == 3 {
+                    panic!("job 3 exploded");
+                }
+                i
+            })
+        }));
+        let payload = result.expect_err("the submitter panics");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"job 3 exploded"));
+        // Both workers still serve the next submission.
+        assert_eq!(collect(&pool, 16, |i| i + 1), (1..=16).collect::<Vec<_>>());
+    }
+
+    /// Concurrent submitters share the workers: each gets its own
+    /// results in order, and no more jobs run at once than there are
+    /// workers.
+    #[test]
+    fn concurrent_submitters_share_the_workers() {
+        let pool = WorkerPool::new(2);
+        let running = Arc::new(AtomicUsize::new(0));
+        let peak = Arc::new(AtomicUsize::new(0));
+        std::thread::scope(|scope| {
+            for s in 0..4 {
+                let (pool, running, peak) = (&pool, Arc::clone(&running), Arc::clone(&peak));
+                scope.spawn(move || {
+                    let out = collect(pool, 12, move |i| {
+                        let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                        peak.fetch_max(now, Ordering::SeqCst);
+                        std::thread::sleep(Duration::from_micros(500));
+                        running.fetch_sub(1, Ordering::SeqCst);
+                        (s, i)
+                    });
+                    let want: Vec<_> = (0..12).map(|i| (s, i)).collect();
+                    assert_eq!(out, want, "submitter {s}");
+                });
+            }
+        });
+        assert!(
+            peak.load(Ordering::SeqCst) <= 2,
+            "{peak:?} jobs ran at once"
+        );
+        assert_eq!(pool.tally().totals(), (4, 48));
     }
 
     #[test]

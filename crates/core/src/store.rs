@@ -173,11 +173,18 @@ impl DiskStore {
 
     /// Publishes `metrics` under `key` (atomic write-then-rename).
     pub fn save(&self, key: &StoreKey, metrics: &MetricsRegistry) -> std::io::Result<()> {
+        self.save_entry(key, &encode_entry(metrics))
+    }
+
+    /// Publishes entry bytes already made by [`encode_entry`] under
+    /// `key`, as [`Self::save`] does: the encoding can run on one thread
+    /// and the fsync'd write on another.
+    pub fn save_entry(&self, key: &StoreKey, entry: &[u8]) -> std::io::Result<()> {
         let path = self.entry_path(key);
         if let Some(dir) = path.parent() {
             fs::create_dir_all(dir)?;
         }
-        self.atomic_write(&path, &encode_entry(metrics))?;
+        self.atomic_write(&path, entry)?;
         self.writes.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }

@@ -275,10 +275,20 @@ fn build(cfg: SystemConfig, args: &Args) -> Result<ExperimentBuilder, String> {
     let n_gpus = args
         .parsed("--gpus", "an integer in 1..=64", |n| (1..=64).contains(n))?
         .unwrap_or(1);
+    let qos = args.parsed("--qos", "a percentage in (0, 100]", |&p| {
+        p > 0.0 && p <= 100.0
+    })?;
     if args.value("--gpu").is_none() {
-        if let Some(flag) = ["--gpus", "--pinned"]
-            .into_iter()
-            .find(|f| args.flag(f) || args.value(f).is_some())
+        if let Some(flag) = [
+            "--gpus",
+            "--pinned",
+            "--qos",
+            "--steer",
+            "--coalesce",
+            "--mono",
+        ]
+        .into_iter()
+        .find(|f| args.flag(f) || args.value(f).is_some())
         {
             return Err(format!("{flag} needs --gpu <app>"));
         }
@@ -300,9 +310,7 @@ fn build(cfg: SystemConfig, args: &Args) -> Result<ExperimentBuilder, String> {
         coalesce: args.flag("--coalesce"),
         monolithic_bottom_half: args.flag("--mono"),
     });
-    if let Some(p) = args.parsed("--qos", "a percentage in (0, 100]", |&p| {
-        p > 0.0 && p <= 100.0
-    })? {
+    if let Some(p) = qos {
         b = b.qos(QosParams::threshold_percent(p));
     }
     if let Some(seed) = args.parsed("--seed", "a non-negative integer", |_| true)? {

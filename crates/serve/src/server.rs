@@ -4,8 +4,9 @@
 //! Concurrency here is *transport-only*: connection handlers run on OS
 //! threads (scoped, so the accept loop owns their lifetime), but every
 //! simulation they trigger goes through [`Service::submit`], whose
-//! results are deterministic regardless of scheduling. The determinism
-//! lint allowlists exactly this file for `std::thread` (see
+//! results are deterministic regardless of scheduling and which runs
+//! every connection's cells on the service's one worker pool. The
+//! determinism lint allowlists exactly this file for `std::thread` (see
 //! `lint.toml`); nothing here touches simulated state.
 //!
 //! # Shutdown

@@ -5,6 +5,20 @@
 //! pool execution, snapshot labelling — is exercisable deterministically
 //! from unit tests and the bench suite without binding a port.
 //!
+//! # Execution
+//!
+//! Every submission runs on the service's one [`WorkerPool`] of
+//! `threads` workers, whatever the number of connections; the workers
+//! start with the first submission. A worker does a cell's CPU work: it
+//! loads and audits the cell's entry, or simulates, audits and encodes a
+//! new entry. The submitting (connection) thread gets the cells back in
+//! grid order, each as soon as every earlier one is done: it emits the
+//! cell's snapshot first, then publishes the cell's entry (the fsync'd
+//! write), so no worker waits on the disk and no line waits on a later
+//! cell. [`Service::submit`] returns after every entry of the submission
+//! is published, so a resubmission after its `done` hits the store for
+//! every cell.
+//!
 //! # Store identity
 //!
 //! A cell's store key ([`cell_store_key`]) hashes the `Debug` rendering
@@ -25,16 +39,14 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use hiss::{DiskStore, PoolTally, RunCtx, StoreKey};
+use hiss::{DiskStore, PoolTally, StoreKey, WorkerPool};
 use hiss_lint::{Diagnostic, Severity};
 use hiss_obs::MetricsRegistry;
 use hiss_scenario::{expand, simulate, Cell, Scenario};
 
-/// Cells per pool invocation when streaming a submission: small enough
-/// that results reach the client incrementally, large enough to keep
-/// the workers busy. A constant (not the thread count) so the pool
-/// invocation count — a gated bench counter — is identical under any
-/// worker count.
+/// Most finished cells of one submission that wait to be streamed while
+/// its connection is slow to take them (more only when the pool has more
+/// workers), so a slow reader cannot grow the buffer.
 pub const STREAM_CHUNK: usize = 8;
 
 /// What one completed submission did.
@@ -73,8 +85,7 @@ pub fn cell_store_key(cell: &Cell) -> StoreKey {
 #[derive(Debug)]
 pub struct Service {
     store: Option<Arc<DiskStore>>,
-    threads: usize,
-    pool: PoolTally,
+    pool: WorkerPool,
     requests: AtomicU64,
     rejected: AtomicU64,
     queue_peak: AtomicU64,
@@ -85,12 +96,12 @@ pub struct Service {
 
 impl Service {
     /// A service backed by `store` (or purely in-memory when `None`)
-    /// that runs each submission's cells on `threads` workers.
+    /// that runs every submission's cells on one pool of `threads`
+    /// workers, started by the first submission.
     pub fn new(store: Option<Arc<DiskStore>>, threads: usize) -> Service {
         Service {
             store,
-            threads,
-            pool: PoolTally::default(),
+            pool: WorkerPool::new(threads),
             requests: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             queue_peak: AtomicU64::new(0),
@@ -105,14 +116,16 @@ impl Service {
         self.store.as_ref()
     }
 
-    /// Pool work of every submission so far.
+    /// Pool work of every submission so far: one invocation per
+    /// submission, one job per cell.
     pub fn pool(&self) -> &PoolTally {
-        &self.pool
+        self.pool.tally()
     }
 
     /// Validates and executes one submission, calling `emit` with each
-    /// cell snapshot in deterministic grid order (chunked, so snapshots
-    /// stream out as chunks of cells complete).
+    /// cell snapshot in deterministic grid order, as soon as the cell and
+    /// every earlier one are done. Returns once every new entry is
+    /// published.
     ///
     /// Returns the lint diagnostics when the scenario is rejected: any
     /// `Error`-severity finding rejects; warnings alone do not block
@@ -141,7 +154,7 @@ impl Service {
                 e.msg.clone(),
             )]
         })?;
-        let cells = expand(&sc, quick);
+        let cells: Arc<[Cell]> = expand(&sc, quick).into();
         self.queue_peak
             .fetch_max(cells.len() as u64, Ordering::Relaxed);
         let mut summary = Summary {
@@ -149,57 +162,27 @@ impl Service {
             simulated: 0,
             from_store: 0,
         };
-        let ctx = RunCtx::new(self.threads);
-        for chunk in cells.chunks(STREAM_CHUNK) {
-            let results = ctx.run_jobs(chunk.len(), |i| self.run_cell(&chunk[i]));
-            for (snapshot, from_store) in results {
-                if from_store {
-                    summary.from_store += 1;
-                } else {
-                    summary.simulated += 1;
+        let (store, job_cells) = (self.store.clone(), Arc::clone(&cells));
+        let job = move |i: usize| serve_cell(store.as_deref(), &job_cells[i]);
+        self.pool
+            .stream(cells.len(), STREAM_CHUNK, job, |served: Served| {
+                self.cells_audited
+                    .fetch_add(served.audits, Ordering::Relaxed);
+                emit(served.snapshot);
+                if let (Some(store), Some((key, entry))) = (&self.store, served.entry) {
+                    // Best-effort publish: a failed write degrades to
+                    // recompute-next-time, never to a wrong result.
+                    let _ = store.save_entry(&key, &entry);
                 }
-                emit(snapshot);
-            }
-        }
-        self.pool.add(ctx.pool().totals());
+                let (count, total) = if served.simulated {
+                    (&mut summary.simulated, &self.cells_simulated)
+                } else {
+                    (&mut summary.from_store, &self.cells_from_store)
+                };
+                *count += 1;
+                total.fetch_add(1, Ordering::Relaxed);
+            });
         Ok(summary)
-    }
-
-    /// Audits one bare run registry against the run-scope conservation
-    /// laws ([`hiss_obs::invariants`]) — the serving-path sanitizer,
-    /// always on regardless of build profile or `HISS_SANITIZE`.
-    fn audit(&self, reg: &MetricsRegistry) -> hiss_obs::invariants::AuditReport {
-        self.cells_audited.fetch_add(1, Ordering::Relaxed);
-        hiss_obs::invariants::audit(reg, hiss_obs::schema::Scope::Run)
-    }
-
-    /// Serves one cell: disk-store hit if possible, otherwise one
-    /// simulation, published back to the store. The `bool` is `true`
-    /// when the cell came from the store.
-    ///
-    /// Every registry passes the conservation-law audit before it is
-    /// served or stored: a stored entry that parses but violates a law
-    /// (a buggy writer, a hand-edit surviving the checksum) is treated
-    /// like a corrupt one — recomputed and healed in place — while a
-    /// *fresh* result violating a law is a simulator bug and panics
-    /// with the named diff rather than poisoning the store.
-    fn run_cell(&self, cell: &Cell) -> (MetricsRegistry, bool) {
-        let key = cell_store_key(cell);
-        if let Some(metrics) = self.store.as_ref().and_then(|store| store.load(&key)) {
-            if self.audit(&metrics).clean() {
-                self.cells_from_store.fetch_add(1, Ordering::Relaxed);
-                return (cell.labelled(metrics), true);
-            }
-        }
-        let metrics = simulate(cell).metrics;
-        require_clean(&self.audit(&metrics), cell);
-        if let Some(store) = &self.store {
-            // Best-effort publish: a failed write degrades to
-            // recompute-next-time, never to a wrong result.
-            let _ = store.save(&key, &metrics);
-        }
-        self.cells_simulated.fetch_add(1, Ordering::Relaxed);
-        (cell.labelled(metrics), false)
     }
 
     /// Publishes the service's lifetime counters (and the store's, when
@@ -222,6 +205,62 @@ impl Service {
             reg.counter(format!("{prefix}.store_invalid"), store.invalid_count());
             reg.counter(format!("{prefix}.store_writes"), store.write_count());
         }
+    }
+}
+
+/// One cell as a worker leaves it for the submitting thread.
+struct Served {
+    /// The labelled snapshot to stream.
+    snapshot: MetricsRegistry,
+    /// Conservation-law audits run on the cell (1 or 2).
+    audits: u64,
+    /// `false` for a store hit.
+    simulated: bool,
+    /// A simulated cell's key and encoded entry, when there is a store
+    /// to publish it to.
+    entry: Option<(StoreKey, Vec<u8>)>,
+}
+
+/// Audits one bare run registry against the run-scope conservation
+/// laws ([`hiss_obs::invariants`]) — the serving-path sanitizer, always
+/// on regardless of build profile or `HISS_SANITIZE`.
+fn audit(reg: &MetricsRegistry) -> hiss_obs::invariants::AuditReport {
+    hiss_obs::invariants::audit(reg, hiss_obs::schema::Scope::Run)
+}
+
+/// A worker's share of one cell: a store hit if the entry loads and
+/// audits clean, otherwise one simulation, audited and encoded as the
+/// entry to publish.
+///
+/// Every registry passes the conservation-law audit before it is served
+/// or stored: a stored entry that parses but violates a law (a buggy
+/// writer, a hand-edit surviving the checksum) is treated like a corrupt
+/// one — recomputed and healed in place — while a *fresh* result
+/// violating a law is a simulator bug and panics with the named diff
+/// rather than poisoning the store.
+fn serve_cell(store: Option<&DiskStore>, cell: &Cell) -> Served {
+    let key = cell_store_key(cell);
+    let mut audits = 0;
+    if let Some(metrics) = store.and_then(|store| store.load(&key)) {
+        audits += 1;
+        if audit(&metrics).clean() {
+            return Served {
+                snapshot: cell.labelled(metrics),
+                audits,
+                simulated: false,
+                entry: None,
+            };
+        }
+    }
+    let metrics = simulate(cell).metrics;
+    audits += 1;
+    require_clean(&audit(&metrics), cell);
+    let entry = store.map(|_| (key, hiss::store::encode_entry(&metrics)));
+    Served {
+        snapshot: cell.labelled(metrics),
+        audits,
+        simulated: true,
+        entry,
     }
 }
 
@@ -318,7 +357,7 @@ gpu = ["ubench"]
         assert_eq!(reg.counter_value("bench.serve.cells_from_store"), Some(1));
         assert_eq!(reg.counter_value("bench.serve.store_writes"), Some(1));
         assert_eq!(reg.counter_value("bench.serve.queue_peak"), Some(1));
-        // One single-cell chunk per submission.
+        // One pool invocation per submission, one job per cell.
         assert_eq!(service.pool().totals(), (2, 2));
 
         std::fs::remove_dir_all(store.root()).unwrap();
@@ -350,10 +389,11 @@ qos_percent = [0, 5]
         let topology = format!("{TINY}[topology]\ndevices = [\"gpu\", \"nic\"]\n");
         for text in [TINY, knobs, &topology] {
             let sc = Scenario::from_str(text).unwrap();
-            let direct: Vec<String> = hiss_scenario::run_with_metrics(&RunCtx::new(2), &sc, false)
-                .into_iter()
-                .map(|(_, m)| m.to_json())
-                .collect();
+            let direct: Vec<String> =
+                hiss_scenario::run_with_metrics(&hiss::RunCtx::new(2), &sc, false)
+                    .into_iter()
+                    .map(|(_, m)| m.to_json())
+                    .collect();
             for pass in ["fresh", "stored"] {
                 let mut served = Vec::new();
                 service

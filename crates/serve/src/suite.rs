@@ -155,10 +155,9 @@ mod tests {
         assert_eq!(c("bench.serve.store_hits"), cells);
         assert_eq!(c("bench.serve.store_misses"), cells);
         assert_eq!(c("bench.serve.store_invalid"), 0);
-        // Two submissions, one pool call per stream chunk; the suite's
-        // own context does no lookups.
-        let chunks = cells.div_ceil(crate::service::STREAM_CHUNK as u64);
-        assert_eq!(c("bench.pool.invocations"), 2 * chunks);
+        // Two submissions, one pool call each; the suite's own context
+        // does no lookups.
+        assert_eq!(c("bench.pool.invocations"), 2);
         assert_eq!(c("bench.pool.jobs"), 2 * cells);
         assert_eq!(c("bench.cache.misses"), 0);
         assert_eq!(c("bench.cache.entries"), 0);

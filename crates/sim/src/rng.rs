@@ -109,16 +109,6 @@ impl Rng {
         lo + (((x as u128 * span as u128) >> 64) as u64)
     }
 
-    /// Uniform index in `[0, n)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    #[inline]
-    pub fn gen_index(&mut self, n: usize) -> usize {
-        self.gen_range(0, n as u64) as usize
-    }
-
     /// Bernoulli trial: `true` with probability `p` (clamped to `[0, 1]`).
     #[inline]
     pub fn gen_bool(&mut self, p: f64) -> bool {

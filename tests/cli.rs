@@ -107,6 +107,13 @@ fn flags_that_need_a_gpu_are_rejected_by_name() {
     let cases: &[(&[&str], &str)] = &[
         (&["run", "--cpu", "x264", "--gpus", "2", "--json"], "--gpus"),
         (&["run", "--cpu", "x264", "--pinned", "--json"], "--pinned"),
+        (&["run", "--cpu", "x264", "--qos", "1", "--json"], "--qos"),
+        (&["run", "--cpu", "x264", "--steer", "--json"], "--steer"),
+        (
+            &["run", "--cpu", "x264", "--coalesce", "--json"],
+            "--coalesce",
+        ),
+        (&["run", "--cpu", "x264", "--mono", "--json"], "--mono"),
     ];
     for (args, flag) in cases {
         let (code, stderr) = cli(args);

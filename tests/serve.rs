@@ -417,6 +417,54 @@ fn topology_cells_never_hit_a_plain_cells_store_entry() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A slow reader changes nothing but timing: the stream equals the batch
+/// compiler's byte for byte, every simulated cell's entry is published
+/// by the time `submit` returns, and the next submission is all store
+/// hits.
+#[test]
+fn slow_readers_get_batch_streams_and_every_entry_before_done() {
+    let dir = tmp("slow_reader");
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = Arc::new(DiskStore::open(&dir).unwrap());
+    let service = Service::new(Some(Arc::clone(&store)), 2);
+    let text = format!(
+        "{TINY}[sweep]\nmitigation = [\"default\", \"steer\", \"coalesce\"]\ngpus = [1, 2, 3]\n"
+    );
+    let sc = hiss_scenario::Scenario::from_str(&text).unwrap();
+    let direct: Vec<String> = hiss_scenario::run_with_metrics(&hiss::RunCtx::new(2), &sc, false)
+        .into_iter()
+        .map(|(_, m)| m.to_json())
+        .collect();
+    assert!(
+        direct.len() > hiss_serve::service::STREAM_CHUNK,
+        "the grid outgrows the backlog"
+    );
+
+    let mut served = Vec::new();
+    let summary = service
+        .submit("slow", &text, false, |m| {
+            std::thread::sleep(std::time::Duration::from_millis(5));
+            served.push(m.to_json());
+        })
+        .unwrap();
+    assert_eq!(served, direct);
+    assert_eq!(summary.simulated, direct.len() as u64);
+    assert_eq!(store.write_count(), summary.simulated);
+    assert_eq!(store.len(), direct.len());
+
+    let mut again = Vec::new();
+    let summary = service
+        .submit("slow", &text, false, |m| again.push(m.to_json()))
+        .unwrap();
+    assert_eq!(
+        (summary.simulated, summary.from_store),
+        (0, direct.len() as u64)
+    );
+    assert_eq!(again, direct);
+
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Every committed corruption fixture must be detected (not crash, not
 /// serve garbage), counted under `bench.serve.store_invalid`, fall back
 /// to a fresh simulation, and leave a healed entry behind.
