@@ -2,8 +2,8 @@
 //! that does not parse, or is out of range, exits 1 with one message
 //! naming the flag and the value. It is never replaced by the flag's
 //! default, and it never reaches the simulator. A flag that needs
-//! `--gpu` is rejected without it, and a closed stdout ends the process
-//! quietly.
+//! `--gpu` is rejected without it, a usage error exits 1 with its one
+//! message, and a closed stdout ends the process quietly.
 
 use std::path::Path;
 use std::process::{Command, Stdio};
@@ -123,6 +123,70 @@ fn flags_that_need_a_gpu_are_rejected_by_name() {
             format!("{flag} needs --gpu <app>\n"),
             "hiss-cli {args:?}"
         );
+    }
+}
+
+/// Usage and input errors of the subcommands: exit 1 with exactly this
+/// stderr.
+#[test]
+fn usage_errors_exit_1_with_their_message() {
+    let no_file = "No such file or directory (os error 2)";
+    let cases: &[(&[&str], String)] = &[
+        (
+            &["report"],
+            "report requires exactly one snapshot file".into(),
+        ),
+        (
+            &["report", "target/no-such-snapshot.json"],
+            format!("cannot read target/no-such-snapshot.json: {no_file}"),
+        ),
+        (
+            &["scenario"],
+            "scenario requires a verb: validate, run, or list".into(),
+        ),
+        (
+            &["scenario", "frob"],
+            r#"unknown scenario verb "frob": expected validate, run, or list"#.into(),
+        ),
+        (
+            &["scenario", "run", "a.hiss", "b.hiss"],
+            "scenario run requires exactly one file".into(),
+        ),
+        (
+            &["bench"],
+            "bench requires a verb: run, check, or update".into(),
+        ),
+        (
+            &[
+                "bench",
+                "check",
+                "--baseline",
+                "target/no-such-baseline.json",
+            ],
+            format!(
+                "cannot read target/no-such-baseline.json: {no_file}\n\
+                 (generate one with `hiss-cli bench update --reason ...`)"
+            ),
+        ),
+        (
+            &["lint"],
+            "lint requires scenario files and/or --sources / --docs / --bench / \
+             --invariants / --all"
+                .into(),
+        ),
+        (
+            &["submit"],
+            "submit requires exactly one file (or just --shutdown)".into(),
+        ),
+        (
+            &["run", "--jsn"],
+            "unknown flag --jsn (did you mean --json?)".into(),
+        ),
+    ];
+    for (args, message) in cases {
+        let (code, stderr) = cli(args);
+        assert_eq!(code, Some(1), "hiss-cli {args:?}: stderr {stderr:?}");
+        assert_eq!(stderr, format!("{message}\n"), "hiss-cli {args:?}");
     }
 }
 
