@@ -91,6 +91,15 @@ fn show(v: &MetricValue) -> String {
     }
 }
 
+/// Whether a fresh allocation count is inside the ±[`ALLOC_BAND`] band
+/// around the baseline's; only zero is near a zero baseline.
+fn within_band(base: u64, fresh: u64) -> bool {
+    if base == 0 {
+        return fresh == 0;
+    }
+    (fresh as f64 - base as f64).abs() / base as f64 <= ALLOC_BAND
+}
+
 /// Compares one metric present in both snapshots.
 fn compare_value(
     suite: &str,
@@ -102,24 +111,18 @@ fn compare_value(
 ) {
     let msg = if name.starts_with("bench.alloc.") {
         match (base, fresh) {
-            (MetricValue::Counter(0), MetricValue::Counter(0)) => return,
+            (MetricValue::Counter(b), MetricValue::Counter(f)) if within_band(*b, *f) => return,
             // No relative drift exists against nothing.
             (MetricValue::Counter(0), MetricValue::Counter(f)) => format!(
                 "allocation grew from a zero baseline (baseline 0, fresh {f}); \
                  the ±{:.0}% band cannot absorb it",
                 ALLOC_BAND * 100.0
             ),
-            (MetricValue::Counter(b), MetricValue::Counter(f)) => {
-                let (bf, ff) = (*b as f64, *f as f64);
-                if (ff - bf).abs() / bf <= ALLOC_BAND {
-                    return;
-                }
-                format!(
-                    "allocation drifted {:+.1}% (baseline {b}, fresh {f}, band ±{:.0}%)",
-                    (ff / bf - 1.0) * 100.0,
-                    ALLOC_BAND * 100.0
-                )
-            }
+            (MetricValue::Counter(b), MetricValue::Counter(f)) => format!(
+                "allocation drifted {:+.1}% (baseline {b}, fresh {f}, band ±{:.0}%)",
+                (*f as f64 / *b as f64 - 1.0) * 100.0,
+                ALLOC_BAND * 100.0
+            ),
             _ => format!(
                 "alloc entry must be a counter (baseline {}, fresh {})",
                 show(base),
@@ -198,6 +201,29 @@ pub fn compare(baseline: &BaselineFile, fresh: &[SuiteSnapshot]) -> Comparison {
     }
 
     Comparison { findings }
+}
+
+/// The suites `bench update` records: `fresh`, except that a
+/// `bench.alloc.*` counter inside the band keeps the baseline's value,
+/// so an update made for an exact counter does not also re-record the
+/// local toolchain's allocation counts. An allocation count outside the
+/// band, and every other entry, takes the fresh value.
+pub fn merge_banded(baseline: &BaselineFile, mut fresh: Vec<SuiteSnapshot>) -> Vec<SuiteSnapshot> {
+    for snap in &mut fresh {
+        let Some(base) = baseline.suite(&snap.suite) else {
+            continue;
+        };
+        for (name, value) in base.metrics.iter() {
+            if let (MetricValue::Counter(b), Some(&MetricValue::Counter(f))) =
+                (value, snap.metrics.get(name))
+            {
+                if name.starts_with("bench.alloc.") && within_band(*b, f) {
+                    snap.metrics.counter(name, *b);
+                }
+            }
+        }
+    }
+    fresh
 }
 
 #[cfg(test)]
@@ -329,6 +355,36 @@ mod tests {
             "{msg}"
         );
         assert!(!msg.contains("inf"), "{msg}");
+    }
+
+    /// `bench update` keeps a committed allocation count the fresh run
+    /// is within the band of, writes one it is outside of, and always
+    /// writes exact counters fresh.
+    #[test]
+    fn merge_keeps_in_band_alloc_counts_and_takes_the_rest_fresh() {
+        let b = snap("engine", |m| {
+            m.counter("bench.alloc.allocs", 1549);
+            m.counter("bench.alloc.bytes", 661_249);
+            m.counter("bench.cells", 3);
+        });
+        let f = snap("engine", |m| {
+            m.counter("bench.alloc.allocs", 1564);
+            m.counter("bench.alloc.bytes", 900_000);
+            m.counter("bench.cells", 4);
+        });
+        let merged = merge_banded(&base_file(&[b]), vec![f]);
+        let m = &merged[0].metrics;
+        assert_eq!(m.counter_value("bench.alloc.allocs"), Some(1549));
+        assert_eq!(m.counter_value("bench.alloc.bytes"), Some(900_000));
+        assert_eq!(m.counter_value("bench.cells"), Some(4));
+
+        // A suite the baseline lacks is recorded as run.
+        let new = snap("serve", |m| m.counter("bench.alloc.allocs", 7));
+        let merged = merge_banded(&base_file(&[]), vec![new]);
+        assert_eq!(
+            merged[0].metrics.counter_value("bench.alloc.allocs"),
+            Some(7)
+        );
     }
 
     #[test]

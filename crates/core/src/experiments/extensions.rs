@@ -59,7 +59,7 @@ pub fn module_pairing(ctx: &RunCtx, cfg: &SystemConfig, gpu_app: &str) -> Module
             .run();
         noisy.cpu_perf_vs(&base).expect("runs finish")
     };
-    let perfs = ctx.par_map(&[1usize, 2], |&core| run(core));
+    let perfs = ctx.run_jobs(2, |i| run([1, 2][i]));
     ModulePairing {
         sibling_perf: perfs[0],
         remote_perf: perfs[1],

@@ -33,9 +33,9 @@
 //!   caller thread (preserving `should_panic` test behaviour and the
 //!   experiment modules' `expect` diagnostics). In-flight jobs finish;
 //!   queued ones never start.
-//! - [`RunCtx::run_jobs_profiled`] is the same pool with wall-clock
-//!   instrumentation ([`PoolProfile`]): per-job durations and per-worker
-//!   occupancy. Wall time is inherently non-deterministic, which is why
+//! - The free [`run_jobs_profiled`] is the same pool with wall-clock
+//!   instrumentation ([`PoolProfile`]), kept only for the `hissbench`
+//!   harness. Wall time is inherently non-deterministic, which is why
 //!   the profile is a separate return value and never enters a
 //!   [`crate::RunReport`] snapshot.
 //!
@@ -53,7 +53,8 @@
 //! re-raised on the submitting thread. Batch runs keep the scoped
 //! [`RunCtx`] pool above.
 // Sanctioned exemption (see lint.toml): the job pool is the one
-// concurrency boundary, and Instant feeds only the pool.* profile.
+// concurrency boundary, and Instant feeds only the hissbench shim
+// (`run_jobs_profiled`) and the pool tests.
 #![allow(clippy::disallowed_types, clippy::disallowed_methods)]
 
 use std::collections::VecDeque;
@@ -63,7 +64,6 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, Once, OnceLock, PoisonErr
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use hiss_obs::MetricsRegistry;
 use hiss_sim::OnlineStats;
 
 use crate::experiments::BaselineCache;
@@ -129,24 +129,6 @@ impl RunCtx {
     pub fn run_jobs<T: Send>(&self, n: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
         self.pool.add((1, n as u64));
         merge_sorted(run_buckets(self.threads.clamp(1, n.max(1)), n, job), n)
-    }
-
-    /// [`Self::run_jobs`] with wall-clock instrumentation: returns the
-    /// in-order results plus a [`PoolProfile`] of per-job durations and
-    /// per-worker occupancy.
-    pub fn run_jobs_profiled<T: Send>(
-        &self,
-        n: usize,
-        job: impl Fn(usize) -> T + Sync,
-    ) -> (Vec<T>, PoolProfile) {
-        self.pool.add((1, n as u64));
-        run_jobs_profiled(self.threads, n, job)
-    }
-
-    /// Maps `items` through `f` in parallel, preserving input order —
-    /// [`Self::run_jobs`] for slice-shaped grids.
-    pub fn par_map<I: Sync, T: Send>(&self, items: &[I], f: impl Fn(&I) -> T + Sync) -> Vec<T> {
-        self.run_jobs(items.len(), |i| f(&items[i]))
     }
 }
 
@@ -408,19 +390,6 @@ pub struct PoolProfile {
     pub jobs_per_worker: Vec<u64>,
 }
 
-impl PoolProfile {
-    /// Publishes the profile into a metrics registry under `prefix`.
-    pub fn publish(&self, reg: &mut MetricsRegistry, prefix: &str) {
-        reg.counter(format!("{prefix}.threads"), self.threads as u64);
-        reg.counter(format!("{prefix}.jobs"), self.jobs as u64);
-        reg.gauge(format!("{prefix}.wall_s"), self.wall_s);
-        reg.stats(&format!("{prefix}.job_s"), &self.job_s);
-        for (w, &jobs) in self.jobs_per_worker.iter().enumerate() {
-            reg.counter(format!("{prefix}.worker{w}.jobs"), jobs);
-        }
-    }
-}
-
 /// Runs jobs `0..n` on up to `threads` workers, returning each worker's
 /// `(index, result)` buffer. Panics in jobs poison the cursor (siblings
 /// stop claiming work) and re-raise on the caller thread.
@@ -487,9 +456,11 @@ fn merge_sorted<T: Send>(buckets: Vec<Vec<(usize, T)>>, n: usize) -> Vec<T> {
     indexed.into_iter().map(|(_, v)| v).collect()
 }
 
-/// [`RunCtx::run_jobs_profiled`] on `threads` workers, counted on no
-/// context. Kept only for the `hissbench` harness, which calls it with
-/// this signature; it goes when that harness moves to [`RunCtx`].
+/// [`RunCtx::run_jobs`] on `threads` workers with wall-clock
+/// instrumentation, counted on no context: the in-order results plus a
+/// [`PoolProfile`] of per-job durations and per-worker occupancy. Kept
+/// only for the `hissbench` harness, which calls it with this
+/// signature; it goes when that harness moves to [`RunCtx`].
 pub fn run_jobs_profiled<T, F>(threads: usize, n: usize, job: F) -> (Vec<T>, PoolProfile)
 where
     T: Send,
@@ -561,12 +532,6 @@ mod tests {
     }
 
     #[test]
-    fn par_map_preserves_order() {
-        let items = vec!["a", "bb", "ccc"];
-        assert_eq!(RunCtx::new(2).par_map(&items, |s| s.len()), vec![1, 2, 3]);
-    }
-
-    #[test]
     #[should_panic(expected = "job 7 exploded")]
     fn worker_panics_propagate() {
         run_jobs_on(4, 16, |i| {
@@ -603,13 +568,13 @@ mod tests {
     }
 
     /// A context's tally advances by one invocation and `n` jobs per
-    /// pool call, profiled or not, and adds into another tally whole.
+    /// pool call, and adds into another tally whole.
     #[test]
     fn pool_totals_advance_per_invocation() {
         let ctx = RunCtx::new(4);
         assert_eq!(ctx.pool().totals(), (0, 0));
         ctx.run_jobs(7, |i| i);
-        ctx.run_jobs_profiled(13, |i| i);
+        ctx.run_jobs(13, |i| i);
         assert_eq!(ctx.pool().totals(), (2, 20));
         let sum = PoolTally::default();
         sum.add(ctx.pool().totals());
@@ -748,30 +713,17 @@ mod tests {
     #[test]
     fn profiled_results_match_unprofiled() {
         for threads in [1, 4] {
-            let (out, profile) = RunCtx::new(threads).run_jobs_profiled(50, |i| i * 3);
-            let want: Vec<usize> = (0..50).map(|i| i * 3).collect();
-            assert_eq!(out, want, "threads={threads}");
+            let (out, profile) = run_jobs_profiled(threads, 50, |i| i * 3);
+            assert_eq!(
+                out,
+                run_jobs_on(threads, 50, |i| i * 3),
+                "threads={threads}"
+            );
             assert_eq!(profile.jobs, 50);
             assert_eq!(profile.threads, threads);
             assert_eq!(profile.job_s.count(), 50);
             assert_eq!(profile.jobs_per_worker.iter().sum::<u64>(), 50);
             assert!(profile.wall_s >= 0.0);
         }
-    }
-
-    #[test]
-    fn pool_profile_publishes() {
-        let (_, profile) = RunCtx::new(2).run_jobs_profiled(10, |i| i);
-        let mut reg = MetricsRegistry::new();
-        profile.publish(&mut reg, "pool");
-        assert_eq!(reg.counter_value("pool.jobs"), Some(10));
-        assert_eq!(reg.counter_value("pool.threads"), Some(2));
-        assert_eq!(reg.counter_value("pool.job_s.count"), Some(10));
-        assert!(reg.gauge_value("pool.wall_s").is_some());
-        assert_eq!(
-            reg.counter_value("pool.worker0.jobs").unwrap()
-                + reg.counter_value("pool.worker1.jobs").unwrap(),
-            10
-        );
     }
 }

@@ -182,7 +182,7 @@ mod tests {
         assert!(doc_name_in_schema("kernel.batch.*"));
         assert!(doc_name_in_schema("cpu.coreN.*"));
         assert!(doc_name_in_schema("gpuN.*"));
-        assert!(doc_name_in_schema("pool.*"));
+        assert!(doc_name_in_schema("bench.pool.*"));
         assert!(doc_name_in_schema("cell.axis.*"));
         assert!(!doc_name_in_schema("kernel.nothing.*"));
         // `kernel.latency.*` has nothing strictly under it (it is a

@@ -79,7 +79,7 @@ pub fn check_snapshot_invariants(file: &str, text: &str) -> Vec<Diagnostic> {
 /// every backticked name in `docs/OBSERVABILITY.md`. Members follow the
 /// documentation conventions — concrete (`cpu.core0.user_ns`),
 /// placeholder-spelled (`cpu.coreN.user_ns`), or prefix-wildcarded
-/// (`pool.*`) — and an entry counts as exercised when any member covers
+/// (`bench.pool.*`) — and an entry counts as exercised when any member covers
 /// its pattern. Diagnostics are attributed to `attribute_to` (the
 /// artifact where coverage should be added).
 pub fn check_dead_metrics(exercised: &BTreeSet<String>, attribute_to: &str) -> Vec<Diagnostic> {

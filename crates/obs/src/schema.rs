@@ -13,7 +13,7 @@
 //!
 //! - a literal (`ipis`, `cc6_residency`),
 //! - an indexed family — a literal ending in `N` (`coreN`, `gpuN`,
-//!   `workerN`) matching that stem followed by a decimal index,
+//!   `devN`) matching that stem followed by a decimal index,
 //! - `*`, matching exactly one arbitrary segment (sweep-axis labels).
 
 /// The value type a schema entry promises.
@@ -48,8 +48,6 @@ pub enum Scope {
     Run,
     /// Per-cell identity added by the scenario compiler.
     Cell,
-    /// The wall-clock batch profile (never part of run results).
-    Profile,
     /// `hiss-cli bench` suite snapshots and the committed
     /// `BENCH_BASELINE.json` (deterministic work counters only).
     Bench,
@@ -328,79 +326,6 @@ pub const SCHEMA: &[SchemaEntry] = &[
         scope: Scope::Cell,
         doc: "sweep-axis coordinate (one label per swept key)",
     },
-    // PoolProfile::publish ("pool") — wall-clock, batch profile only
-    SchemaEntry {
-        pattern: "pool.threads",
-        kind: MetricKind::Counter,
-        scope: Scope::Profile,
-        doc: "worker threads used by the job pool",
-    },
-    SchemaEntry {
-        pattern: "pool.jobs",
-        kind: MetricKind::Counter,
-        scope: Scope::Profile,
-        doc: "jobs executed by the pool",
-    },
-    SchemaEntry {
-        pattern: "pool.wall_s",
-        kind: MetricKind::Gauge,
-        scope: Scope::Profile,
-        doc: "batch wall-clock seconds",
-    },
-    SchemaEntry {
-        pattern: "pool.job_s.count",
-        kind: MetricKind::Counter,
-        scope: Scope::Profile,
-        doc: "per-job duration samples",
-    },
-    SchemaEntry {
-        pattern: "pool.job_s.mean",
-        kind: MetricKind::Gauge,
-        scope: Scope::Profile,
-        doc: "mean per-job seconds",
-    },
-    SchemaEntry {
-        pattern: "pool.job_s.min",
-        kind: MetricKind::Gauge,
-        scope: Scope::Profile,
-        doc: "fastest job, seconds",
-    },
-    SchemaEntry {
-        pattern: "pool.job_s.max",
-        kind: MetricKind::Gauge,
-        scope: Scope::Profile,
-        doc: "slowest job, seconds",
-    },
-    SchemaEntry {
-        pattern: "pool.job_s.stddev",
-        kind: MetricKind::Gauge,
-        scope: Scope::Profile,
-        doc: "per-job duration standard deviation",
-    },
-    SchemaEntry {
-        pattern: "pool.workerN.jobs",
-        kind: MetricKind::Counter,
-        scope: Scope::Profile,
-        doc: "jobs executed by worker N",
-    },
-    SchemaEntry {
-        pattern: "baseline_cache.hits",
-        kind: MetricKind::Counter,
-        scope: Scope::Profile,
-        doc: "baseline runs served from the cache",
-    },
-    SchemaEntry {
-        pattern: "baseline_cache.misses",
-        kind: MetricKind::Counter,
-        scope: Scope::Profile,
-        doc: "baseline runs computed on a miss",
-    },
-    SchemaEntry {
-        pattern: "baseline_cache.entries",
-        kind: MetricKind::Counter,
-        scope: Scope::Profile,
-        doc: "distinct configurations cached",
-    },
     // hiss-cli bench suite snapshots (crates/scenario bench_suite) and
     // the committed BENCH_BASELINE.json. Everything here is a
     // deterministic work counter or identity label, so `bench check`
@@ -590,7 +515,7 @@ pub fn lookup(name: &str) -> Option<&'static SchemaEntry> {
 
 /// The distinct first segments of every pattern (the namespace roots:
 /// `kernel`, `iommu`, `cpu`, `gpuN`, `devN`, `qos`, `run`, `energy`,
-/// `cell`, `pool`, `baseline_cache`, `bench`), in first-appearance order.
+/// `cell`, `bench`), in first-appearance order.
 pub fn roots() -> Vec<&'static str> {
     let mut out: Vec<&'static str> = Vec::new();
     for e in SCHEMA {
@@ -652,25 +577,14 @@ mod tests {
         assert_eq!(e.kind, MetricKind::Gauge);
         assert!(lookup("cpu.total.cc6").is_none());
         assert!(lookup("kernel.typo").is_none());
-        assert!(lookup("pool.worker7.jobs").is_some());
+        assert!(lookup("cpu.core12.worker_ns").is_some());
     }
 
     #[test]
     fn roots_cover_the_documented_namespace() {
         let roots = roots();
         for expected in [
-            "kernel",
-            "iommu",
-            "cpu",
-            "gpuN",
-            "devN",
-            "qos",
-            "run",
-            "energy",
-            "cell",
-            "pool",
-            "baseline_cache",
-            "bench",
+            "kernel", "iommu", "cpu", "gpuN", "devN", "qos", "run", "energy", "cell", "bench",
         ] {
             assert!(roots.contains(&expected), "missing root {expected}");
         }

@@ -327,24 +327,6 @@ pub fn run_with_metrics(ctx: &RunCtx, sc: &Scenario, quick: bool) -> Vec<(Row, M
     ctx.run_jobs(cells.len(), |i| run_cell(ctx, &cells[i]))
 }
 
-/// [`run_with_metrics`] with batch-level profiling: also returns a
-/// registry of pool wall-times (`pool.*`) and the context's
-/// baseline-cache counters (`baseline_cache.*`). Unlike the per-cell
-/// snapshots, this profile is wall-clock- and scheduling-dependent — it
-/// is reported separately and never mixed into cell snapshots.
-pub fn run_profiled(
-    ctx: &RunCtx,
-    sc: &Scenario,
-    quick: bool,
-) -> (Vec<(Row, MetricsRegistry)>, MetricsRegistry) {
-    let cells = expand(sc, quick);
-    let (rows, profile) = ctx.run_jobs_profiled(cells.len(), |i| run_cell(ctx, &cells[i]));
-    let mut batch = MetricsRegistry::new();
-    profile.publish(&mut batch, "pool");
-    ctx.cache().publish(&mut batch, "baseline_cache");
-    (rows, batch)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

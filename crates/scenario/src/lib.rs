@@ -52,9 +52,7 @@ pub mod output;
 pub mod parse;
 pub mod spec;
 
-pub use compile::{
-    cell_metrics, expand, run_cell_report, run_profiled, run_with_metrics, simulate, Cell, Row,
-};
+pub use compile::{cell_metrics, expand, run_cell_report, run_with_metrics, simulate, Cell, Row};
 pub use expect::{check, Violation};
 pub use parse::{Document, ScenarioError, Value};
 pub use spec::{

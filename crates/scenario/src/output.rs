@@ -1,5 +1,5 @@
 //! Result emitters: JSON-lines for scripts, a fixed-width ASCII table
-//! for terminals.
+//! (through [`hiss::experiments::render_table`]) for terminals.
 //!
 //! JSON floats are printed with Rust's shortest-round-trip formatting,
 //! so re-parsing reproduces every value bit-exactly — the scenario
@@ -99,19 +99,15 @@ pub fn to_jsonl(rows: &[Row]) -> String {
 
 /// Renders a batch as a fixed-width ASCII table.
 pub fn to_table(rows: &[Row]) -> String {
-    let axis_keys: Vec<String> = rows
-        .first()
-        .map(|r| r.axes.iter().map(|(k, _)| k.clone()).collect())
-        .unwrap_or_default();
     let replicated = rows.iter().any(|r| r.replica > 0);
-    let mut header: Vec<String> = vec!["CPU app".into(), "GPU app".into()];
-    header.extend(axis_keys.iter().cloned());
+    let mut header = vec!["CPU app", "GPU app"];
+    if let Some(first) = rows.first() {
+        header.extend(first.axes.iter().map(|(k, _)| k.as_str()));
+    }
     if replicated {
-        header.push("rep".into());
+        header.push("rep");
     }
-    for h in ["CPU perf", "GPU perf", "SSR/s", "p99 us", "CC6", "overhead"] {
-        header.push(h.into());
-    }
+    header.extend(["CPU perf", "GPU perf", "SSR/s", "p99 us", "CC6", "overhead"]);
 
     let mut data: Vec<Vec<String>> = Vec::with_capacity(rows.len());
     for r in rows {
@@ -133,29 +129,7 @@ pub fn to_table(rows: &[Row]) -> String {
         data.push(row);
     }
 
-    let mut widths: Vec<usize> = header.iter().map(String::len).collect();
-    for row in &data {
-        for (i, cell) in row.iter().enumerate() {
-            widths[i] = widths[i].max(cell.len());
-        }
-    }
-    let fmt_row = |cells: &[String]| -> String {
-        cells
-            .iter()
-            .zip(&widths)
-            .map(|(c, w)| format!("{c:>w$}"))
-            .collect::<Vec<_>>()
-            .join("  ")
-    };
-    let mut out = fmt_row(&header);
-    out.push('\n');
-    out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * widths.len().saturating_sub(1)));
-    out.push('\n');
-    for row in &data {
-        out.push_str(&fmt_row(row));
-        out.push('\n');
-    }
-    out
+    hiss::experiments::render_table(&header, &data)
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //! hiss-cli report <snapshot> [--json] [--sanitize]
 //! hiss-cli scenario validate <file>...
 //! hiss-cli scenario run <file> [--quick] [--json] [--no-check]
-//!                      [--metrics <path>] [--profile] [--sanitize]
+//!                      [--metrics <path>] [--sanitize]
 //! hiss-cli scenario list [<dir>]
 //! hiss-cli lint [<file.hiss>...] [--sources] [--docs] [--bench]
 //!               [--invariants] [--all] [--root <dir>]
@@ -63,9 +63,11 @@
 //! evaluation (full app grids; `--quick` for the scaled-down subsets).
 //!
 //! Unknown flags are errors (with a nearest-match suggestion), never
-//! silently ignored.
+//! silently ignored. Every command returns its error to `main`, which
+//! prints it on stderr and exits 1; a command that ran and found
+//! something wrong (lint findings, expect or sanitize violations, a
+//! rejected submission) reports it itself and exits 1 the same way.
 
-use std::env;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -83,56 +85,60 @@ static ALLOC: hiss_bench::CountingAlloc = hiss_bench::CountingAlloc::new();
 
 /// Writes formatted output to stdout. A closed stdout (`hiss-cli
 /// figures | head -1`) ends the process quietly with status 0, as the
-/// reader has all it asked for; any other write error is reported on
-/// stderr with status 1.
-fn emit(args: std::fmt::Arguments) {
+/// reader has all it asked for; any other write error is returned.
+fn emit(args: std::fmt::Arguments) -> Result<(), String> {
     use std::io::Write as _;
-    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
-        if e.kind() == std::io::ErrorKind::BrokenPipe {
-            std::process::exit(0);
-        }
-        eprintln!("cannot write to stdout: {e}");
-        std::process::exit(1);
+    match std::io::stdout().lock().write_fmt(args) {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        written => written.map_err(|e| format!("cannot write to stdout: {e}")),
     }
 }
 
-/// `print!` through [`emit`].
+/// `print!` through [`emit`], returning its error from the caller.
 macro_rules! out {
-    ($($arg:tt)*) => { emit(format_args!($($arg)*)) };
+    ($($arg:tt)*) => { emit(format_args!($($arg)*))? };
 }
 
-/// `println!` through [`emit`].
+/// `println!` through [`emit`], returning its error from the caller.
 macro_rules! outln {
-    () => { emit(format_args!("\n")) };
-    ($($arg:tt)*) => { emit(format_args!("{}\n", format_args!($($arg)*))) };
+    () => { emit(format_args!("\n"))? };
+    ($($arg:tt)*) => { emit(format_args!("{}\n", format_args!($($arg)*)))? };
 }
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage:\n  hiss-cli list\n  hiss-cli run --cpu <app> --gpu <app> \
-         [--pinned] [--steer] [--coalesce] [--mono] [--qos <pct>] \
-         [--seed <n>] [--gpus <n>] [--json] [--metrics <path>]\n  \
-         hiss-cli timeline --cpu <app> \
-         --gpu <app> --from-us <t0> --to-us <t1> [--width <cols>]\n  \
-         hiss-cli figures [--quick]\n  \
-         hiss-cli report <snapshot> [--json] [--sanitize]\n  \
-         hiss-cli scenario validate <file>...\n  \
-         hiss-cli scenario run <file> [--quick] [--json] [--no-check] \
-         [--metrics <path>] [--profile] [--sanitize]\n  \
-         hiss-cli scenario list [<dir>]\n  \
-         hiss-cli lint [<file.hiss>...] [--sources] [--docs] [--bench] \
-         [--invariants] [--all] [--root <dir>] [--config <lint.toml>]\n  \
-         hiss-cli bench run [--json] [--out <path>] [--root <dir>]\n  \
-         hiss-cli bench check [--baseline <path>] [--fresh <path>] \
-         [--json] [--root <dir>]\n  \
-         hiss-cli bench update --reason <text> [--baseline <path>] \
-         [--fresh <path>] [--root <dir>]\n  \
-         hiss-cli serve [--addr <host:port>] [--store <dir>] \
-         [--threads <n>]\n  \
-         hiss-cli submit <file.hiss> [--addr <host:port>] [--quick] \
-         [--metrics <path>] [--shutdown]"
-    );
-    ExitCode::FAILURE
+/// `main`'s error when the command is missing or unknown.
+const USAGE: &str = "usage:\n  hiss-cli list\n  hiss-cli run --cpu <app> --gpu <app> \
+     [--pinned] [--steer] [--coalesce] [--mono] [--qos <pct>] \
+     [--seed <n>] [--gpus <n>] [--json] [--metrics <path>]\n  \
+     hiss-cli timeline --cpu <app> \
+     --gpu <app> --from-us <t0> --to-us <t1> [--width <cols>]\n  \
+     hiss-cli figures [--quick]\n  \
+     hiss-cli report <snapshot> [--json] [--sanitize]\n  \
+     hiss-cli scenario validate <file>...\n  \
+     hiss-cli scenario run <file> [--quick] [--json] [--no-check] \
+     [--metrics <path>] [--sanitize]\n  \
+     hiss-cli scenario list [<dir>]\n  \
+     hiss-cli lint [<file.hiss>...] [--sources] [--docs] [--bench] \
+     [--invariants] [--all] [--root <dir>] [--config <lint.toml>]\n  \
+     hiss-cli bench run [--json] [--out <path>] [--root <dir>]\n  \
+     hiss-cli bench check [--baseline <path>] [--fresh <path>] \
+     [--json] [--root <dir>]\n  \
+     hiss-cli bench update --reason <text> [--baseline <path>] \
+     [--fresh <path>] [--root <dir>]\n  \
+     hiss-cli serve [--addr <host:port>] [--store <dir>] \
+     [--threads <n>]\n  \
+     hiss-cli submit <file.hiss> [--addr <host:port>] [--quick] \
+     [--metrics <path>] [--shutdown]";
+
+/// `path`'s contents, or an error naming it.
+fn read(path: impl AsRef<Path>) -> Result<String, String> {
+    let path = path.as_ref();
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))
+}
+
+/// Writes `text` to `path`, or returns an error naming it.
+fn write(path: impl AsRef<Path>, text: String) -> Result<(), String> {
+    let path = path.as_ref();
+    std::fs::write(path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
 /// Strict flag parser: every `--flag` must appear in the command's
@@ -179,6 +185,15 @@ impl Args {
         Ok(args)
     }
 
+    /// An error for the first positional argument of a command that
+    /// takes none.
+    fn no_positional(&self) -> Result<(), String> {
+        match self.positional.first() {
+            Some(stray) => Err(format!("unexpected argument {stray:?}")),
+            None => Ok(()),
+        }
+    }
+
     fn flag(&self, name: &str) -> bool {
         self.bools.contains(&name)
     }
@@ -207,10 +222,10 @@ impl Args {
     }
 }
 
-fn print_report(r: &RunReport, json: bool) {
+fn print_report(r: &RunReport, json: bool) -> Result<(), String> {
     if json {
         outln!("{}", report_json(r));
-        return;
+        return Ok(());
     }
     outln!("elapsed           : {}", r.elapsed);
     if let Some(t) = r.cpu_app_runtime {
@@ -231,6 +246,7 @@ fn print_report(r: &RunReport, json: bool) {
         r.energy.cpu_joules,
         r.energy.cpu_avg_watts
     );
+    Ok(())
 }
 
 /// Hand-rolled JSON encoding of the fields scripts typically plot.
@@ -344,38 +360,20 @@ fn timeline(cfg: SystemConfig, args: &Args) -> Result<(ExperimentBuilder, usize)
 /// `run --metrics` and `scenario run --metrics`) as ASCII tables or
 /// JSON-lines. `--sanitize` audits every line against the run-scope
 /// conservation laws and exits nonzero on any `HL403` violation.
-fn report_command(argv: Vec<String>) -> ExitCode {
-    let args = match Args::parse(argv, &["--json", "--sanitize"], &[]) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn report_command(argv: Vec<String>) -> Result<ExitCode, String> {
+    let args = Args::parse(argv, &["--json", "--sanitize"], &[])?;
     let [file] = args.positional.as_slice() else {
-        eprintln!("report requires exactly one snapshot file");
-        return ExitCode::FAILURE;
+        return Err("report requires exactly one snapshot file".into());
     };
-    let text = match std::fs::read_to_string(file) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {file}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let text = read(file)?;
     let mut first = true;
     for (lineno, line) in text.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() {
             continue;
         }
-        let reg = match hiss::MetricsRegistry::from_json(line) {
-            Ok(reg) => reg,
-            Err(e) => {
-                eprintln!("{file}:{}: {e}", lineno + 1);
-                return ExitCode::FAILURE;
-            }
-        };
+        let reg = hiss::MetricsRegistry::from_json(line)
+            .map_err(|e| format!("{file}:{}: {e}", lineno + 1))?;
         if args.flag("--json") {
             out!("{}", reg.to_jsonl());
         } else {
@@ -387,8 +385,7 @@ fn report_command(argv: Vec<String>) -> ExitCode {
         first = false;
     }
     if first {
-        eprintln!("{file}: no snapshots found");
-        return ExitCode::FAILURE;
+        return Err(format!("{file}: no snapshots found"));
     }
     if args.flag("--sanitize") {
         let diags = hiss_lint::invariants::check_snapshot_invariants(file, &text);
@@ -397,11 +394,11 @@ fn report_command(argv: Vec<String>) -> ExitCode {
         }
         if !diags.is_empty() {
             eprintln!("sanitize: {} violation(s) in {file}", diags.len());
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         eprintln!("sanitize: clean");
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `hiss-cli lint [<file.hiss>...] [--sources] [--docs] [--bench]
@@ -410,18 +407,12 @@ fn report_command(argv: Vec<String>) -> ExitCode {
 /// every mode and lints the committed scenario library under
 /// `<root>/scenarios`. Exits nonzero on any finding (errors and
 /// warnings alike), so CI can gate on it.
-fn lint_command(argv: Vec<String>) -> ExitCode {
-    let args = match Args::parse(
+fn lint_command(argv: Vec<String>) -> Result<ExitCode, String> {
+    let args = Args::parse(
         argv,
         &["--sources", "--docs", "--bench", "--invariants", "--all"],
         &["--root", "--config"],
-    ) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    )?;
     let all = args.flag("--all");
     if args.positional.is_empty()
         && !all
@@ -430,11 +421,11 @@ fn lint_command(argv: Vec<String>) -> ExitCode {
         && !args.flag("--bench")
         && !args.flag("--invariants")
     {
-        eprintln!(
+        return Err(
             "lint requires scenario files and/or --sources / --docs / --bench / \
-             --invariants / --all"
+                    --invariants / --all"
+                .into(),
         );
-        return ExitCode::FAILURE;
     }
     let root = PathBuf::from(args.value("--root").unwrap_or("."));
     let mut diags = Vec::new();
@@ -444,13 +435,8 @@ fn lint_command(argv: Vec<String>) -> ExitCode {
     }
     if all {
         let dir = root.join("scenarios");
-        let files = match scenario::list_files(&dir) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("cannot list {}: {e}", dir.display());
-                return ExitCode::FAILURE;
-            }
-        };
+        let files = scenario::list_files(&dir)
+            .map_err(|e| format!("cannot list {}: {e}", dir.display()))?;
         for path in files {
             diags.extend(scenario::lint::lint_file(&path));
         }
@@ -471,68 +457,35 @@ fn lint_command(argv: Vec<String>) -> ExitCode {
             {
                 String::new()
             }
-            Err(e) => {
-                eprintln!("cannot read {}: {e}", config_path.display());
-                return ExitCode::FAILURE;
-            }
+            Err(e) => return Err(format!("cannot read {}: {e}", config_path.display())),
         };
-        let config = match hiss_lint::config::parse(&config_text) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("{}:{e}", config_path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        match hiss_lint::sources::scan(&root, &config) {
-            Ok(found) => diags.extend(found),
-            Err(e) => {
-                eprintln!("source scan under {} failed: {e}", root.display());
-                return ExitCode::FAILURE;
-            }
-        }
+        let config = hiss_lint::config::parse(&config_text)
+            .map_err(|e| format!("{}:{e}", config_path.display()))?;
+        let found = hiss_lint::sources::scan(&root, &config)
+            .map_err(|e| format!("source scan under {} failed: {e}", root.display()))?;
+        diags.extend(found);
     }
 
     if all || args.flag("--docs") {
         let doc_rel = "docs/OBSERVABILITY.md";
-        let doc_path = root.join(doc_rel);
-        match std::fs::read_to_string(&doc_path) {
-            Ok(text) => diags.extend(hiss_lint::docs::check_doc(doc_rel, &text)),
-            Err(e) => {
-                eprintln!("cannot read {}: {e}", doc_path.display());
-                return ExitCode::FAILURE;
-            }
-        }
+        let text = read(root.join(doc_rel))?;
+        diags.extend(hiss_lint::docs::check_doc(doc_rel, &text));
     }
 
+    let bench_rel = "BENCH_BASELINE.json";
     if all || args.flag("--bench") {
-        let bench_rel = "BENCH_BASELINE.json";
-        let bench_path = root.join(bench_rel);
-        match std::fs::read_to_string(&bench_path) {
-            Ok(text) => diags.extend(hiss_lint::baseline::check_baseline(bench_rel, &text)),
-            Err(e) => {
-                eprintln!("cannot read {}: {e}", bench_path.display());
-                return ExitCode::FAILURE;
-            }
-        }
+        let text = read(root.join(bench_rel))?;
+        diags.extend(hiss_lint::baseline::check_baseline(bench_rel, &text));
     }
 
     if all || args.flag("--invariants") {
         // The bench-scope conservation laws over the committed baseline
         // (HL402), then the coverage analysis: schema entries and spec
         // knobs that nothing committed exercises (HL404/HL405).
-        let bench_rel = "BENCH_BASELINE.json";
-        let bench_path = root.join(bench_rel);
-        match std::fs::read_to_string(&bench_path) {
-            Ok(text) => {
-                diags.extend(hiss_lint::invariants::check_baseline_invariants(
-                    bench_rel, &text,
-                ));
-            }
-            Err(e) => {
-                eprintln!("cannot read {}: {e}", bench_path.display());
-                return ExitCode::FAILURE;
-            }
-        }
+        let text = read(root.join(bench_rel))?;
+        diags.extend(hiss_lint::invariants::check_baseline_invariants(
+            bench_rel, &text,
+        ));
         diags.extend(scenario::lint::check_coverage(&root));
     }
 
@@ -547,10 +500,10 @@ fn lint_command(argv: Vec<String>) -> ExitCode {
     let warnings = diags.len() - errors;
     if diags.is_empty() {
         outln!("lint: clean");
-        ExitCode::SUCCESS
+        Ok(ExitCode::SUCCESS)
     } else {
         outln!("lint: {errors} error(s), {warnings} warning(s)");
-        ExitCode::FAILURE
+        Ok(ExitCode::FAILURE)
     }
 }
 
@@ -559,9 +512,7 @@ fn lint_command(argv: Vec<String>) -> ExitCode {
 fn fresh_snapshots(args: &Args, root: &Path) -> Result<Vec<SuiteSnapshot>, String> {
     match args.value("--fresh") {
         Some(path) => {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            let file = baseline::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+            let file = baseline::parse(&read(path)?).map_err(|e| format!("{path}: {e}"))?;
             Ok(file.suites)
         }
         None => hiss_serve::suite::run_all(root, hiss::thread_count()),
@@ -569,39 +520,27 @@ fn fresh_snapshots(args: &Args, root: &Path) -> Result<Vec<SuiteSnapshot>, Strin
 }
 
 fn load_baseline(path: &Path) -> Result<BaselineFile, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    baseline::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
+    baseline::parse(&read(path)?).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// `hiss-cli bench <verb> ...` — the performance-regression subsystem
 /// (see `docs/BENCH.md`).
-fn bench_command(mut argv: Vec<String>) -> ExitCode {
+fn bench_command(mut argv: Vec<String>) -> Result<ExitCode, String> {
     if argv.is_empty() {
-        eprintln!("bench requires a verb: run, check, or update");
-        return ExitCode::FAILURE;
+        return Err("bench requires a verb: run, check, or update".into());
     }
     let verb = argv.remove(0);
-    let parsed = match verb.as_str() {
+    let args = match verb.as_str() {
         "run" => Args::parse(argv, &["--json"], &["--out", "--root"]),
         "check" => Args::parse(argv, &["--json"], &["--baseline", "--fresh", "--root"]),
         "update" => Args::parse(argv, &[], &["--reason", "--baseline", "--fresh", "--root"]),
         other => {
-            eprintln!("unknown bench verb {other:?}: expected run, check, or update");
-            return ExitCode::FAILURE;
+            return Err(format!(
+                "unknown bench verb {other:?}: expected run, check, or update"
+            ))
         }
-    };
-    let args = match parsed {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Some(stray) = args.positional.first() {
-        eprintln!("unexpected argument {stray:?}");
-        return ExitCode::FAILURE;
-    }
+    }?;
+    args.no_positional()?;
     let root = PathBuf::from(args.value("--root").unwrap_or("."));
     let baseline_path = args
         .value("--baseline")
@@ -610,13 +549,7 @@ fn bench_command(mut argv: Vec<String>) -> ExitCode {
 
     match verb.as_str() {
         "run" => {
-            let snaps = match fresh_snapshots(&args, &root) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            };
+            let snaps = fresh_snapshots(&args, &root)?;
             for (i, snap) in snaps.iter().enumerate() {
                 if args.flag("--json") {
                     out!("{}", snap.metrics.to_jsonl());
@@ -628,30 +561,18 @@ fn bench_command(mut argv: Vec<String>) -> ExitCode {
                 }
             }
             if let Some(path) = args.value("--out") {
-                let text = baseline::render("(fresh bench run, not a baseline)", &snaps);
-                if let Err(e) = std::fs::write(path, text) {
-                    eprintln!("cannot write {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
+                write(
+                    path,
+                    baseline::render("(fresh bench run, not a baseline)", &snaps),
+                )?;
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         "check" => {
-            let base = match load_baseline(&baseline_path) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("{e}");
-                    eprintln!("(generate one with `hiss-cli bench update --reason ...`)");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let snaps = match fresh_snapshots(&args, &root) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            };
+            let base = load_baseline(&baseline_path).map_err(|e| {
+                format!("{e}\n(generate one with `hiss-cli bench update --reason ...`)")
+            })?;
+            let snaps = fresh_snapshots(&args, &root)?;
             let cmp = compare::compare(&base, &snaps);
             let shown = baseline_path.display().to_string();
             for f in &cmp.findings {
@@ -668,67 +589,51 @@ fn bench_command(mut argv: Vec<String>) -> ExitCode {
             }
             if cmp.passed() {
                 outln!("bench check: ok — {} suites vs {shown}", snaps.len());
-                ExitCode::SUCCESS
+                Ok(ExitCode::SUCCESS)
             } else {
                 outln!(
                     "bench check: {} violation(s) vs {shown}",
                     cmp.findings.len()
                 );
-                ExitCode::FAILURE
+                Ok(ExitCode::FAILURE)
             }
         }
         "update" => {
-            let reason = match args.value("--reason").map(str::trim) {
-                Some(r) if !r.is_empty() => r.to_string(),
-                _ => {
-                    eprintln!(
-                        "bench update requires --reason <text> explaining why the baseline moved"
-                    );
-                    return ExitCode::FAILURE;
-                }
-            };
-            let snaps = match fresh_snapshots(&args, &root) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let text = baseline::render(&reason, &snaps);
-            if let Err(e) = std::fs::write(&baseline_path, text) {
-                eprintln!("cannot write {}: {e}", baseline_path.display());
-                return ExitCode::FAILURE;
+            let reason = args
+                .value("--reason")
+                .map(str::trim)
+                .filter(|r| !r.is_empty())
+                .ok_or("bench update requires --reason <text> explaining why the baseline moved")?;
+            let mut snaps = fresh_snapshots(&args, &root)?;
+            // Banded counters keep their committed value while the
+            // fresh one is inside the band; an unreadable baseline is
+            // simply replaced.
+            if let Ok(base) = load_baseline(&baseline_path) {
+                snaps = compare::merge_banded(&base, snaps);
             }
+            write(&baseline_path, baseline::render(reason, &snaps))?;
             outln!(
                 "bench update: wrote {} ({} suites; reason: {reason})",
                 baseline_path.display(),
                 snaps.len()
             );
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         _ => unreachable!("verb validated above"),
     }
 }
 
 /// `hiss-cli scenario <verb> ...`
-fn scenario_command(mut argv: Vec<String>) -> ExitCode {
+fn scenario_command(mut argv: Vec<String>) -> Result<ExitCode, String> {
     if argv.is_empty() {
-        eprintln!("scenario requires a verb: validate, run, or list");
-        return ExitCode::FAILURE;
+        return Err("scenario requires a verb: validate, run, or list".into());
     }
     let verb = argv.remove(0);
     match verb.as_str() {
         "validate" => {
-            let args = match Args::parse(argv, &[], &[]) {
-                Ok(a) => a,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            };
+            let args = Args::parse(argv, &[], &[])?;
             if args.positional.is_empty() {
-                eprintln!("scenario validate requires at least one file");
-                return ExitCode::FAILURE;
+                return Err("scenario validate requires at least one file".into());
             }
             let mut failed = false;
             for file in &args.positional {
@@ -749,140 +654,21 @@ fn scenario_command(mut argv: Vec<String>) -> ExitCode {
                 }
             }
             if failed {
-                ExitCode::FAILURE
+                Ok(ExitCode::FAILURE)
             } else {
-                ExitCode::SUCCESS
+                Ok(ExitCode::SUCCESS)
             }
         }
-        "run" => {
-            let args = match Args::parse(
-                argv,
-                &["--quick", "--json", "--no-check", "--profile", "--sanitize"],
-                &["--metrics"],
-            ) {
-                Ok(a) => a,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let [file] = args.positional.as_slice() else {
-                eprintln!("scenario run requires exactly one file");
-                return ExitCode::FAILURE;
-            };
-            let sc = match scenario::load(Path::new(file)) {
-                Ok(sc) => sc,
-                Err(e) => {
-                    eprintln!("{file}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let quick = args.flag("--quick");
-            let sanitize = args.flag("--sanitize");
-            if sanitize {
-                // Enforce the conservation laws inside every run (the
-                // Soc::finalize audit panics on violation), then
-                // re-audit the finalized snapshots below as the
-                // belt-and-braces second reading.
-                hiss::force_sanitize();
-            }
-            let ctx = RunCtx::new(hiss::thread_count());
-            let (pairs, batch) = if args.flag("--profile") {
-                let (pairs, batch) = scenario::run_profiled(&ctx, &sc, quick);
-                (pairs, Some(batch))
-            } else {
-                (scenario::run_with_metrics(&ctx, &sc, quick), None)
-            };
-            let (rows, snapshots): (Vec<_>, Vec<_>) = pairs.into_iter().unzip();
-            if let Some(path) = args.value("--metrics") {
-                let mut out = String::new();
-                for snap in &snapshots {
-                    out.push_str(&snap.to_json());
-                    out.push('\n');
-                }
-                if let Err(e) = std::fs::write(path, out) {
-                    eprintln!("cannot write {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            if let Some(batch) = batch {
-                // Wall-clock profile: stderr, so piped stdout stays data.
-                eprint!("{}", batch.to_table());
-            }
-            if sanitize {
-                let mut checked = 0usize;
-                let mut failures = Vec::new();
-                for snap in &snapshots {
-                    let audit = hiss_obs::invariants::audit(snap, hiss_obs::schema::Scope::Run);
-                    checked += audit.checked;
-                    for v in audit.violations {
-                        failures.push(hiss_lint::Diagnostic::new(
-                            hiss_lint::Code::RunInvariantViolated,
-                            Some(file.as_str()),
-                            0,
-                            v.detail,
-                        ));
-                    }
-                }
-                for d in &failures {
-                    eprintln!("{d}");
-                }
-                eprintln!(
-                    "sanitize: {} cell(s), {checked} invariant check(s), {} violation(s)",
-                    snapshots.len(),
-                    failures.len()
-                );
-                if !failures.is_empty() {
-                    return ExitCode::FAILURE;
-                }
-            }
-            if args.flag("--json") {
-                out!("{}", scenario::output::to_jsonl(&rows));
-            } else {
-                outln!("scenario \"{}\" — {} rows", sc.name, rows.len());
-                out!("{}", scenario::output::to_table(&rows));
-            }
-            if args.flag("--no-check") {
-                return ExitCode::SUCCESS;
-            }
-            let violations = scenario::check(&sc, &rows);
-            if violations.is_empty() {
-                if !args.flag("--json") && !sc.expects.is_empty() {
-                    outln!("all {} expect bands hold", sc.expects.len());
-                }
-                ExitCode::SUCCESS
-            } else {
-                // Violations of loaded scenarios render as `file:line:
-                // msg` themselves; no prefix needed.
-                for v in &violations {
-                    eprintln!("expect violation: {v}");
-                }
-                ExitCode::FAILURE
-            }
-        }
+        "run" => scenario_run(argv),
         "list" => {
-            let args = match Args::parse(argv, &[], &[]) {
-                Ok(a) => a,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            };
+            let args = Args::parse(argv, &[], &[])?;
             let dir = match args.positional.as_slice() {
                 [] => PathBuf::from("scenarios"),
                 [d] => PathBuf::from(d),
-                _ => {
-                    eprintln!("scenario list takes at most one directory");
-                    return ExitCode::FAILURE;
-                }
+                _ => return Err("scenario list takes at most one directory".into()),
             };
-            let files = match scenario::list_files(&dir) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("cannot list {}: {e}", dir.display());
-                    return ExitCode::FAILURE;
-                }
-            };
+            let files = scenario::list_files(&dir)
+                .map_err(|e| format!("cannot list {}: {e}", dir.display()))?;
             for path in files {
                 match scenario::load(&path) {
                     Ok(sc) => outln!(
@@ -894,109 +680,148 @@ fn scenario_command(mut argv: Vec<String>) -> ExitCode {
                     Err(e) => outln!("{:<28} INVALID: {e}", path.display()),
                 }
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
-        other => {
-            eprintln!("unknown scenario verb {other:?}: expected validate, run, or list");
-            ExitCode::FAILURE
-        }
+        other => Err(format!(
+            "unknown scenario verb {other:?}: expected validate, run, or list"
+        )),
     }
 }
 
-fn serve_command(argv: Vec<String>) -> ExitCode {
-    let args = match Args::parse(argv, &[], &["--addr", "--store", "--threads"]) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+/// `hiss-cli scenario run <file> [--quick] [--json] [--no-check]
+/// [--metrics <path>] [--sanitize]`
+fn scenario_run(argv: Vec<String>) -> Result<ExitCode, String> {
+    let args = Args::parse(
+        argv,
+        &["--quick", "--json", "--no-check", "--sanitize"],
+        &["--metrics"],
+    )?;
+    let [file] = args.positional.as_slice() else {
+        return Err("scenario run requires exactly one file".into());
     };
-    if let Some(stray) = args.positional.first() {
-        eprintln!("unexpected argument {stray:?}");
-        return ExitCode::FAILURE;
+    let sc = scenario::load(Path::new(file)).map_err(|e| format!("{file}: {e}"))?;
+    let sanitize = args.flag("--sanitize");
+    if sanitize {
+        // Enforce the conservation laws inside every run (the
+        // Soc::finalize audit panics on violation), then re-audit the
+        // finalized snapshots below as the belt-and-braces second
+        // reading.
+        hiss::force_sanitize();
     }
-    // Worker count per submission; results are bit-identical at any
-    // setting.
-    let threads = match args.parsed("--threads", "a positive integer", |&n| n > 0) {
-        Ok(n) => n.unwrap_or_else(hiss::thread_count),
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
+    let ctx = RunCtx::new(hiss::thread_count());
+    let (rows, snapshots): (Vec<_>, Vec<_>) =
+        scenario::run_with_metrics(&ctx, &sc, args.flag("--quick"))
+            .into_iter()
+            .unzip();
+    if let Some(path) = args.value("--metrics") {
+        let mut out = String::new();
+        for snap in &snapshots {
+            out.push_str(&snap.to_json());
+            out.push('\n');
         }
-    };
+        write(path, out)?;
+    }
+    if sanitize {
+        let mut checked = 0usize;
+        let mut failures = Vec::new();
+        for snap in &snapshots {
+            let audit = hiss_obs::invariants::audit(snap, hiss_obs::schema::Scope::Run);
+            checked += audit.checked;
+            for v in audit.violations {
+                failures.push(hiss_lint::Diagnostic::new(
+                    hiss_lint::Code::RunInvariantViolated,
+                    Some(file.as_str()),
+                    0,
+                    v.detail,
+                ));
+            }
+        }
+        for d in &failures {
+            eprintln!("{d}");
+        }
+        eprintln!(
+            "sanitize: {} cell(s), {checked} invariant check(s), {} violation(s)",
+            snapshots.len(),
+            failures.len()
+        );
+        if !failures.is_empty() {
+            return Ok(ExitCode::FAILURE);
+        }
+    }
+    if args.flag("--json") {
+        out!("{}", scenario::output::to_jsonl(&rows));
+    } else {
+        outln!("scenario \"{}\" — {} rows", sc.name, rows.len());
+        out!("{}", scenario::output::to_table(&rows));
+    }
+    if args.flag("--no-check") {
+        return Ok(ExitCode::SUCCESS);
+    }
+    let violations = scenario::check(&sc, &rows);
+    if violations.is_empty() {
+        if !args.flag("--json") && !sc.expects.is_empty() {
+            outln!("all {} expect bands hold", sc.expects.len());
+        }
+        Ok(ExitCode::SUCCESS)
+    } else {
+        // Violations of loaded scenarios render as `file:line: msg`
+        // themselves; no prefix needed.
+        for v in &violations {
+            eprintln!("expect violation: {v}");
+        }
+        Ok(ExitCode::FAILURE)
+    }
+}
+
+fn serve_command(argv: Vec<String>) -> Result<ExitCode, String> {
+    let args = Args::parse(argv, &[], &["--addr", "--store", "--threads"])?;
+    args.no_positional()?;
+    // Workers of the service's one pool, shared by every submission;
+    // results are bit-identical at any setting.
+    let threads = args
+        .parsed("--threads", "a positive integer", |&n| n > 0)?
+        .unwrap_or_else(hiss::thread_count);
     let addr = args.value("--addr").unwrap_or("127.0.0.1:7477");
     let store_dir = PathBuf::from(args.value("--store").unwrap_or("target/serve-store"));
-    let store = match hiss::DiskStore::open(&store_dir) {
-        Ok(s) => std::sync::Arc::new(s),
-        Err(e) => {
-            eprintln!("cannot open store {}: {e}", store_dir.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let service = std::sync::Arc::new(hiss_serve::Service::new(Some(store), threads));
-    let server = match hiss_serve::Server::bind(addr, service) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot bind {addr}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match server.local_addr() {
-        Ok(bound) => {
-            // Machine-readable first line: with --addr host:0 callers
-            // parse the actual port from here.
-            outln!(
-                "hiss-serve: listening on {bound}, store {}",
-                store_dir.display()
-            );
-            use std::io::Write as _;
-            let _ = std::io::stdout().flush();
-        }
-        Err(e) => {
-            eprintln!("cannot read bound address: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    match server.run() {
-        Ok(()) => {
-            outln!("hiss-serve: drained and flushed, bye");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("serve failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    let store = hiss::DiskStore::open(&store_dir)
+        .map_err(|e| format!("cannot open store {}: {e}", store_dir.display()))?;
+    let service = std::sync::Arc::new(hiss_serve::Service::new(
+        Some(std::sync::Arc::new(store)),
+        threads,
+    ));
+    let server =
+        hiss_serve::Server::bind(addr, service).map_err(|e| format!("cannot bind {addr}: {e}"))?;
+    let bound = server
+        .local_addr()
+        .map_err(|e| format!("cannot read bound address: {e}"))?;
+    // Machine-readable first line: with --addr host:0 callers parse the
+    // actual port from here.
+    outln!(
+        "hiss-serve: listening on {bound}, store {}",
+        store_dir.display()
+    );
+    use std::io::Write as _;
+    let _ = std::io::stdout().flush();
+    server.run().map_err(|e| format!("serve failed: {e}"))?;
+    outln!("hiss-serve: drained and flushed, bye");
+    Ok(ExitCode::SUCCESS)
 }
 
-fn submit_command(argv: Vec<String>) -> ExitCode {
-    let args = match Args::parse(argv, &["--quick", "--shutdown"], &["--addr", "--metrics"]) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn submit_command(argv: Vec<String>) -> Result<ExitCode, String> {
+    let args = Args::parse(argv, &["--quick", "--shutdown"], &["--addr", "--metrics"])?;
     let addr = args.value("--addr").unwrap_or("127.0.0.1:7477");
     let file = match args.positional.as_slice() {
         [] if args.flag("--shutdown") => None,
-        [file] => Some(file.clone()),
-        _ => {
-            eprintln!("submit requires exactly one file (or just --shutdown)");
-            return ExitCode::FAILURE;
-        }
+        [file] => Some(file),
+        _ => return Err("submit requires exactly one file (or just --shutdown)".into()),
     };
     let mut code = ExitCode::SUCCESS;
     if let Some(file) = file {
-        let text = match std::fs::read_to_string(&file) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read {file}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match hiss_serve::client::submit(addr, &text, args.flag("--quick")) {
-            Ok(hiss_serve::Submission::Rejected { diagnostics }) => {
+        let text = read(file)?;
+        let submission = hiss_serve::client::submit(addr, &text, args.flag("--quick"))
+            .map_err(|e| format!("submit failed: {e}"))?;
+        match submission {
+            hiss_serve::Submission::Rejected { diagnostics } => {
                 for d in &diagnostics {
                     eprintln!("{d}");
                 }
@@ -1006,60 +831,60 @@ fn submit_command(argv: Vec<String>) -> ExitCode {
                 );
                 code = ExitCode::FAILURE;
             }
-            Ok(hiss_serve::Submission::Completed {
+            hiss_serve::Submission::Completed {
                 snapshots,
                 cells,
                 simulated,
                 from_store,
-            }) => {
+            } => {
                 let mut out = String::new();
                 for line in &snapshots {
                     out.push_str(line);
                     out.push('\n');
                 }
                 match args.value("--metrics") {
-                    Some(path) => {
-                        if let Err(e) = std::fs::write(path, out) {
-                            eprintln!("cannot write {path}: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    }
+                    Some(path) => write(path, out)?,
                     None => out!("{out}"),
                 }
                 // Summary on stderr so piped stdout stays pure data.
                 eprintln!("submit: cells={cells} simulated={simulated} from_store={from_store}");
             }
-            Err(e) => {
-                eprintln!("submit failed: {e}");
-                return ExitCode::FAILURE;
-            }
         }
     }
     if args.flag("--shutdown") {
-        if let Err(e) = hiss_serve::client::shutdown(addr) {
-            eprintln!("shutdown failed: {e}");
-            return ExitCode::FAILURE;
-        }
+        hiss_serve::client::shutdown(addr).map_err(|e| format!("shutdown failed: {e}"))?;
     }
-    code
+    Ok(code)
 }
 
+/// The one failure exit: any command's error is printed here and the
+/// process exits 1.
 fn main() -> ExitCode {
-    let mut argv: Vec<String> = env::args().skip(1).collect();
-    if argv.is_empty() {
-        return usage();
+    match command(std::env::args().skip(1).collect()) {
+        Ok(code) => code,
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
+        }
     }
-    let command = argv.remove(0);
+}
+
+/// Runs the command `argv` names (the program name stripped).
+fn command(mut argv: Vec<String>) -> Result<ExitCode, String> {
+    if argv.is_empty() {
+        return Err(USAGE.into());
+    }
+    let name = argv.remove(0);
     let cfg = SystemConfig::a10_7850k();
 
     // Per-command flag allow-lists; anything else is rejected.
-    let parsed = match command.as_str() {
-        "list" | "figures" => Args::parse(argv, &["--quick"], &[]),
+    let args = match name.as_str() {
+        "list" | "figures" => Args::parse(argv, &["--quick"], &[])?,
         "run" => Args::parse(
             argv,
             &["--pinned", "--steer", "--coalesce", "--mono", "--json"],
             &["--cpu", "--gpu", "--qos", "--seed", "--gpus", "--metrics"],
-        ),
+        )?,
         "report" => return report_command(argv),
         "timeline" => Args::parse(
             argv,
@@ -1074,27 +899,17 @@ fn main() -> ExitCode {
                 "--to-us",
                 "--width",
             ],
-        ),
+        )?,
         "scenario" => return scenario_command(argv),
         "bench" => return bench_command(argv),
         "lint" => return lint_command(argv),
         "serve" => return serve_command(argv),
         "submit" => return submit_command(argv),
-        _ => return usage(),
+        _ => return Err(USAGE.into()),
     };
-    let args = match parsed {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Some(stray) = args.positional.first() {
-        eprintln!("unexpected argument {stray:?}");
-        return ExitCode::FAILURE;
-    }
+    args.no_positional()?;
 
-    match command.as_str() {
+    match name.as_str() {
         "list" => {
             outln!("CPU applications (PARSEC 2.1 models):");
             for s in hiss::parsec_suite() {
@@ -1116,55 +931,37 @@ fn main() -> ExitCode {
                     s.profile.kind
                 );
             }
-            ExitCode::SUCCESS
         }
         "run" => {
-            let b = match build(cfg, &args) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let report = b.run();
+            let report = build(cfg, &args)?.run();
             if let Some(path) = args.value("--metrics") {
                 let snapshot = format!("{}\n", report.metrics.to_json());
                 if path == "-" {
                     out!("{snapshot}");
-                } else if let Err(e) = std::fs::write(path, snapshot) {
-                    eprintln!("cannot write {path}: {e}");
-                    return ExitCode::FAILURE;
+                } else {
+                    write(path, snapshot)?;
                 }
             }
-            print_report(&report, args.flag("--json"));
-            ExitCode::SUCCESS
+            print_report(&report, args.flag("--json"))?;
         }
         "timeline" => {
-            let (b, width) = match timeline(cfg, &args) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            };
+            let (b, width) = timeline(cfg, &args)?;
             match b.run().trace {
                 Some(trace) => outln!("{}", trace.render_gantt(cfg.num_cores, width)),
                 None => eprintln!("no trace recorded"),
             }
-            ExitCode::SUCCESS
         }
-        "figures" => {
-            figures(cfg, args.flag("--quick"));
-            ExitCode::SUCCESS
-        }
-        _ => usage(),
+        "figures" => figures(cfg, args.flag("--quick"))?,
+        _ => unreachable!("command validated above"),
     }
+    Ok(ExitCode::SUCCESS)
 }
 
-fn banner(title: &str) {
+fn banner(title: &str) -> Result<(), String> {
     outln!("\n{}", "=".repeat(74));
     outln!("{title}");
     outln!("{}", "=".repeat(74));
+    Ok(())
 }
 
 /// `hiss-cli figures [--quick]` — regenerates every table and figure of
@@ -1175,34 +972,34 @@ fn banner(title: &str) {
 /// replication. `--quick` runs the packs' quick subsets. EXPERIMENTS.md
 /// records the paper-vs-measured comparison for the most recent full
 /// run.
-fn figures(cfg: SystemConfig, quick: bool) {
+fn figures(cfg: SystemConfig, quick: bool) -> Result<(), String> {
     use scenario::figures::{self as fig, *};
     let ctx = RunCtx::new(hiss::thread_count());
     let run_pack = |text| scenario::run_with_metrics(&ctx, &fig::pack(text), quick);
 
-    banner("Table I — GPU system service requests");
+    banner("Table I — GPU system service requests")?;
     outln!("{}", tables::render_table1(&tables::table1(&cfg)));
 
-    banner("Table II — test system configuration");
+    banner("Table II — test system configuration")?;
     outln!("{}", tables::render_table2(&tables::table2(&cfg)));
 
-    banner("Fig. 3a — normalised CPU application performance under GPU SSRs");
+    banner("Fig. 3a — normalised CPU application performance under GPU SSRs")?;
     let rows3 = run_pack(FIG3_PACK);
     outln!("{}", fig::fig3a(&rows3));
 
-    banner("Fig. 3b — normalised GPU performance under CPU interference");
+    banner("Fig. 3b — normalised GPU performance under CPU interference")?;
     outln!("{}", fig::fig3b(&rows3));
     let s = fig::fig3_summary(&rows3);
     outln!("{s:#?}");
 
-    banner("Fig. 4 — CC6 residency with and without SSRs");
+    banner("Fig. 4 — CC6 residency with and without SSRs")?;
     let rows4 = run_pack(FIG4_PACK);
     outln!("{}", fig::render_fig4(&fig::fig4(&rows4)));
 
-    banner("Fig. 5 — µarchitectural effects of ubench SSRs");
+    banner("Fig. 5 — µarchitectural effects of ubench SSRs")?;
     outln!("{}", fig::render_fig5(&fig::fig5(&rows3)));
 
-    banner("§IV-C — interrupt distribution, IPIs, coalescing");
+    banner("§IV-C — interrupt distribution, IPIs, coalescing")?;
     let s4c = fig::section4c(&run_pack(SECTION4C_PACK), &run_pack(SECTION4C_NO_SSR_PACK));
     outln!("{}", fig::render_section4c(&s4c));
 
@@ -1211,32 +1008,32 @@ fn figures(cfg: SystemConfig, quick: bool) {
         banner(&format!(
             "Fig. 6 — {} (CPU and GPU ratios vs default)",
             panel[0].technique.label()
-        ));
+        ))?;
         outln!("{}", fig::render_fig6(&panel));
     }
 
-    banner("Fig. 7 — Pareto: mitigation combinations under ubench");
+    banner("Fig. 7 — Pareto: mitigation combinations under ubench")?;
     outln!("{}", fig::render_pareto(&fig::fig7(&grid)));
 
-    banner("Fig. 8 — Pareto: mitigation combinations, full GPU applications");
+    banner("Fig. 8 — Pareto: mitigation combinations, full GPU applications")?;
     outln!("{}", fig::render_pareto(&fig::fig8(&grid)));
 
-    banner("Fig. 9 — mitigation techniques vs CC6 residency (ubench)");
+    banner("Fig. 9 — mitigation techniques vs CC6 residency (ubench)")?;
     outln!("{}", fig::fig9(&rows4, &run_pack(FIG9_PACK)));
 
-    banner("Fig. 12 — QoS throttling (default / th_25 / th_5 / th_1)");
+    banner("Fig. 12 — QoS throttling (default / th_25 / th_5 / th_1)")?;
     outln!("{}", fig::render_fig12(&fig::fig12(&run_pack(FIG12_PACK))));
 
-    banner("Extension — multi-accelerator scaling (x264 vs N × sssp)");
+    banner("Extension — multi-accelerator scaling (x264 vs N × sssp)")?;
     outln!("{}", fig::scaling(&run_pack(SCALING_PACK)));
 
-    banner("Extension — coalescing window sweep (x264 vs ubench)");
+    banner("Extension — coalescing window sweep (x264 vs ubench)")?;
     out!("{}", fig::coalescing_window(&run_pack(WINDOW_PACK)));
 
-    banner("Extension — outstanding-SSR-limit sweep (QoS leverage)");
+    banner("Extension — outstanding-SSR-limit sweep (QoS leverage)")?;
     out!("{}", fig::outstanding_limit(&run_pack(LIMIT_PACK)));
 
-    banner("Extension — adaptive QoS threshold (x264 within 10%)");
+    banner("Extension — adaptive QoS threshold (x264 within 10%)")?;
     let a = extensions::adaptive_qos(&ctx, &cfg, "x264", "ubench", 0.10, 5);
     outln!(
         "  threshold th_{:.2}: CPU {:.3}, ubench {:.3}",
@@ -1245,7 +1042,7 @@ fn figures(cfg: SystemConfig, quick: bool) {
         a.gpu_perf
     );
 
-    banner("Extension — module pairing (shared-L2 siblings, steered handlers)");
+    banner("Extension — module pairing (shared-L2 siblings, steered handlers)")?;
     let mp = extensions::module_pairing(&ctx, &cfg, "ubench");
     outln!(
         "  victim on core 0: steer to sibling core 1 -> {:.3}; steer to remote core 2 -> {:.3}",
@@ -1253,7 +1050,7 @@ fn figures(cfg: SystemConfig, quick: bool) {
         mp.remote_perf
     );
 
-    banner("Replication — x264 + ubench over 3 seeds (paper §III methodology)");
+    banner("Replication — x264 + ubench over 3 seeds (paper §III methodology)")?;
     let reps = hiss::replicate(
         ExperimentBuilder::new(cfg)
             .cpu_app("x264")
@@ -1268,4 +1065,5 @@ fn figures(cfg: SystemConfig, quick: bool) {
         reps.ssr_rate.mean,
         reps.ssr_rate.ci95(reps.n)
     );
+    Ok(())
 }

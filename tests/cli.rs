@@ -182,6 +182,10 @@ fn usage_errors_exit_1_with_their_message() {
             &["run", "--jsn"],
             "unknown flag --jsn (did you mean --json?)".into(),
         ),
+        (
+            &["scenario", "run", "scenarios/fig3.hiss", "--profile"],
+            "unknown flag --profile".into(),
+        ),
     ];
     for (args, message) in cases {
         let (code, stderr) = cli(args);

@@ -4,8 +4,8 @@
 //!
 //! 1. **Determinism** — `RunReport::metrics` is built purely from
 //!    simulation state, so serialized snapshots must be *byte-identical*
-//!    whatever the worker count (wall-clock profiling lives in the
-//!    separate batch profile, never in a run snapshot).
+//!    whatever the worker count (wall-clock time is measured by the
+//!    `hissbench` harness, never in a run snapshot).
 //! 2. **Sufficiency** — the paper's headline numbers (the 477× IPI
 //!    inflation of §IV-C, the coalescing interrupt reduction of §V-B,
 //!    and the 86% → 12% CC6 collapse of Fig. 4) must be reproducible
@@ -177,10 +177,10 @@ fn assert_conforms(reg: &MetricsRegistry, scopes: &[Scope], what: &str) {
 }
 
 /// Schema conformance: a real run (with a QoS governor, so `qos.*` is
-/// present), a scenario cell snapshot, and the wall-clock batch profile
-/// publish only names the static `hiss_obs::schema` declares — the
-/// third leg of the lint triangle (the other two, `[expect]` metrics
-/// and `docs/OBSERVABILITY.md`, are checked by `hiss-cli lint`).
+/// present) and a scenario cell snapshot publish only names the static
+/// `hiss_obs::schema` declares — the third leg of the lint triangle
+/// (the other two, `[expect]` metrics and `docs/OBSERVABILITY.md`, are
+/// checked by `hiss-cli lint`).
 #[test]
 fn published_metrics_conform_to_the_declared_schema() {
     let cfg = SystemConfig::a10_7850k();
@@ -192,11 +192,9 @@ fn published_metrics_conform_to_the_declared_schema() {
     assert_conforms(&report.metrics, &[Scope::Run], "run registry");
 
     let sc = Scenario::from_str(SCENARIO).unwrap();
-    let (pairs, profile) = hiss_scenario::run_profiled(&RunCtx::new(2), &sc, true);
-    for (_, cell) in &pairs {
+    for (_, cell) in &run_with_metrics(&RunCtx::new(2), &sc, true) {
         assert_conforms(cell, &[Scope::Run, Scope::Cell], "cell snapshot");
     }
-    assert_conforms(&profile, &[Scope::Profile], "batch profile");
 }
 
 /// §IV-B / Fig. 4: ubench SSRs collapse CC6 residency from 86% to 12%;
