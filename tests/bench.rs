@@ -205,23 +205,27 @@ fn cli_bench_update_requires_a_reason_and_records_it() {
     assert!(stderr.contains("--reason"), "{stderr}");
 
     // With --reason and a synthetic fresh snapshot, writes a parseable
-    // baseline carrying the reason.
-    let mut metrics = hiss::MetricsRegistry::new();
-    metrics.label("bench.suite", "engine");
-    metrics.counter("bench.cells", 1);
-    let snap = SuiteSnapshot {
-        line: 0,
-        suite: "engine".into(),
-        metrics,
+    // baseline carrying the reason. An allocation count inside the band
+    // keeps its committed value.
+    let snap = |cells, allocs| {
+        let mut metrics = hiss::MetricsRegistry::new();
+        metrics.label("bench.suite", "engine");
+        metrics.counter("bench.cells", cells);
+        metrics.counter("bench.alloc.allocs", allocs);
+        SuiteSnapshot {
+            line: 0,
+            suite: "engine".into(),
+            metrics,
+        }
     };
     let fresh_path = tmp("update_fresh.jsonl");
+    std::fs::write(&fresh_path, baseline::render("(fresh)", &[snap(1, 1564)])).unwrap();
+    let old_path = tmp("update_baseline.json");
     std::fs::write(
-        &fresh_path,
-        baseline::render("(fresh)", std::slice::from_ref(&snap)),
+        &old_path,
+        baseline::render("older reason", &[snap(2, 1549)]),
     )
     .unwrap();
-    let old_path = tmp("update_baseline.json");
-    std::fs::write(&old_path, baseline::render("older reason", &[snap])).unwrap();
 
     let out = cli()
         .args([
@@ -245,4 +249,8 @@ fn cli_bench_update_requires_a_reason_and_records_it() {
     assert_eq!(written.reason(), Some("test reason"));
     let engine = written.suite("engine").unwrap();
     assert_eq!(engine.metrics.counter_value("bench.cells"), Some(1));
+    assert_eq!(
+        engine.metrics.counter_value("bench.alloc.allocs"),
+        Some(1549)
+    );
 }
