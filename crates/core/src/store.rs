@@ -45,6 +45,7 @@
 //! identical bytes). The determinism lint's `HL305` check enforces that
 //! no code in the store paths writes an entry any other way.
 
+use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -279,15 +280,18 @@ fn read_dir_sorted(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
 
 /// Serializes a registry into entry bytes (header line + JSON payload).
 pub fn encode_entry(metrics: &MetricsRegistry) -> Vec<u8> {
-    let payload = format!("{}\n", metrics.to_json());
-    let header = format!(
-        "{ENTRY_MAGIC} {ENTRY_VERSION} {} {:016x}\n",
+    let mut payload = String::new();
+    metrics.write_json(&mut payload);
+    payload.push('\n');
+    let mut entry = String::with_capacity(64 + payload.len());
+    let _ = writeln!(
+        entry,
+        "{ENTRY_MAGIC} {ENTRY_VERSION} {} {:016x}",
         payload.len(),
         fnv1a(payload.as_bytes())
     );
-    let mut bytes = header.into_bytes();
-    bytes.extend_from_slice(payload.as_bytes());
-    bytes
+    entry.push_str(&payload);
+    entry.into_bytes()
 }
 
 /// Validates and decodes entry bytes. Errors name what failed so store

@@ -118,9 +118,19 @@ impl MetricsRegistry {
         }
     }
 
-    /// Sets an already-snapshotted value (used by the JSON parser).
+    /// Sets an already-snapshotted value.
     pub fn set(&mut self, name: impl Into<String>, value: MetricValue) {
         self.metrics.insert(name.into(), value);
+    }
+
+    /// Builds a registry from `(name, value)` pairs in one go; when a
+    /// name repeats, its later value wins, as with repeated
+    /// [`MetricsRegistry::set`]. Pairs already in name order (a parsed
+    /// snapshot's) cost no reordering.
+    pub(crate) fn from_pairs(pairs: Vec<(String, MetricValue)>) -> Self {
+        MetricsRegistry {
+            metrics: pairs.into_iter().collect(),
+        }
     }
 
     /// Looks up a metric by exact name.

@@ -1,15 +1,17 @@
 //! Human- and script-facing renderings of a snapshot: a two-column
 //! ASCII table and JSON-lines (one metric per line).
 
-use std::fmt::Write as _;
-
-use crate::json::{escape, gauge_str, value_json};
+use crate::json::{json_escape_into, push_gauge, push_value, value_len_hint};
 use crate::registry::{MetricValue, MetricsRegistry};
 
 fn value_cell(value: &MetricValue) -> String {
     match value {
         MetricValue::Counter(v) => v.to_string(),
-        MetricValue::Gauge(v) => gauge_str(*v),
+        MetricValue::Gauge(v) => {
+            let mut cell = String::new();
+            push_gauge(&mut cell, *v);
+            cell
+        }
         MetricValue::Label(s) => s.clone(),
         MetricValue::Histogram(h) => format!(
             "count={} mean={}ns p50={}ns p99={}ns ({} buckets)",
@@ -78,14 +80,18 @@ impl MetricsRegistry {
     /// deterministic name order (trailing newline included when
     /// non-empty).
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity(48 * self.len());
+        const FRAME: &str = "{\"metric\":\"\",\"value\":}\n";
+        let hint: usize = self
+            .iter()
+            .map(|(name, value)| FRAME.len() + name.len() + value_len_hint(value))
+            .sum();
+        let mut out = String::with_capacity(hint);
         for (name, value) in self.iter() {
-            let _ = writeln!(
-                out,
-                "{{\"metric\":\"{}\",\"value\":{}}}",
-                escape(name),
-                value_json(value)
-            );
+            out.push_str("{\"metric\":\"");
+            json_escape_into(&mut out, name);
+            out.push_str("\",\"value\":");
+            push_value(&mut out, value);
+            out.push_str("}\n");
         }
         out
     }

@@ -7,22 +7,9 @@
 
 use std::fmt::Write as _;
 
-use crate::compile::Row;
+use hiss_obs::json_escape_into;
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+use crate::compile::Row;
 
 fn json_f64(x: f64) -> String {
     if x.is_finite() {
@@ -36,15 +23,17 @@ fn json_f64(x: f64) -> String {
 pub fn row_json(row: &Row) -> String {
     let mut out = String::with_capacity(256);
     out.push('{');
-    let _ = write!(out, "\"cpu_app\":\"{}\"", json_escape(&row.cpu_app));
-    let _ = write!(out, ",\"gpu_app\":\"{}\"", json_escape(&row.gpu_app));
+    out.push_str("\"cpu_app\":\"");
+    json_escape_into(&mut out, &row.cpu_app);
+    out.push_str("\",\"gpu_app\":\"");
+    json_escape_into(&mut out, &row.gpu_app);
+    out.push('"');
     for (key, value) in &row.axes {
-        let _ = write!(
-            out,
-            ",\"axis_{}\":\"{}\"",
-            json_escape(key),
-            json_escape(value)
-        );
+        out.push_str(",\"axis_");
+        json_escape_into(&mut out, key);
+        out.push_str("\":\"");
+        json_escape_into(&mut out, value);
+        out.push('"');
     }
     let _ = write!(out, ",\"replica\":{}", row.replica);
     let cpu_perf = row
@@ -196,7 +185,13 @@ mod tests {
 
     #[test]
     fn escaping_is_json_safe() {
-        assert_eq!(json_escape("a\"b\\c\n"), "a\\\"b\\\\c\\u000a");
+        let mut r = row();
+        r.cpu_app = "a\"b\\c\n".into();
+        assert!(
+            row_json(&r).starts_with("{\"cpu_app\":\"a\\\"b\\\\c\\u000a\",\"gpu_app\":"),
+            "{}",
+            row_json(&r)
+        );
         assert_eq!(json_f64(f64::NAN), "null");
     }
 }

@@ -70,6 +70,7 @@
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use hiss::experiments::{extensions, tables};
 use hiss::{ExperimentBuilder, Mitigation, Ns, QosParams, RunCtx, RunReport, SystemConfig};
@@ -83,13 +84,24 @@ use hiss_scenario as scenario;
 #[global_allocator]
 static ALLOC: hiss_bench::CountingAlloc = hiss_bench::CountingAlloc::new();
 
+/// Set once stdout's reader has gone; later output is dropped.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
 /// Writes formatted output to stdout. A closed stdout (`hiss-cli
-/// figures | head -1`) ends the process quietly with status 0, as the
-/// reader has all it asked for; any other write error is returned.
+/// figures | head -1`) is recorded and every later write is dropped
+/// quietly, as the reader has all it asked for; the command still runs
+/// to its verdict and `main` exits with the command's own status. Any
+/// other write error is returned.
 fn emit(args: std::fmt::Arguments) -> Result<(), String> {
     use std::io::Write as _;
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return Ok(());
+    }
     match std::io::stdout().lock().write_fmt(args) {
-        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => {
+            STDOUT_CLOSED.store(true, Ordering::Relaxed);
+            Ok(())
+        }
         written => written.map_err(|e| format!("cannot write to stdout: {e}")),
     }
 }
@@ -716,7 +728,7 @@ fn scenario_run(argv: Vec<String>) -> Result<ExitCode, String> {
     if let Some(path) = args.value("--metrics") {
         let mut out = String::new();
         for snap in &snapshots {
-            out.push_str(&snap.to_json());
+            snap.write_json(&mut out);
             out.push('\n');
         }
         write(path, out)?;
@@ -935,7 +947,8 @@ fn command(mut argv: Vec<String>) -> Result<ExitCode, String> {
         "run" => {
             let report = build(cfg, &args)?.run();
             if let Some(path) = args.value("--metrics") {
-                let snapshot = format!("{}\n", report.metrics.to_json());
+                let mut snapshot = report.metrics.to_json();
+                snapshot.push('\n');
                 if path == "-" {
                     out!("{snapshot}");
                 } else {

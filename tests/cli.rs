@@ -3,7 +3,8 @@
 //! naming the flag and the value. It is never replaced by the flag's
 //! default, and it never reaches the simulator. A flag that needs
 //! `--gpu` is rejected without it, a usage error exits 1 with its one
-//! message, and a closed stdout ends the process quietly.
+//! message, and a closed stdout ends the process quietly with the
+//! command's own exit status.
 
 use std::path::Path;
 use std::process::{Command, Stdio};
@@ -197,19 +198,54 @@ fn usage_errors_exit_1_with_their_message() {
 /// `hiss-cli list | head -1` and the like: once the reader is gone, the
 /// next write fails with a broken pipe, and the process ends quietly
 /// with status 0 instead of panicking.
-#[test]
-fn closed_stdout_ends_quietly() {
-    // A pipe whose only reader has exited, so every write to it fails.
+/// The write end of a pipe whose only reader has exited, so every
+/// write to it fails.
+fn closed_pipe() -> Stdio {
     let mut reader = Command::new("true").stdin(Stdio::piped()).spawn().unwrap();
     let write_end = reader.stdin.take().unwrap();
     reader.wait().unwrap();
+    Stdio::from(write_end)
+}
+
+#[test]
+fn closed_stdout_ends_quietly() {
     let out = Command::new(env!("CARGO_BIN_EXE_hiss-cli"))
         .arg("list")
-        .stdout(Stdio::from(write_end))
+        .stdout(closed_pipe())
         .output()
         .unwrap();
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert_ne!(out.status.code(), Some(101), "{stderr}");
     assert_eq!(out.status.code(), Some(0), "{stderr}");
+}
+
+#[test]
+fn a_failure_verdict_survives_a_closed_stdout() {
+    // A baseline with one counter doctored (`bench.cells` 2 -> 12),
+    // checked against the committed one: the verdict is a failure,
+    // printed on stdout after its findings. The reader having gone
+    // must not turn it into a success.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let committed = std::fs::read_to_string(root.join("BENCH_BASELINE.json")).unwrap();
+    let doctored = committed.replacen("\"bench.cells\":", "\"bench.cells\":1", 1);
+    assert_ne!(doctored, committed, "no bench.cells counter to doctor");
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join("closed_stdout_doctored.json");
+    std::fs::write(&path, doctored).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_hiss-cli"))
+        .current_dir(&root)
+        .args([
+            "bench",
+            "check",
+            "--fresh",
+            "BENCH_BASELINE.json",
+            "--baseline",
+        ])
+        .arg(&path)
+        .stdout(closed_pipe())
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
 }
