@@ -249,3 +249,44 @@ fn a_failure_verdict_survives_a_closed_stdout() {
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert_eq!(out.status.code(), Some(1), "{stderr}");
 }
+
+/// The `hiss-cli run` invocations pinned by `tests/golden/cli_run.txt`:
+/// a CPU+GPU run, a GPU-only run (no CPU runtime line, `null` in JSON),
+/// a QoS-throttled run (nonzero deferrals) and a two-GPU run.
+const RUNS: &[&[&str]] = &[
+    &["run", "--cpu", "x264", "--gpu", "ubench"],
+    &["run", "--gpu", "ubench"],
+    &["run", "--cpu", "x264", "--gpu", "ubench", "--qos", "5"],
+    &["run", "--cpu", "x264", "--gpu", "ubench", "--gpus", "2"],
+];
+
+/// Every pinned run's text and `--json` output, each under a `$ hiss-cli
+/// ...` header line, in the golden's layout.
+fn run_transcript() -> String {
+    let mut transcript = String::new();
+    for run in RUNS {
+        for json in [false, true] {
+            let mut args = run.to_vec();
+            if json {
+                args.push("--json");
+            }
+            let out = Command::new(env!("CARGO_BIN_EXE_hiss-cli"))
+                .args(&args)
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(out.status.success(), "{args:?} failed:\n{stderr}");
+            transcript.push_str(&format!("$ hiss-cli {}\n", args.join(" ")));
+            transcript.push_str(&String::from_utf8(out.stdout).unwrap());
+        }
+    }
+    transcript
+}
+
+#[test]
+fn run_output_matches_the_golden() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/cli_run.txt");
+    let golden =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    assert_eq!(run_transcript(), golden);
+}
