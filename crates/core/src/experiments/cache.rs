@@ -250,9 +250,9 @@ mod tests {
             .cpu_app("swaptions")
             .gpu_app_pinned("bfs")
             .run();
-        assert_eq!(cached.cpu_app_runtime, fresh.cpu_app_runtime);
-        assert_eq!(cached.elapsed, fresh.elapsed);
-        assert_eq!(cached.kernel.ssrs_serviced, fresh.kernel.ssrs_serviced);
+        assert_eq!(cached.cpu_app_runtime(), fresh.cpu_app_runtime());
+        assert_eq!(cached.elapsed(), fresh.elapsed());
+        assert_eq!(cached.ssrs_serviced(), fresh.ssrs_serviced());
     }
 
     #[test]
@@ -277,7 +277,7 @@ mod tests {
         let b = cache.gpu_idle_baseline(&other, "ubench");
         assert_eq!(cache.len(), 2);
         // Different seeds genuinely differ in outcome.
-        assert_ne!(a.kernel.ssrs_serviced, b.kernel.ssrs_serviced);
+        assert_ne!(a.ssrs_serviced(), b.ssrs_serviced());
     }
 
     /// A default-mitigation run never reads the coalescing window or the
@@ -324,8 +324,8 @@ mod tests {
         assert_eq!(store.hit_count(), 0);
 
         // Second process (fresh in-memory cache, same store): the run
-        // must come back from disk with byte-identical metrics and
-        // bit-exact scalar fields — no simulation.
+        // must come back from disk with byte-identical metrics, so
+        // bit-exact accessors — no simulation.
         let reader = BaselineCache::default();
         let disk = Arc::new(DiskStore::open(&dir).expect("reopen store"));
         reader.attach_disk(Arc::clone(&disk));
@@ -333,11 +333,11 @@ mod tests {
         assert_eq!(disk.hit_count(), 1);
         assert_eq!(disk.write_count(), 0);
         assert_eq!(loaded.metrics.to_json(), fresh.metrics.to_json());
-        assert_eq!(loaded.elapsed, fresh.elapsed);
-        assert_eq!(loaded.kernel.ssrs_serviced, fresh.kernel.ssrs_serviced);
+        assert_eq!(loaded.elapsed(), fresh.elapsed());
+        assert_eq!(loaded.ssrs_serviced(), fresh.ssrs_serviced());
         assert_eq!(
-            loaded.gpu_throughput.to_bits(),
-            fresh.gpu_throughput.to_bits()
+            loaded.gpu_throughput().to_bits(),
+            fresh.gpu_throughput().to_bits()
         );
 
         std::fs::remove_dir_all(&dir).expect("cleanup");

@@ -80,10 +80,10 @@ mod tests {
         let cfg = crate::SystemConfig::a10_7850k();
         let cache = BaselineCache::default();
         let base = cache.cpu_baseline(&cfg, "swaptions", "bfs");
-        assert_eq!(base.kernel.ssrs_serviced, 0);
-        assert!(base.cpu_app_runtime.is_some());
+        assert_eq!(base.ssrs_serviced(), 0);
+        assert!(base.cpu_app_runtime().is_some());
         let idle = cache.gpu_idle_baseline(&cfg, "bfs");
-        assert!(idle.kernel.ssrs_serviced > 0);
-        assert!(idle.cpu_app_runtime.is_none());
+        assert!(idle.ssrs_serviced() > 0);
+        assert!(idle.cpu_app_runtime().is_none());
     }
 }

@@ -33,8 +33,8 @@
 //!     .cpu_app("fluidanimate")
 //!     .gpu_app_pinned("sssp") // same GPU work, no SSRs
 //!     .run();
-//! let normalized = baseline.cpu_app_runtime.unwrap().as_nanos() as f64
-//!     / report.cpu_app_runtime.unwrap().as_nanos() as f64;
+//! let normalized = baseline.cpu_app_runtime().unwrap().as_nanos() as f64
+//!     / report.cpu_app_runtime().unwrap().as_nanos() as f64;
 //! assert!(normalized < 1.0); // SSRs cost the CPU application performance
 //! ```
 

@@ -1,164 +1,149 @@
 //! Run-level measurement report.
 
-use hiss_cpu::TimeBreakdown;
-use hiss_iommu::IommuStats;
-use hiss_obs::MetricsRegistry;
+use hiss_obs::{HistogramSnapshot, MetricValue, MetricsRegistry};
 use hiss_sim::Ns;
 
-use crate::energy::EnergyReport;
 use crate::trace::Trace;
 
-/// Kernel-side counters copied out of the run (a plain-data snapshot of
-/// [`hiss_kernel::KernelStats`]).
-#[derive(Debug, Clone, Default)]
-pub struct KernelSnapshot {
-    /// SSR interrupts per core (`/proc/interrupts` view).
-    pub interrupts_per_core: Vec<u64>,
-    /// IPIs sent to wake kernel threads.
-    pub ipis: u64,
-    /// SSRs fully serviced.
-    pub ssrs_serviced: u64,
-    /// Mean end-to-end SSR latency.
-    pub mean_ssr_latency: Ns,
-    /// 99th-percentile SSR latency (bucket upper bound).
-    pub p99_ssr_latency: Ns,
-    /// Mean requests per interrupt.
-    pub mean_batch: f64,
-    /// QoS deferral episodes.
-    pub qos_deferrals: u64,
-}
-
 /// Everything measured in one simulation run.
+///
+/// The registry is the one copy of the run's results: every accessor
+/// below reads it under the name [`Soc`](crate::Soc) publishes, and a
+/// key that is missing (or holds another kind of value) reads as 0, or
+/// as `None` where the accessor returns an `Option`. So a report rebuilt
+/// from a doctored snapshot never panics.
 #[derive(Debug, Clone, Default)]
 pub struct RunReport {
-    /// Wall-clock length of the run.
-    pub elapsed: Ns,
-    /// When the CPU application's last thread finished (its runtime), if
-    /// a CPU application was present and finished.
-    pub cpu_app_runtime: Option<Ns>,
-    /// Total GPU work completed (across loop iterations), in full-speed
-    /// execution nanoseconds.
-    pub gpu_progress: Ns,
-    /// GPU throughput: progress per second of wall time (1.0 = a GPU that
-    /// never stalls).
-    pub gpu_throughput: f64,
-    /// GPU kernel iterations completed.
-    pub gpu_iterations: u64,
-    /// SSR completions per second of wall time (the ubench metric).
-    pub ssr_rate: f64,
-    /// Mean CC6 residency across cores (Fig. 4 / Fig. 9 y-axis).
-    pub cc6_residency: f64,
-    /// Fraction of aggregate CPU time spent on SSR overhead.
-    pub cpu_ssr_overhead: f64,
-    /// Time-averaged L1D coldness across cores running user threads
-    /// (proxy for the Fig. 5a miss-rate increase).
-    pub avg_cache_coldness: f64,
-    /// Time-averaged branch-predictor coldness (Fig. 5b proxy).
-    pub avg_branch_coldness: f64,
-    /// Per-core time ledgers.
-    pub per_core: Vec<TimeBreakdown>,
-    /// Kernel counters.
-    pub kernel: KernelSnapshot,
-    /// IOMMU counters.
-    pub iommu: IommuStats,
-    /// Requests still sitting in the PPR log when the run ended (a
-    /// coalescing window that never expired); `iommu.drained +
-    /// pending_at_end == iommu.requests` always holds.
-    pub pending_at_end: usize,
-    /// CPU energy (extension).
-    pub energy: EnergyReport,
-    /// Activity trace, when requested via
-    /// [`ExperimentBuilder::trace_window`](crate::ExperimentBuilder::trace_window).
-    pub trace: Option<Trace>,
     /// Structured snapshot of every component's counters (`kernel.*`,
     /// `iommu.*`, `cpu.*`, `gpu*.*`, `qos.*`, `run.*`, `energy.*`).
     /// Built purely from deterministic simulation state, so it is
     /// bit-identical across `HISS_THREADS` settings; serialize with
     /// [`MetricsRegistry::to_json`].
     pub metrics: MetricsRegistry,
-}
-
-/// Pulls one field out of the `kernel.latency` histogram snapshot
-/// (`Ns::ZERO` when the run recorded no SSR latencies).
-fn latency_field(
-    metrics: &MetricsRegistry,
-    field: impl Fn(&hiss_obs::HistogramSnapshot) -> u64,
-) -> Ns {
-    match metrics.get("kernel.latency") {
-        Some(hiss_obs::MetricValue::Histogram(h)) => Ns::from_nanos(field(h)),
-        _ => Ns::ZERO,
-    }
+    /// Activity trace, when requested via
+    /// [`ExperimentBuilder::trace_window`](crate::ExperimentBuilder::trace_window).
+    pub trace: Option<Trace>,
 }
 
 impl RunReport {
-    /// Reconstructs a report from a stored metrics snapshot (the disk
-    /// store's payload — see [`crate::store`]).
-    ///
-    /// Every scalar measurement field round-trips exactly: counters are
-    /// integral and gauges serialize with shortest-round-trip `f64`
-    /// formatting, so a reconstructed report is bit-identical to the
-    /// fresh one in every field below *and* carries the stored registry
-    /// byte-for-byte. Two fields are deliberately not round-tripped:
-    /// `per_core` ledgers (interior diagnostic state, never consulted by
-    /// normalisation or scenario rows) stay empty, and `trace` is `None`
-    /// (traces are never cached).
+    /// Wraps a stored metrics snapshot (the disk store's payload — see
+    /// [`crate::store`]). Every accessor reads exactly what the fresh run
+    /// read; only `trace` is `None`, since traces are never stored.
     pub fn from_metrics(metrics: MetricsRegistry) -> RunReport {
-        let c = |name: &str| metrics.counter_value(name).unwrap_or(0);
-        let g = |name: &str| metrics.gauge_value(name).unwrap_or(0.0);
-
-        // Per-core interrupt counters: indices must be ordered
-        // numerically (lexicographic registry order puts core10 before
-        // core2).
-        let mut interrupts: Vec<(usize, u64)> = metrics
-            .iter()
-            .filter_map(|(name, _)| {
-                let idx: usize = name.strip_prefix("kernel.interrupts.core")?.parse().ok()?;
-                Some((idx, metrics.counter_value(name)?))
-            })
-            .collect();
-        interrupts.sort_unstable();
-
-        let kernel = KernelSnapshot {
-            interrupts_per_core: interrupts.into_iter().map(|(_, n)| n).collect(),
-            ipis: c("kernel.ipis"),
-            ssrs_serviced: c("kernel.ssrs_serviced"),
-            mean_ssr_latency: latency_field(&metrics, |h| h.mean_ns),
-            p99_ssr_latency: latency_field(&metrics, |h| h.p99_ns),
-            mean_batch: g("kernel.batch.mean"),
-            qos_deferrals: c("kernel.qos_deferrals"),
-        };
-        let iommu = IommuStats {
-            requests: c("iommu.requests"),
-            interrupts: c("iommu.interrupts"),
-            timer_fires: c("iommu.timer_fires"),
-            log_full_flushes: c("iommu.log_full_flushes"),
-            drained: c("iommu.drained"),
-        };
-        let energy = EnergyReport {
-            cpu_joules: g("energy.cpu_joules"),
-            cpu_avg_watts: g("energy.cpu_avg_watts"),
-        };
         RunReport {
-            elapsed: Ns::from_nanos(c("run.elapsed_ns")),
-            cpu_app_runtime: metrics
-                .counter_value("run.cpu_app_runtime_ns")
-                .map(Ns::from_nanos),
-            gpu_progress: Ns::from_nanos(c("run.gpu_progress_ns")),
-            gpu_throughput: g("run.gpu_throughput"),
-            gpu_iterations: c("run.gpu_iterations"),
-            ssr_rate: g("run.ssr_rate"),
-            cc6_residency: g("run.cc6_residency"),
-            cpu_ssr_overhead: g("run.cpu_ssr_overhead"),
-            avg_cache_coldness: g("run.avg_cache_coldness"),
-            avg_branch_coldness: g("run.avg_branch_coldness"),
-            per_core: Vec::new(),
-            kernel,
-            iommu,
-            pending_at_end: c("run.pending_at_end") as usize,
-            energy,
-            trace: None,
             metrics,
+            trace: None,
         }
+    }
+
+    fn counter(&self, name: &str) -> u64 {
+        self.metrics.counter_value(name).unwrap_or(0)
+    }
+
+    fn gauge(&self, name: &str) -> f64 {
+        self.metrics.gauge_value(name).unwrap_or(0.0)
+    }
+
+    /// One field of the `kernel.latency` histogram (`Ns::ZERO` when the
+    /// run recorded no SSR latencies).
+    fn latency(&self, field: impl Fn(&HistogramSnapshot) -> u64) -> Ns {
+        match self.metrics.get("kernel.latency") {
+            Some(MetricValue::Histogram(h)) => Ns::from_nanos(field(h)),
+            _ => Ns::ZERO,
+        }
+    }
+
+    /// Wall-clock length of the run (`run.elapsed_ns`).
+    pub fn elapsed(&self) -> Ns {
+        Ns::from_nanos(self.counter("run.elapsed_ns"))
+    }
+
+    /// When the CPU application's last thread finished (its runtime), if
+    /// a CPU application was present and finished
+    /// (`run.cpu_app_runtime_ns`).
+    pub fn cpu_app_runtime(&self) -> Option<Ns> {
+        self.metrics
+            .counter_value("run.cpu_app_runtime_ns")
+            .map(Ns::from_nanos)
+    }
+
+    /// GPU throughput: progress per second of wall time (1.0 = a GPU that
+    /// never stalls).
+    pub fn gpu_throughput(&self) -> f64 {
+        self.gauge("run.gpu_throughput")
+    }
+
+    /// SSR completions per second of wall time (the ubench metric).
+    pub fn ssr_rate(&self) -> f64 {
+        self.gauge("run.ssr_rate")
+    }
+
+    /// Mean CC6 residency across cores (Fig. 4 / Fig. 9 y-axis).
+    pub fn cc6_residency(&self) -> f64 {
+        self.gauge("run.cc6_residency")
+    }
+
+    /// Fraction of aggregate CPU time spent on SSR overhead.
+    pub fn cpu_ssr_overhead(&self) -> f64 {
+        self.gauge("run.cpu_ssr_overhead")
+    }
+
+    /// Time-averaged L1D coldness across cores running user threads
+    /// (proxy for the Fig. 5a miss-rate increase).
+    pub fn avg_cache_coldness(&self) -> f64 {
+        self.gauge("run.avg_cache_coldness")
+    }
+
+    /// Time-averaged branch-predictor coldness (Fig. 5b proxy).
+    pub fn avg_branch_coldness(&self) -> f64 {
+        self.gauge("run.avg_branch_coldness")
+    }
+
+    /// SSRs fully serviced.
+    pub fn ssrs_serviced(&self) -> u64 {
+        self.counter("kernel.ssrs_serviced")
+    }
+
+    /// IPIs sent to wake kernel threads.
+    pub fn ipis(&self) -> u64 {
+        self.counter("kernel.ipis")
+    }
+
+    /// QoS deferral episodes.
+    pub fn qos_deferrals(&self) -> u64 {
+        self.counter("kernel.qos_deferrals")
+    }
+
+    /// Mean end-to-end SSR latency.
+    pub fn mean_ssr_latency(&self) -> Ns {
+        self.latency(|h| h.mean_ns)
+    }
+
+    /// 99th-percentile SSR latency (bucket upper bound).
+    pub fn p99_ssr_latency(&self) -> Ns {
+        self.latency(|h| h.p99_ns)
+    }
+
+    /// SSR interrupts per core (`/proc/interrupts` view): the
+    /// `kernel.interrupts.core{i}` counters for `i = 0, 1, …` up to the
+    /// first missing one.
+    pub fn interrupts_per_core(&self) -> Vec<u64> {
+        (0..)
+            .map_while(|i| {
+                self.metrics
+                    .counter_value(&format!("kernel.interrupts.core{i}"))
+            })
+            .collect()
+    }
+
+    /// Total CPU core energy in joules (extension).
+    pub fn cpu_joules(&self) -> f64 {
+        self.gauge("energy.cpu_joules")
+    }
+
+    /// Average CPU power in watts (extension).
+    pub fn cpu_avg_watts(&self) -> f64 {
+        self.gauge("energy.cpu_avg_watts")
     }
 
     /// CPU-application performance of this run normalised to a baseline
@@ -166,27 +151,29 @@ impl RunReport {
     ///
     /// Returns `None` if either run lacks a finished CPU application.
     pub fn cpu_perf_vs(&self, baseline: &RunReport) -> Option<f64> {
-        let mine = self.cpu_app_runtime?;
-        let base = baseline.cpu_app_runtime?;
+        let mine = self.cpu_app_runtime()?;
+        let base = baseline.cpu_app_runtime()?;
         Some(base.as_nanos() as f64 / mine.as_nanos() as f64)
     }
 
     /// GPU throughput of this run normalised to a baseline run (the
     /// paper's Fig. 3b/6/12b y-axis).
     pub fn gpu_perf_vs(&self, baseline: &RunReport) -> f64 {
-        if baseline.gpu_throughput == 0.0 {
+        let base = baseline.gpu_throughput();
+        if base == 0.0 {
             return 0.0;
         }
-        self.gpu_throughput / baseline.gpu_throughput
+        self.gpu_throughput() / base
     }
 
     /// SSR rate normalised to a baseline (the ubench performance metric
     /// in Figs. 6–7).
     pub fn ssr_rate_vs(&self, baseline: &RunReport) -> f64 {
-        if baseline.ssr_rate == 0.0 {
+        let base = baseline.ssr_rate();
+        if base == 0.0 {
             return 0.0;
         }
-        self.ssr_rate / baseline.ssr_rate
+        self.ssr_rate() / base
     }
 }
 
@@ -194,78 +181,21 @@ impl RunReport {
 mod tests {
     use super::*;
 
-    /// The disk-store contract: a report reconstructed from a stored
-    /// snapshot matches the fresh run bit-for-bit in every scalar field
-    /// and carries the registry byte-identically.
-    #[test]
-    fn from_metrics_round_trips_every_scalar_field() {
-        let fresh = crate::ExperimentBuilder::new(crate::SystemConfig::a10_7850k())
-            .cpu_app("x264")
-            .gpu_app("ubench")
-            .run();
-        let back = RunReport::from_metrics(fresh.metrics.clone());
-        assert_eq!(back.metrics.to_json(), fresh.metrics.to_json());
-        assert_eq!(back.elapsed, fresh.elapsed);
-        assert_eq!(back.cpu_app_runtime, fresh.cpu_app_runtime);
-        assert_eq!(back.gpu_progress, fresh.gpu_progress);
-        assert_eq!(
-            back.gpu_throughput.to_bits(),
-            fresh.gpu_throughput.to_bits()
-        );
-        assert_eq!(back.gpu_iterations, fresh.gpu_iterations);
-        assert_eq!(back.ssr_rate.to_bits(), fresh.ssr_rate.to_bits());
-        assert_eq!(back.cc6_residency.to_bits(), fresh.cc6_residency.to_bits());
-        assert_eq!(
-            back.cpu_ssr_overhead.to_bits(),
-            fresh.cpu_ssr_overhead.to_bits()
-        );
-        assert_eq!(
-            back.avg_cache_coldness.to_bits(),
-            fresh.avg_cache_coldness.to_bits()
-        );
-        assert_eq!(
-            back.kernel.interrupts_per_core,
-            fresh.kernel.interrupts_per_core
-        );
-        assert_eq!(back.kernel.ipis, fresh.kernel.ipis);
-        assert_eq!(back.kernel.ssrs_serviced, fresh.kernel.ssrs_serviced);
-        assert_eq!(back.kernel.mean_ssr_latency, fresh.kernel.mean_ssr_latency);
-        assert_eq!(back.kernel.p99_ssr_latency, fresh.kernel.p99_ssr_latency);
-        assert_eq!(
-            back.kernel.mean_batch.to_bits(),
-            fresh.kernel.mean_batch.to_bits()
-        );
-        assert_eq!(back.kernel.qos_deferrals, fresh.kernel.qos_deferrals);
-        assert_eq!(back.iommu.requests, fresh.iommu.requests);
-        assert_eq!(back.iommu.interrupts, fresh.iommu.interrupts);
-        assert_eq!(back.iommu.timer_fires, fresh.iommu.timer_fires);
-        assert_eq!(back.iommu.log_full_flushes, fresh.iommu.log_full_flushes);
-        assert_eq!(back.iommu.drained, fresh.iommu.drained);
-        assert_eq!(back.pending_at_end, fresh.pending_at_end);
-        assert_eq!(
-            back.energy.cpu_joules.to_bits(),
-            fresh.energy.cpu_joules.to_bits()
-        );
-        assert_eq!(
-            back.energy.cpu_avg_watts.to_bits(),
-            fresh.energy.cpu_avg_watts.to_bits()
-        );
+    /// A report whose registry holds just the normalisation inputs.
+    fn report(runtime_ms: Option<u64>, gpu_throughput: f64, ssr_rate: f64) -> RunReport {
+        let mut m = MetricsRegistry::new();
+        if let Some(ms) = runtime_ms {
+            m.counter("run.cpu_app_runtime_ns", Ns::from_millis(ms).as_nanos());
+        }
+        m.gauge("run.gpu_throughput", gpu_throughput);
+        m.gauge("run.ssr_rate", ssr_rate);
+        RunReport::from_metrics(m)
     }
 
     #[test]
     fn normalisation_math() {
-        let fast = RunReport {
-            cpu_app_runtime: Some(Ns::from_millis(10)),
-            gpu_throughput: 0.8,
-            ssr_rate: 50_000.0,
-            ..RunReport::default()
-        };
-        let slow = RunReport {
-            cpu_app_runtime: Some(Ns::from_millis(20)),
-            gpu_throughput: 0.4,
-            ssr_rate: 25_000.0,
-            ..RunReport::default()
-        };
+        let fast = report(Some(10), 0.8, 50_000.0);
+        let slow = report(Some(20), 0.4, 25_000.0);
         assert_eq!(slow.cpu_perf_vs(&fast), Some(0.5));
         assert_eq!(slow.gpu_perf_vs(&fast), 0.5);
         assert_eq!(slow.ssr_rate_vs(&fast), 0.5);
@@ -273,23 +203,40 @@ mod tests {
 
     #[test]
     fn missing_runtime_yields_none() {
-        let a = RunReport::default();
-        let b = RunReport {
-            cpu_app_runtime: Some(Ns::from_millis(1)),
-            ..RunReport::default()
-        };
+        let a = report(None, 0.5, 1.0);
+        let b = report(Some(1), 0.5, 1.0);
         assert_eq!(a.cpu_perf_vs(&b), None);
         assert_eq!(b.cpu_perf_vs(&a), None);
     }
 
     #[test]
     fn zero_baseline_throughput_is_zero_not_nan() {
-        let a = RunReport {
-            gpu_throughput: 0.5,
-            ..RunReport::default()
-        };
+        let a = report(Some(1), 0.5, 1.0);
         let zero = RunReport::default();
         assert_eq!(a.gpu_perf_vs(&zero), 0.0);
         assert_eq!(a.ssr_rate_vs(&zero), 0.0);
+    }
+
+    /// A missing key, or one doctored to another kind, reads as 0 or
+    /// `None`; per-core interrupts stop at the first gap.
+    #[test]
+    fn missing_or_mistyped_keys_read_as_zero() {
+        let mut m = MetricsRegistry::new();
+        m.gauge("run.elapsed_ns", 1.0);
+        m.counter("kernel.latency", 7);
+        m.counter("kernel.interrupts.core0", 3);
+        m.counter("kernel.interrupts.core2", 5);
+        let r = RunReport::from_metrics(m);
+        assert_eq!(r.elapsed(), Ns::ZERO);
+        assert_eq!(r.cpu_app_runtime(), None);
+        assert_eq!(r.gpu_throughput(), 0.0);
+        assert_eq!(r.ssrs_serviced(), 0);
+        assert_eq!(r.mean_ssr_latency(), Ns::ZERO);
+        assert_eq!(r.p99_ssr_latency(), Ns::ZERO);
+        assert_eq!(r.interrupts_per_core(), vec![3]);
+        assert_eq!(
+            RunReport::default().interrupts_per_core(),
+            Vec::<u64>::new()
+        );
     }
 }

@@ -96,13 +96,13 @@ pub fn replicate(builder: ExperimentBuilder, n: usize) -> Replicated {
             .clone()
             .seed(base_seed.wrapping_add(0x9E37_79B9 * i as u64))
             .run();
-        if let Some(t) = report.cpu_app_runtime {
+        if let Some(t) = report.cpu_app_runtime() {
             runtime.push(t.as_secs_f64());
         }
-        thpt.push(report.gpu_throughput);
-        rate.push(report.ssr_rate);
-        overhead.push(report.cpu_ssr_overhead);
-        cc6.push(report.cc6_residency);
+        thpt.push(report.gpu_throughput());
+        rate.push(report.ssr_rate());
+        overhead.push(report.cpu_ssr_overhead());
+        cc6.push(report.cc6_residency());
         reports.push(report);
     }
     Replicated {

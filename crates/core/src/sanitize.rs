@@ -7,11 +7,13 @@
 //!
 //! - debug builds (so the whole test suite) always fail hard,
 //! - release builds fail hard when `HISS_SANITIZE=1` (or `true`, `yes`,
-//!   `on`) is set, or when a front-end calls [`force_sanitize`]
-//!   (`hiss-cli scenario run --sanitize`, `hiss-serve`).
+//!   `on`) is set, or when a front-end calls [`force_sanitize`] (only
+//!   `hiss-cli scenario run --sanitize` does).
 //!
 //! The audit itself always runs and the counter is always published, so
-//! snapshots stay byte-identical whatever the enforcement mode.
+//! snapshots stay byte-identical whatever the enforcement mode. The
+//! serving path does not flip this switch: `hiss_serve::Service` audits
+//! every cell it serves itself.
 
 use std::sync::OnceLock;
 
@@ -25,9 +27,10 @@ fn env_requests_sanitize() -> bool {
 }
 
 /// Turns hard-failure enforcement on for the rest of the process, as if
-/// `HISS_SANITIZE=1` had been set. Front-ends call this for
-/// `--sanitize`; calling it after the switch was already read is a
-/// no-op only if enforcement was already on.
+/// `HISS_SANITIZE=1` had been set. `hiss-cli scenario run --sanitize`
+/// calls it before any run. The switch is set once per process: once it
+/// has been read as off, this call changes nothing and violations keep
+/// being counted without aborting.
 pub fn force_sanitize() {
     ENABLED.get_or_init(|| true);
 }

@@ -40,7 +40,7 @@ use hiss_workloads::{CpuAppSpec, DeviceSpec, DmaDevice, GpuAppSpec, NicDevice};
 
 use crate::config::{CriticalityConfig, Mitigation, MitigationConfig, SystemConfig};
 use crate::energy::{EnergyParams, EnergyReport};
-use crate::metrics::{KernelSnapshot, RunReport};
+use crate::metrics::RunReport;
 use crate::trace::Tracer;
 
 /// One user thread of the CPU application, pinned to its core.
@@ -948,16 +948,6 @@ impl Soc {
                 / user_cores.len() as f64;
             (c, b)
         };
-        let ks = self.kernel.stats();
-        let kernel = KernelSnapshot {
-            interrupts_per_core: ks.interrupts_per_core.clone(),
-            ipis: ks.ipis,
-            ssrs_serviced: ks.ssrs_serviced,
-            mean_ssr_latency: ks.mean_latency(),
-            p99_ssr_latency: ks.latency.quantile(0.99),
-            mean_batch: ks.batch_size.mean(),
-            qos_deferrals: ks.qos_deferrals,
-        };
         let energy = EnergyReport::from_breakdowns(EnergyParams::default(), &per_core, end);
         let gpu_iterations: u64 = self
             .devices
@@ -971,13 +961,13 @@ impl Soc {
             .filter(|r| !r.is_gpu())
             .map(|r| r.total_stats().ssrs_raised)
             .sum();
-        let iommu_stats = self.iommu.stats();
 
         // Structured snapshot: every component publishes into one
         // registry, built purely from deterministic simulation state.
+        // It is the report's one copy of the run's results.
         let mut metrics = hiss_obs::MetricsRegistry::new();
-        ks.publish(&mut metrics, "kernel");
-        iommu_stats.publish(&mut metrics, "iommu");
+        self.kernel.stats().publish(&mut metrics, "kernel");
+        self.iommu.stats().publish(&mut metrics, "iommu");
         self.walker.stats().publish(&mut metrics, "iommu.walker");
         for (i, b) in per_core.iter().enumerate() {
             b.publish(&mut metrics, &format!("cpu.core{i}"));
@@ -1070,23 +1060,8 @@ impl Soc {
         }
 
         RunReport {
-            elapsed: end,
-            cpu_app_runtime,
-            gpu_progress,
-            gpu_throughput,
-            gpu_iterations,
-            ssr_rate,
-            cc6_residency,
-            cpu_ssr_overhead: whole.ssr_overhead_fraction(),
-            avg_cache_coldness: cache_cold,
-            avg_branch_coldness: branch_cold,
-            per_core,
-            kernel,
-            iommu: iommu_stats,
-            pending_at_end: self.iommu.pending(),
-            trace: self.tracer.take().map(Tracer::into_trace),
-            energy,
             metrics,
+            trace: self.tracer.take().map(Tracer::into_trace),
         }
     }
 }
@@ -1102,8 +1077,8 @@ impl Soc {
 ///     .cpu_app("x264")
 ///     .gpu_app("ubench")
 ///     .run();
-/// assert!(report.cpu_app_runtime.is_some());
-/// assert!(report.kernel.ssrs_serviced > 0);
+/// assert!(report.cpu_app_runtime().is_some());
+/// assert!(report.ssrs_serviced() > 0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ExperimentBuilder {
@@ -1262,12 +1237,12 @@ mod tests {
     #[test]
     fn cpu_app_alone_runs_at_full_speed() {
         let report = ExperimentBuilder::new(cfg()).cpu_app("blackscholes").run();
-        let runtime = report.cpu_app_runtime.expect("app finishes");
+        let runtime = report.cpu_app_runtime().expect("app finishes");
         // 20ms of work per thread; only OS timer ticks (~0.2%) intervene.
         assert!(runtime >= Ns::from_millis(20));
         assert!(runtime < Ns::from_millis(21), "runtime {runtime}");
-        assert_eq!(report.kernel.ssrs_serviced, 0);
-        assert_eq!(report.cpu_ssr_overhead, 0.0);
+        assert_eq!(report.ssrs_serviced(), 0);
+        assert_eq!(report.cpu_ssr_overhead(), 0.0);
     }
 
     #[test]
@@ -1277,9 +1252,10 @@ mod tests {
             .cpu_app("fluidanimate")
             .gpu_app_pinned("sssp")
             .run();
-        assert_eq!(base.cpu_app_runtime, with_pinned.cpu_app_runtime);
-        assert_eq!(with_pinned.kernel.ssrs_serviced, 0);
-        assert!(with_pinned.gpu_progress > Ns::ZERO);
+        assert_eq!(base.cpu_app_runtime(), with_pinned.cpu_app_runtime());
+        assert_eq!(with_pinned.ssrs_serviced(), 0);
+        let progress = with_pinned.metrics.counter_value("run.gpu_progress_ns");
+        assert!(progress.unwrap() > 0);
     }
 
     #[test]
@@ -1292,7 +1268,7 @@ mod tests {
             .cpu_app("fluidanimate")
             .gpu_app("sssp")
             .run();
-        assert!(noisy.kernel.ssrs_serviced > 0);
+        assert!(noisy.ssrs_serviced() > 0);
         let perf = noisy.cpu_perf_vs(&base).expect("both finish");
         assert!(perf < 1.0, "expected slowdown, got perf {perf}");
         assert!(perf > 0.4, "implausibly strong interference: {perf}");
@@ -1301,8 +1277,9 @@ mod tests {
     #[test]
     fn busy_cpus_slow_down_gpu_service() {
         let idle_cpu = ExperimentBuilder::new(cfg()).gpu_app("sssp").run();
-        assert!(idle_cpu.cpu_app_runtime.is_none());
-        assert!(idle_cpu.gpu_iterations >= 1);
+        assert!(idle_cpu.cpu_app_runtime().is_none());
+        let iterations = idle_cpu.metrics.counter_value("run.gpu_iterations");
+        assert!(iterations.unwrap() >= 1);
         let busy = ExperimentBuilder::new(cfg())
             .cpu_app("streamcluster")
             .gpu_app("sssp")
@@ -1315,9 +1292,9 @@ mod tests {
     fn gpu_only_run_mostly_sleeps_without_ssrs() {
         let report = ExperimentBuilder::new(cfg()).gpu_app_pinned("ubench").run();
         assert!(
-            report.cc6_residency > 0.8,
+            report.cc6_residency() > 0.8,
             "idle cores should sleep, residency {}",
-            report.cc6_residency
+            report.cc6_residency()
         );
     }
 
@@ -1326,10 +1303,10 @@ mod tests {
         let quiet = ExperimentBuilder::new(cfg()).gpu_app_pinned("ubench").run();
         let noisy = ExperimentBuilder::new(cfg()).gpu_app("ubench").run();
         assert!(
-            noisy.cc6_residency < quiet.cc6_residency - 0.2,
+            noisy.cc6_residency() < quiet.cc6_residency() - 0.2,
             "SSRs should cut CC6 residency: {} vs {}",
-            noisy.cc6_residency,
-            quiet.cc6_residency
+            noisy.cc6_residency(),
+            quiet.cc6_residency()
         );
     }
 
@@ -1343,10 +1320,10 @@ mod tests {
             .cpu_app("x264")
             .gpu_app("ubench")
             .run();
-        assert_eq!(a.cpu_app_runtime, b.cpu_app_runtime);
-        assert_eq!(a.kernel.ssrs_serviced, b.kernel.ssrs_serviced);
-        assert_eq!(a.elapsed, b.elapsed);
-        assert_eq!(a.kernel.ipis, b.kernel.ipis);
+        assert_eq!(a.cpu_app_runtime(), b.cpu_app_runtime());
+        assert_eq!(a.ssrs_serviced(), b.ssrs_serviced());
+        assert_eq!(a.elapsed(), b.elapsed());
+        assert_eq!(a.ipis(), b.ipis());
     }
 
     #[test]
@@ -1361,8 +1338,8 @@ mod tests {
             .gpu_app("ubench")
             .seed(2)
             .run();
-        let ra = a.cpu_app_runtime.unwrap().as_nanos() as f64;
-        let rb = b.cpu_app_runtime.unwrap().as_nanos() as f64;
+        let ra = a.cpu_app_runtime().unwrap().as_nanos() as f64;
+        let rb = b.cpu_app_runtime().unwrap().as_nanos() as f64;
         assert!((ra / rb - 1.0).abs() < 0.2, "seeds wildly disagree");
     }
 
@@ -1372,7 +1349,7 @@ mod tests {
             .cpu_app("x264")
             .gpu_app("ubench")
             .run();
-        let counts = &spread.kernel.interrupts_per_core;
+        let counts = &spread.interrupts_per_core();
         let max = *counts.iter().max().unwrap() as f64;
         let min = *counts.iter().min().unwrap() as f64;
         assert!(min > 0.0 && max / min < 1.5, "not spread: {counts:?}");
@@ -1385,7 +1362,7 @@ mod tests {
                 ..Mitigation::DEFAULT
             })
             .run();
-        let counts = &steered.kernel.interrupts_per_core;
+        let counts = &steered.interrupts_per_core();
         assert!(counts[0] > 0);
         assert_eq!(
             counts[1..].iter().sum::<u64>(),
@@ -1408,14 +1385,15 @@ mod tests {
                 ..Mitigation::DEFAULT
             })
             .run();
-        let total = |r: &RunReport| r.kernel.interrupts_per_core.iter().sum::<u64>();
+        let total = |r: &RunReport| r.interrupts_per_core().iter().sum::<u64>();
         assert!(
             total(&coal) < total(&plain),
             "coalescing should cut interrupts: {} vs {}",
             total(&coal),
             total(&plain)
         );
-        assert!(coal.kernel.mean_batch > plain.kernel.mean_batch);
+        let batch = |r: &RunReport| r.metrics.gauge_value("kernel.batch.mean").unwrap();
+        assert!(batch(&coal) > batch(&plain));
     }
 
     #[test]
@@ -1429,18 +1407,18 @@ mod tests {
             .gpu_app("ubench")
             .qos(QosParams::threshold_percent(1.0))
             .run();
-        assert!(throttled.kernel.qos_deferrals > 0);
+        assert!(throttled.qos_deferrals() > 0);
         assert!(
-            throttled.cpu_ssr_overhead < default.cpu_ssr_overhead,
+            throttled.cpu_ssr_overhead() < default.cpu_ssr_overhead(),
             "QoS should cut overhead: {} vs {}",
-            throttled.cpu_ssr_overhead,
-            default.cpu_ssr_overhead
+            throttled.cpu_ssr_overhead(),
+            default.cpu_ssr_overhead()
         );
         assert!(
-            throttled.ssr_rate < default.ssr_rate / 2.0,
+            throttled.ssr_rate() < default.ssr_rate() / 2.0,
             "QoS should throttle SSRs: {} vs {}",
-            throttled.ssr_rate,
-            default.ssr_rate
+            throttled.ssr_rate(),
+            default.ssr_rate()
         );
     }
 
@@ -1462,16 +1440,16 @@ mod tests {
             })
             .run();
         assert!(
-            mono.kernel.mean_ssr_latency < plain.kernel.mean_ssr_latency,
+            mono.mean_ssr_latency() < plain.mean_ssr_latency(),
             "monolithic should cut latency: {} vs {}",
-            mono.kernel.mean_ssr_latency,
-            plain.kernel.mean_ssr_latency
+            mono.mean_ssr_latency(),
+            plain.mean_ssr_latency()
         );
         assert!(
-            mono.gpu_throughput > plain.gpu_throughput * 1.05,
+            mono.gpu_throughput() > plain.gpu_throughput() * 1.05,
             "monolithic should lift GPU throughput: {} vs {}",
-            mono.gpu_throughput,
-            plain.gpu_throughput
+            mono.gpu_throughput(),
+            plain.gpu_throughput()
         );
     }
 
@@ -1481,9 +1459,16 @@ mod tests {
             .cpu_app("ferret")
             .gpu_app("spmv")
             .run();
-        for (i, b) in report.per_core.iter().enumerate() {
-            let total = b.total().as_nanos() as f64;
-            let elapsed = report.elapsed.as_nanos() as f64;
+        for i in 0..cfg().num_cores {
+            let total: u64 = TimeCategory::ALL
+                .iter()
+                .map(|c| {
+                    let name = format!("cpu.core{i}.{}_ns", c.name());
+                    report.metrics.counter_value(&name).unwrap()
+                })
+                .sum();
+            let total = total as f64;
+            let elapsed = report.elapsed().as_nanos() as f64;
             let ratio = total / elapsed;
             assert!(
                 (0.97..1.03).contains(&ratio),
@@ -1506,8 +1491,8 @@ mod tests {
             .gpu_app("sssp")
             .gpu_app("sssp")
             .run();
-        assert!(two.kernel.ssrs_serviced > one.kernel.ssrs_serviced);
-        assert!(two.cpu_app_runtime.unwrap() > one.cpu_app_runtime.unwrap());
+        assert!(two.ssrs_serviced() > one.ssrs_serviced());
+        assert!(two.cpu_app_runtime().unwrap() > one.cpu_app_runtime().unwrap());
     }
 
     #[test]
@@ -1523,31 +1508,8 @@ mod tests {
             .gpu_app("ubench")
             .run();
         let m = &report.metrics;
-        assert_eq!(m.counter_value("kernel.ipis"), Some(report.kernel.ipis));
-        assert_eq!(
-            m.counter_value("kernel.interrupts.total"),
-            Some(report.kernel.interrupts_per_core.iter().sum())
-        );
-        assert_eq!(
-            m.counter_value("iommu.requests"),
-            Some(report.iommu.requests)
-        );
-        assert_eq!(
-            m.gauge_value("run.cc6_residency"),
-            Some(report.cc6_residency)
-        );
-        assert_eq!(
-            m.counter_value("run.elapsed_ns"),
-            Some(report.elapsed.as_nanos())
-        );
         assert!(m.counter_value("gpu0.ssrs_raised").unwrap() > 0);
         assert!(m.counter_value("gpu0.busy_ns").unwrap() > 0);
-        for core in 0..report.per_core.len() {
-            assert_eq!(
-                m.counter_value(&format!("cpu.core{core}.sleep_cc6_ns")),
-                Some(report.per_core[core].get(TimeCategory::SleepCc6).as_nanos())
-            );
-        }
         // No governor configured: no qos.* namespace.
         assert_eq!(m.counter_value("qos.deferrals"), None);
         // The snapshot round-trips through JSON bit-exactly.
@@ -1586,7 +1548,7 @@ mod tests {
             .map(|i| m.counter_value(&format!("dev{i}.ssrs_completed")).unwrap())
             .sum();
         assert!(completed > 0);
-        assert!(report.ssr_rate > 0.0);
+        assert!(report.ssr_rate() > 0.0);
     }
 
     #[test]
@@ -1598,10 +1560,10 @@ mod tests {
             .device(DeviceSpec::Dma(DmaParams::default()))
             .run();
         assert!(
-            noisy.cpu_app_runtime.unwrap() > base.cpu_app_runtime.unwrap(),
+            noisy.cpu_app_runtime().unwrap() > base.cpu_app_runtime().unwrap(),
             "NIC+DMA SSR streams must slow the CPU app ({:?} vs {:?})",
-            noisy.cpu_app_runtime,
-            base.cpu_app_runtime
+            noisy.cpu_app_runtime(),
+            base.cpu_app_runtime()
         );
     }
 
@@ -1617,9 +1579,9 @@ mod tests {
             .cpu_app("x264")
             .device_steered(DeviceSpec::Nic(NicParams::default()), Some(CoreId(3)))
             .run();
-        let others = |r: &RunReport| -> u64 { r.kernel.interrupts_per_core[..3].iter().sum() };
+        let others = |r: &RunReport| -> u64 { r.interrupts_per_core()[..3].iter().sum() };
         assert!(others(&pinned) < others(&spread));
-        assert!(pinned.kernel.interrupts_per_core[3] > 0);
+        assert!(pinned.interrupts_per_core()[3] > 0);
     }
 
     #[test]
@@ -1650,15 +1612,16 @@ mod tests {
                 .map(|c| m.counter_value(&format!("qos.class{c}.{suffix}")).unwrap())
                 .sum()
         };
-        assert_eq!(class_sum("requests"), report.iommu.requests);
-        assert_eq!(class_sum("drained"), report.iommu.drained);
+        let iommu = |name: &str| m.counter_value(&format!("iommu.{name}")).unwrap();
+        assert_eq!(class_sum("requests"), iommu("requests"));
+        assert_eq!(class_sum("drained"), iommu("drained"));
         assert_eq!(
             class_sum("interrupts"),
-            report.kernel.interrupts_per_core.iter().sum::<u64>()
+            report.interrupts_per_core().iter().sum::<u64>()
         );
-        assert_eq!(class_sum("ssrs_serviced"), report.kernel.ssrs_serviced);
-        assert_eq!(class_sum("deferrals"), report.kernel.qos_deferrals);
-        assert_eq!(class_sum("quota_flushes"), report.iommu.log_full_flushes);
+        assert_eq!(class_sum("ssrs_serviced"), report.ssrs_serviced());
+        assert_eq!(class_sum("deferrals"), report.qos_deferrals());
+        assert_eq!(class_sum("quota_flushes"), iommu("log_full_flushes"));
         // Both classes saw traffic and measured latency for it.
         for c in 0..2 {
             assert!(m.counter_value(&format!("qos.class{c}.requests")).unwrap() > 0);
@@ -1693,7 +1656,7 @@ mod tests {
             })
             .run();
         assert!(
-            open.kernel.interrupts_per_core[0] > 0,
+            open.interrupts_per_core()[0] > 0,
             "without reservation the spread policy hits core 0"
         );
         let reserved = ExperimentBuilder::new(cfg())
@@ -1706,11 +1669,12 @@ mod tests {
             })
             .run();
         assert_eq!(
-            reserved.kernel.interrupts_per_core[0], 0,
+            reserved.interrupts_per_core()[0],
+            0,
             "reserved core 0 must field no SSR interrupts: {:?}",
-            reserved.kernel.interrupts_per_core
+            reserved.interrupts_per_core()
         );
-        assert!(reserved.kernel.interrupts_per_core[1..].iter().sum::<u64>() > 0);
+        assert!(reserved.interrupts_per_core()[1..].iter().sum::<u64>() > 0);
     }
 
     #[test]
@@ -1736,7 +1700,7 @@ mod tests {
         let m = &report.metrics;
         assert_eq!(
             m.counter_value("qos.deferrals"),
-            Some(report.kernel.qos_deferrals)
+            Some(report.qos_deferrals())
         );
         assert!(m.counter_value("qos.passes").is_some());
         assert_eq!(m.gauge_value("qos.threshold"), Some(0.01));

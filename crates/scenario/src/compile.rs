@@ -288,16 +288,16 @@ fn row_from_report(
         replica: cell.replica,
         cpu_perf: base.and_then(|base| run.cpu_perf_vs(base)),
         gpu_perf: gpu_perf_vs(&cell.gpu_app, run, gpu_base),
-        cpu_runtime_ns: run.cpu_app_runtime.map(|t| t.as_nanos()),
-        gpu_throughput: run.gpu_throughput,
-        ssr_rate: run.ssr_rate,
-        ssrs_serviced: run.kernel.ssrs_serviced,
-        mean_ssr_latency_us: run.kernel.mean_ssr_latency.as_micros_f64(),
-        p99_ssr_latency_us: run.kernel.p99_ssr_latency.as_micros_f64(),
-        cc6_residency: run.cc6_residency,
-        ssr_overhead: run.cpu_ssr_overhead,
-        ipis: run.kernel.ipis,
-        qos_deferrals: run.kernel.qos_deferrals,
+        cpu_runtime_ns: run.cpu_app_runtime().map(|t| t.as_nanos()),
+        gpu_throughput: run.gpu_throughput(),
+        ssr_rate: run.ssr_rate(),
+        ssrs_serviced: run.ssrs_serviced(),
+        mean_ssr_latency_us: run.mean_ssr_latency().as_micros_f64(),
+        p99_ssr_latency_us: run.p99_ssr_latency().as_micros_f64(),
+        cc6_residency: run.cc6_residency(),
+        ssr_overhead: run.cpu_ssr_overhead(),
+        ipis: run.ipis(),
+        qos_deferrals: run.qos_deferrals(),
         aux_ssrs_raised: run
             .metrics
             .counter_value("run.aux_ssrs_raised")

@@ -20,9 +20,8 @@
 //! | [`LIMIT_PACK`] | [`outstanding_limit`] | beyond the paper: QoS leverage vs. outstanding-SSR limit |
 //!
 //! Rows already carry the Fig. 3 normalisations; folds that need a
-//! different denominator or a per-core counter rebuild the runs with
-//! [`RunReport::from_metrics`] (bit-exact) and call the report's own
-//! methods.
+//! different denominator or a per-core counter wrap the runs' snapshots
+//! with [`RunReport::from_metrics`] and call the report's accessors.
 //!
 //! [`run_with_metrics`]: crate::run_with_metrics
 
@@ -279,9 +278,9 @@ pub fn fig5(rows: &[(Row, MetricsRegistry)]) -> Vec<Fig5Row> {
             let noisy = report(m);
             Fig5Row {
                 cpu_app: r.cpu_app.clone(),
-                l1d_miss_increase: noisy.avg_cache_coldness * spec.cache_sensitivity * K_CACHE
+                l1d_miss_increase: noisy.avg_cache_coldness() * spec.cache_sensitivity * K_CACHE
                     / spec.base_l1d_miss_rate,
-                branch_miss_increase: noisy.avg_branch_coldness
+                branch_miss_increase: noisy.avg_branch_coldness()
                     * spec.branch_sensitivity
                     * K_BRANCH
                     / spec.base_branch_miss_rate,
@@ -340,8 +339,8 @@ impl Section4c {
 
 /// Interrupts per serviced SSR of a run (1.0 = no batching).
 fn interrupts_per_ssr(run: &RunReport) -> f64 {
-    let interrupts: u64 = run.kernel.interrupts_per_core.iter().sum();
-    interrupts as f64 / run.kernel.ssrs_serviced.max(1) as f64
+    let interrupts: u64 = run.interrupts_per_core().iter().sum();
+    interrupts as f64 / run.ssrs_serviced().max(1) as f64
 }
 
 /// §IV-C from the rows of [`SECTION4C_PACK`] (one CPU application
@@ -375,13 +374,13 @@ pub fn section4c(rows: &[(Row, MetricsRegistry)], no_ssr: &[(Row, MetricsRegistr
         .find(|(r, _)| r.gpu_app == "ubench")
         .map(|(r, _)| r)
         .expect("the no-SSR pack runs ubench");
-    let counts = with_ssrs.kernel.interrupts_per_core;
+    let counts = with_ssrs.interrupts_per_core();
     let max = *counts.iter().max().unwrap_or(&0) as f64;
     let min = *counts.iter().min().unwrap_or(&0) as f64;
     Section4c {
         interrupt_imbalance: if min > 0.0 { max / min } else { f64::INFINITY },
         interrupts_per_core: counts,
-        ipis_with_ssrs: with_ssrs.kernel.ipis,
+        ipis_with_ssrs: with_ssrs.ipis(),
         ipis_without_ssrs: without_ssrs.ipis,
         coalescing_reduction: hiss_sim::mean(&reductions),
     }

@@ -239,24 +239,24 @@ fn print_report(r: &RunReport, json: bool) -> Result<(), String> {
         outln!("{}", report_json(r));
         return Ok(());
     }
-    outln!("elapsed           : {}", r.elapsed);
-    if let Some(t) = r.cpu_app_runtime {
+    outln!("elapsed           : {}", r.elapsed());
+    if let Some(t) = r.cpu_app_runtime() {
         outln!("CPU app runtime   : {t}");
     }
-    outln!("GPU throughput    : {:.3}", r.gpu_throughput);
-    outln!("SSR rate          : {:.0}/s", r.ssr_rate);
-    outln!("SSRs serviced     : {}", r.kernel.ssrs_serviced);
-    outln!("mean SSR latency  : {}", r.kernel.mean_ssr_latency);
-    outln!("p99 SSR latency   : {}", r.kernel.p99_ssr_latency);
-    outln!("interrupts/core   : {:?}", r.kernel.interrupts_per_core);
-    outln!("IPIs              : {}", r.kernel.ipis);
-    outln!("QoS deferrals     : {}", r.kernel.qos_deferrals);
-    outln!("CPU SSR overhead  : {:.2}%", r.cpu_ssr_overhead * 100.0);
-    outln!("CC6 residency     : {:.1}%", r.cc6_residency * 100.0);
+    outln!("GPU throughput    : {:.3}", r.gpu_throughput());
+    outln!("SSR rate          : {:.0}/s", r.ssr_rate());
+    outln!("SSRs serviced     : {}", r.ssrs_serviced());
+    outln!("mean SSR latency  : {}", r.mean_ssr_latency());
+    outln!("p99 SSR latency   : {}", r.p99_ssr_latency());
+    outln!("interrupts/core   : {:?}", r.interrupts_per_core());
+    outln!("IPIs              : {}", r.ipis());
+    outln!("QoS deferrals     : {}", r.qos_deferrals());
+    outln!("CPU SSR overhead  : {:.2}%", r.cpu_ssr_overhead() * 100.0);
+    outln!("CC6 residency     : {:.1}%", r.cc6_residency() * 100.0);
     outln!(
         "CPU energy        : {:.3} J ({:.2} W avg)",
-        r.energy.cpu_joules,
-        r.energy.cpu_avg_watts
+        r.cpu_joules(),
+        r.cpu_avg_watts()
     );
     Ok(())
 }
@@ -264,7 +264,7 @@ fn print_report(r: &RunReport, json: bool) -> Result<(), String> {
 /// Hand-rolled JSON encoding of the fields scripts typically plot.
 fn report_json(r: &RunReport) -> String {
     let runtime = r
-        .cpu_app_runtime
+        .cpu_app_runtime()
         .map(|t| t.as_nanos().to_string())
         .unwrap_or_else(|| "null".into());
     format!(
@@ -276,19 +276,19 @@ fn report_json(r: &RunReport) -> String {
             "\"ipis\":{},\"qos_deferrals\":{},\"cpu_ssr_overhead\":{:.6},",
             "\"cc6_residency\":{:.6},\"cpu_joules\":{:.6}}}"
         ),
-        r.elapsed.as_nanos(),
+        r.elapsed().as_nanos(),
         runtime,
-        r.gpu_throughput,
-        r.ssr_rate,
-        r.kernel.ssrs_serviced,
-        r.kernel.mean_ssr_latency.as_nanos(),
-        r.kernel.p99_ssr_latency.as_nanos(),
-        r.kernel.interrupts_per_core,
-        r.kernel.ipis,
-        r.kernel.qos_deferrals,
-        r.cpu_ssr_overhead,
-        r.cc6_residency,
-        r.energy.cpu_joules,
+        r.gpu_throughput(),
+        r.ssr_rate(),
+        r.ssrs_serviced(),
+        r.mean_ssr_latency().as_nanos(),
+        r.p99_ssr_latency().as_nanos(),
+        r.interrupts_per_core(),
+        r.ipis(),
+        r.qos_deferrals(),
+        r.cpu_ssr_overhead(),
+        r.cc6_residency(),
+        r.cpu_joules(),
     )
 }
 

@@ -50,12 +50,12 @@ fn main() {
     let protected = b.run();
     println!(
         "  unprotected: SSR overhead {:.1}%, runtime {}",
-        unprotected.cpu_ssr_overhead * 100.0,
-        unprotected.cpu_app_runtime.unwrap()
+        unprotected.cpu_ssr_overhead() * 100.0,
+        unprotected.cpu_app_runtime().unwrap()
     );
     println!(
         "  th_2       : SSR overhead {:.1}%, runtime {}",
-        protected.cpu_ssr_overhead * 100.0,
-        protected.cpu_app_runtime.unwrap()
+        protected.cpu_ssr_overhead() * 100.0,
+        protected.cpu_app_runtime().unwrap()
     );
 }

@@ -31,29 +31,30 @@ fn main() {
 
     println!(
         "fluidanimate + sssp, no SSRs  : runtime {}",
-        baseline.cpu_app_runtime.unwrap()
+        baseline.cpu_app_runtime().unwrap()
     );
     println!(
         "fluidanimate + sssp, with SSRs: runtime {}",
-        noisy.cpu_app_runtime.unwrap()
+        noisy.cpu_app_runtime().unwrap()
     );
     let perf = noisy.cpu_perf_vs(&baseline).unwrap();
     println!("normalised CPU performance    : {perf:.3}  (paper Fig. 3a: 0.69)");
     println!();
-    println!("SSRs serviced      : {}", noisy.kernel.ssrs_serviced);
+    println!("SSRs serviced      : {}", noisy.ssrs_serviced());
     println!(
         "interrupts per core: {:?}  (evenly spread, §IV-C)",
-        noisy.kernel.interrupts_per_core
+        noisy.interrupts_per_core()
     );
-    println!("IPIs               : {}", noisy.kernel.ipis);
-    println!("mean SSR latency   : {}", noisy.kernel.mean_ssr_latency);
+    println!("IPIs               : {}", noisy.ipis());
+    println!("mean SSR latency   : {}", noisy.mean_ssr_latency());
     println!(
         "CPU SSR overhead   : {:.1}%",
-        noisy.cpu_ssr_overhead * 100.0
+        noisy.cpu_ssr_overhead() * 100.0
     );
-    println!("CC6 residency      : {:.1}%", noisy.cc6_residency * 100.0);
+    println!("CC6 residency      : {:.1}%", noisy.cc6_residency() * 100.0);
     println!(
         "CPU energy         : {:.3} J ({:.1} W avg)",
-        noisy.energy.cpu_joules, noisy.energy.cpu_avg_watts
+        noisy.cpu_joules(),
+        noisy.cpu_avg_watts()
     );
 }

@@ -47,8 +47,8 @@ fn main() {
     ] {
         println!(
             "  {label:>14}: {:5.2} W avg  (CC6 {:4.1}%)",
-            r.energy.cpu_avg_watts,
-            r.cc6_residency * 100.0
+            r.cpu_avg_watts(),
+            r.cc6_residency() * 100.0
         );
     }
 }

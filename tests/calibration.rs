@@ -217,7 +217,7 @@ fn monolithic_trade_off() {
         .gpu_app("ubench")
         .mitigation(mono)
         .run();
-    let gpu_gain = m.ssr_rate / def.ssr_rate;
+    let gpu_gain = m.ssr_rate() / def.ssr_rate();
     assert!(
         gpu_gain > 1.5,
         "monolithic ubench gain {gpu_gain} (paper: >2x)"
@@ -250,16 +250,13 @@ fn coalescing_trade_off() {
         .mitigation(coal)
         .run();
     assert!(
-        m.ssr_rate > def.ssr_rate * 1.1,
+        m.ssr_rate() > def.ssr_rate() * 1.1,
         "coalescing ubench rate {} vs {}",
-        m.ssr_rate,
-        def.ssr_rate
+        m.ssr_rate(),
+        def.ssr_rate()
     );
-    assert!(
-        m.kernel.mean_batch > 1.3,
-        "batching {}",
-        m.kernel.mean_batch
-    );
+    let batch = m.metrics.gauge_value("kernel.batch.mean").unwrap();
+    assert!(batch > 1.3, "batching {batch}");
     let base = ExperimentBuilder::new(c)
         .cpu_app("x264")
         .gpu_app_pinned("ubench")
@@ -331,10 +328,10 @@ fn steering_recovers_sleep() {
         .mitigation(steer)
         .run();
     assert!(
-        s.cc6_residency > def.cc6_residency + 0.15,
+        s.cc6_residency() > def.cc6_residency() + 0.15,
         "steering should recover sleep: {} vs {}",
-        s.cc6_residency,
-        def.cc6_residency
+        s.cc6_residency(),
+        def.cc6_residency()
     );
-    assert_eq!(s.kernel.interrupts_per_core[1..].iter().sum::<u64>(), 0);
+    assert_eq!(s.interrupts_per_core()[1..].iter().sum::<u64>(), 0);
 }

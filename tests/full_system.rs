@@ -2,11 +2,36 @@
 //! for *any* configuration — conservation of time and requests,
 //! determinism, and graceful behaviour at configuration extremes.
 
-use hiss::{ExperimentBuilder, Mitigation, QosParams, RunReport, SystemConfig, TimeCategory};
+use hiss::{
+    ExperimentBuilder, Mitigation, Ns, QosParams, RunReport, SystemConfig, TimeBreakdown,
+    TimeCategory,
+};
 use proptest::prelude::*;
 
 fn cfg() -> SystemConfig {
     SystemConfig::a10_7850k()
+}
+
+/// The per-core ledgers a run published as `cpu.core{i}.{category}_ns`
+/// counters, one per core up to the first core missing one.
+fn ledgers(r: &RunReport) -> Vec<TimeBreakdown> {
+    (0..)
+        .map_while(|i| {
+            let mut b = TimeBreakdown::new();
+            for c in TimeCategory::ALL {
+                let name = format!("cpu.core{i}.{}_ns", c.name());
+                b.add(c, Ns::from_nanos(r.metrics.counter_value(&name)?));
+            }
+            Some(b)
+        })
+        .collect()
+}
+
+/// `iommu.drained + run.pending_at_end == iommu.requests`: every logged
+/// request was drained or is still pending.
+fn requests_conserved(r: &RunReport) -> bool {
+    let c = |name: &str| r.metrics.counter_value(name).unwrap();
+    c("iommu.drained") + c("run.pending_at_end") == c("iommu.requests")
 }
 
 fn all_pairs() -> Vec<(&'static str, &'static str)> {
@@ -37,8 +62,10 @@ fn ledgers_conserve_wall_time_across_grid() {
                 .gpu_app(g)
                 .mitigation(m)
                 .run();
-            for (i, b) in r.per_core.iter().enumerate() {
-                let ratio = b.total().as_nanos() as f64 / r.elapsed.as_nanos() as f64;
+            let ledgers = ledgers(&r);
+            assert_eq!(ledgers.len(), cfg().num_cores);
+            for (i, b) in ledgers.iter().enumerate() {
+                let ratio = b.total().as_nanos() as f64 / r.elapsed().as_nanos() as f64;
                 assert!(
                     (0.95..=1.05).contains(&ratio),
                     "{c}+{g} {m:?}: core {i} ledger covers {ratio:.4} of wall time"
@@ -54,16 +81,9 @@ fn ledgers_conserve_wall_time_across_grid() {
 fn no_ssr_is_lost() {
     for (c, g) in all_pairs() {
         let r = ExperimentBuilder::new(cfg()).cpu_app(c).gpu_app(g).run();
-        assert!(
-            r.kernel.ssrs_serviced > 0,
-            "{c}+{g}: no SSRs serviced at all"
-        );
+        assert!(r.ssrs_serviced() > 0, "{c}+{g}: no SSRs serviced at all");
         // IOMMU-side conservation: logged = drained + still-pending.
-        assert_eq!(
-            r.iommu.drained + r.pending_at_end as u64,
-            r.iommu.requests,
-            "{c}+{g}"
-        );
+        assert!(requests_conserved(&r), "{c}+{g}");
     }
 }
 
@@ -80,14 +100,11 @@ fn determinism_across_the_grid() {
         };
         let a = run();
         let b = run();
-        assert_eq!(a.cpu_app_runtime, b.cpu_app_runtime, "{c}+{g}");
-        assert_eq!(a.elapsed, b.elapsed, "{c}+{g}");
-        assert_eq!(a.kernel.ssrs_serviced, b.kernel.ssrs_serviced, "{c}+{g}");
-        assert_eq!(a.kernel.ipis, b.kernel.ipis, "{c}+{g}");
-        assert_eq!(
-            a.kernel.interrupts_per_core, b.kernel.interrupts_per_core,
-            "{c}+{g}"
-        );
+        assert_eq!(a.cpu_app_runtime(), b.cpu_app_runtime(), "{c}+{g}");
+        assert_eq!(a.elapsed(), b.elapsed(), "{c}+{g}");
+        assert_eq!(a.ssrs_serviced(), b.ssrs_serviced(), "{c}+{g}");
+        assert_eq!(a.ipis(), b.ipis(), "{c}+{g}");
+        assert_eq!(a.interrupts_per_core(), b.interrupts_per_core(), "{c}+{g}");
     }
 }
 
@@ -97,9 +114,9 @@ fn single_core_system() {
     let mut c = cfg();
     c.num_cores = 1;
     let r = ExperimentBuilder::new(c).gpu_app("sssp").run();
-    assert!(r.kernel.ssrs_serviced > 0);
-    assert_eq!(r.kernel.interrupts_per_core.len(), 1);
-    assert_eq!(r.kernel.ipis, 0, "one core cannot IPI itself");
+    assert!(r.ssrs_serviced() > 0);
+    assert_eq!(r.interrupts_per_core().len(), 1);
+    assert_eq!(r.ipis(), 0, "one core cannot IPI itself");
 }
 
 /// An 8-core system spreads interrupts across all eight.
@@ -108,8 +125,8 @@ fn eight_core_system() {
     let mut c = cfg();
     c.num_cores = 8;
     let r = ExperimentBuilder::new(c).gpu_app("ubench").run();
-    assert_eq!(r.kernel.interrupts_per_core.len(), 8);
-    assert!(r.kernel.interrupts_per_core.iter().all(|&n| n > 0));
+    assert_eq!(r.interrupts_per_core().len(), 8);
+    assert!(r.interrupts_per_core().iter().all(|&n| n > 0));
 }
 
 /// GPU-only pinned runs terminate in exactly the kernel's work time.
@@ -119,9 +136,10 @@ fn pinned_gpu_run_is_exact() {
     let r = ExperimentBuilder::new(cfg())
         .gpu_app_pinned("xsbench")
         .run();
-    assert_eq!(r.elapsed, spec.total_work);
-    assert_eq!(r.gpu_progress, spec.total_work);
-    assert!((r.gpu_throughput - 1.0).abs() < 1e-9);
+    assert_eq!(r.elapsed(), spec.total_work);
+    let progress = r.metrics.counter_value("run.gpu_progress_ns");
+    assert_eq!(progress, Some(spec.total_work.as_nanos()));
+    assert!((r.gpu_throughput() - 1.0).abs() < 1e-9);
 }
 
 /// The energy model orders configurations sensibly: a run that sleeps
@@ -131,10 +149,10 @@ fn energy_tracks_sleep() {
     let quiet = ExperimentBuilder::new(cfg()).gpu_app_pinned("ubench").run();
     let noisy = ExperimentBuilder::new(cfg()).gpu_app("ubench").run();
     assert!(
-        quiet.energy.cpu_avg_watts < noisy.energy.cpu_avg_watts,
+        quiet.cpu_avg_watts() < noisy.cpu_avg_watts(),
         "sleepy run should draw less power: {} vs {}",
-        quiet.energy.cpu_avg_watts,
-        noisy.energy.cpu_avg_watts
+        quiet.cpu_avg_watts(),
+        noisy.cpu_avg_watts()
     );
 }
 
@@ -145,11 +163,11 @@ fn overhead_aggrees_with_breakdowns() {
         .cpu_app("ferret")
         .gpu_app("ubench")
         .run();
-    let mut whole = hiss::TimeBreakdown::new();
-    for b in &r.per_core {
+    let mut whole = TimeBreakdown::new();
+    for b in &ledgers(&r) {
         whole.merge(b);
     }
-    assert!((whole.ssr_overhead_fraction() - r.cpu_ssr_overhead).abs() < 1e-9);
+    assert!((whole.ssr_overhead_fraction() - r.cpu_ssr_overhead()).abs() < 1e-9);
     // And some of each overhead category exists under the default config.
     for cat in [
         TimeCategory::TopHalf,
@@ -158,12 +176,12 @@ fn overhead_aggrees_with_breakdowns() {
         TimeCategory::Worker,
         TimeCategory::ModeSwitch,
     ] {
-        assert!(whole.get(cat) > hiss::Ns::ZERO, "missing {cat:?} time");
+        assert!(whole.get(cat) > Ns::ZERO, "missing {cat:?} time");
     }
 }
 
-fn report_fingerprint(r: &RunReport) -> (u64, u64, Option<hiss::Ns>) {
-    (r.kernel.ssrs_serviced, r.kernel.ipis, r.cpu_app_runtime)
+fn report_fingerprint(r: &RunReport) -> (u64, u64, Option<Ns>) {
+    (r.ssrs_serviced(), r.ipis(), r.cpu_app_runtime())
 }
 
 proptest! {
@@ -195,12 +213,12 @@ proptest! {
             b = b.qos(QosParams::threshold_percent(pct));
         }
         let r = b.run();
-        prop_assert!(r.cpu_app_runtime.is_some(), "{cpu}+{gpu} did not finish");
-        prop_assert_eq!(r.iommu.drained + r.pending_at_end as u64, r.iommu.requests);
-        prop_assert!(r.cpu_ssr_overhead >= 0.0 && r.cpu_ssr_overhead <= 1.0);
-        prop_assert!(r.cc6_residency >= 0.0 && r.cc6_residency <= 1.0);
-        for b in &r.per_core {
-            let ratio = b.total().as_nanos() as f64 / r.elapsed.as_nanos() as f64;
+        prop_assert!(r.cpu_app_runtime().is_some(), "{cpu}+{gpu} did not finish");
+        prop_assert!(requests_conserved(&r));
+        prop_assert!(r.cpu_ssr_overhead() >= 0.0 && r.cpu_ssr_overhead() <= 1.0);
+        prop_assert!(r.cc6_residency() >= 0.0 && r.cc6_residency() <= 1.0);
+        for b in &ledgers(&r) {
+            let ratio = b.total().as_nanos() as f64 / r.elapsed().as_nanos() as f64;
             prop_assert!((0.9..=1.1).contains(&ratio), "ledger ratio {ratio}");
         }
         // Determinism double-check on one random config.

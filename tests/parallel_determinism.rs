@@ -172,10 +172,10 @@ fn explicit_worker_counts_agree_on_simulation_results() {
             .gpu_app(gpu_app)
             .run();
         (
-            r.elapsed,
-            r.cpu_app_runtime,
-            r.kernel.ssrs_serviced,
-            r.kernel.ipis,
+            r.elapsed(),
+            r.cpu_app_runtime(),
+            r.ssrs_serviced(),
+            r.ipis(),
         )
     };
     let serial = RunCtx::new(1).run_jobs(cells.len(), job);

@@ -23,9 +23,9 @@ fn overhead_respects_threshold() {
             .run();
         let ceiling = pct / 100.0;
         assert!(
-            r.cpu_ssr_overhead <= ceiling * 1.6 + 0.005,
+            r.cpu_ssr_overhead() <= ceiling * 1.6 + 0.005,
             "th_{pct}: overhead {} exceeds ceiling {}",
-            r.cpu_ssr_overhead,
+            r.cpu_ssr_overhead(),
             ceiling
         );
     }
@@ -40,7 +40,7 @@ fn throughput_monotone_in_threshold() {
             .gpu_app("ubench")
             .qos(QosParams::threshold_percent(pct))
             .run()
-            .ssr_rate
+            .ssr_rate()
     };
     let r1 = rate(1.0);
     let r5 = rate(5.0);
@@ -60,11 +60,11 @@ fn backpressure_stalls_the_gpu() {
         .gpu_app("ubench")
         .qos(QosParams::threshold_percent(1.0))
         .run();
-    assert!(throttled.kernel.qos_deferrals > 100);
-    assert!(throttled.gpu_throughput < free.gpu_throughput * 0.5);
+    assert!(throttled.qos_deferrals() > 100);
+    assert!(throttled.gpu_throughput() < free.gpu_throughput() * 0.5);
     // Deferral shows up as SSR latency, not as extra CPU burn.
-    assert!(throttled.kernel.mean_ssr_latency > free.kernel.mean_ssr_latency * 2);
-    assert!(throttled.cpu_ssr_overhead < free.cpu_ssr_overhead);
+    assert!(throttled.mean_ssr_latency() > free.mean_ssr_latency() * 2);
+    assert!(throttled.cpu_ssr_overhead() < free.cpu_ssr_overhead());
 }
 
 /// QoS composes with every §V mitigation (they are orthogonal — paper
@@ -85,15 +85,15 @@ fn qos_composes_with_mitigations() {
             .qos(QosParams::threshold_percent(2.0))
             .run();
         assert!(
-            r.cpu_app_runtime.is_some(),
+            r.cpu_app_runtime().is_some(),
             "{}: run did not finish",
             m.label()
         );
         assert!(
-            r.cpu_ssr_overhead < 0.06,
+            r.cpu_ssr_overhead() < 0.06,
             "{}: overhead {} not capped",
             m.label(),
-            r.cpu_ssr_overhead
+            r.cpu_ssr_overhead()
         );
     }
 }
@@ -116,12 +116,12 @@ proptest! {
             .qos(QosParams::threshold_percent(pct))
             .seed(seed)
             .run();
-        prop_assert!(r.cpu_app_runtime.is_some());
+        prop_assert!(r.cpu_app_runtime().is_some());
         let ceiling = pct / 100.0;
         prop_assert!(
-            r.cpu_ssr_overhead <= ceiling * 1.6 + 0.01,
+            r.cpu_ssr_overhead() <= ceiling * 1.6 + 0.01,
             "{cpu} th_{pct}: overhead {} vs ceiling {ceiling}",
-            r.cpu_ssr_overhead
+            r.cpu_ssr_overhead()
         );
     }
 
@@ -140,8 +140,8 @@ proptest! {
             .qos(QosParams::threshold_percent(pct))
             .seed(seed)
             .run();
-        let a = throttled.cpu_app_runtime.unwrap().as_nanos() as f64;
-        let b = base.cpu_app_runtime.unwrap().as_nanos() as f64;
+        let a = throttled.cpu_app_runtime().unwrap().as_nanos() as f64;
+        let b = base.cpu_app_runtime().unwrap().as_nanos() as f64;
         prop_assert!(a <= b * 1.02, "QoS made the victim slower: {a} vs {b}");
     }
 }

@@ -20,17 +20,17 @@ fn run_kind(kind: SsrKind) -> hiss::RunReport {
 fn every_kind_flows_end_to_end() {
     for kind in SsrKind::ALL {
         let r = run_kind(kind);
-        assert!(
-            r.kernel.ssrs_serviced > 50,
-            "{kind:?}: {}",
-            r.kernel.ssrs_serviced
-        );
+        assert!(r.ssrs_serviced() > 50, "{kind:?}: {}", r.ssrs_serviced());
+        let c = |name: &str| r.metrics.counter_value(name).unwrap();
         assert_eq!(
-            r.iommu.drained + r.pending_at_end as u64,
-            r.iommu.requests,
+            c("iommu.drained") + c("run.pending_at_end"),
+            c("iommu.requests"),
             "{kind:?} lost requests"
         );
-        assert!(r.gpu_iterations >= 1, "{kind:?} kernel never finished");
+        assert!(
+            c("run.gpu_iterations") >= 1,
+            "{kind:?} kernel never finished"
+        );
     }
 }
 
@@ -38,7 +38,7 @@ fn every_kind_flows_end_to_end() {
 /// the fastest service, hard page faults the slowest.
 #[test]
 fn latency_tracks_table1_complexity() {
-    let lat = |k: SsrKind| run_kind(k).kernel.mean_ssr_latency;
+    let lat = |k: SsrKind| run_kind(k).mean_ssr_latency();
     let signal = lat(SsrKind::Signal);
     let soft = lat(SsrKind::SoftPageFault);
     let migration = lat(SsrKind::PageMigration);
@@ -59,7 +59,7 @@ fn cpu_overhead_tracks_complexity() {
             .cpu_app("swaptions")
             .gpu_spec(spec)
             .run()
-            .cpu_ssr_overhead
+            .cpu_ssr_overhead()
     };
     let signal = overhead(SsrKind::Signal);
     let hard = overhead(SsrKind::HardPageFault);
@@ -81,11 +81,11 @@ fn qos_covers_expensive_services() {
         .gpu_spec(spec)
         .qos(hiss::QosParams::threshold_percent(2.0))
         .run();
-    assert!(r.cpu_app_runtime.is_some());
+    assert!(r.cpu_app_runtime().is_some());
     assert!(
-        r.cpu_ssr_overhead < 0.04,
+        r.cpu_ssr_overhead() < 0.04,
         "governor failed on hard faults: {}",
-        r.cpu_ssr_overhead
+        r.cpu_ssr_overhead()
     );
 }
 
@@ -100,10 +100,10 @@ fn pinned_baseline_is_kind_independent() {
             .with_kind(kind)
             .pinned();
         let r = ExperimentBuilder::new(cfg()).gpu_spec(spec).run();
-        assert_eq!(r.kernel.ssrs_serviced, 0);
+        assert_eq!(r.ssrs_serviced(), 0);
         match elapsed {
-            None => elapsed = Some(r.elapsed),
-            Some(e) => assert_eq!(e, r.elapsed, "{kind:?}"),
+            None => elapsed = Some(r.elapsed()),
+            Some(e) => assert_eq!(e, r.elapsed(), "{kind:?}"),
         }
     }
 }
