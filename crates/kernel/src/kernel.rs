@@ -619,7 +619,7 @@ mod tests {
         );
         // Service latency must reflect throttling: far above the
         // unthrottled ~30µs chain.
-        assert!(k.stats().mean_latency() > Ns::from_micros(100));
+        assert!(k.stats().latency.mean() > Ns::from_micros(100));
     }
 
     #[test]
@@ -638,7 +638,7 @@ mod tests {
         let out = k.on_interrupt(&host, CoreId(0), vec![req(0, Ns::ZERO)], delivered);
         let done = completions(&out)[0];
         assert_eq!(k.stats().latency.count(), 1);
-        assert!(k.stats().mean_latency() >= done - delivered);
+        assert!(k.stats().latency.mean() >= done - delivered);
     }
 }
 

@@ -2,7 +2,7 @@
 //! `/proc/interrupts`, IPI counters, and driver instrumentation.
 
 use hiss_obs::MetricsRegistry;
-use hiss_sim::{Histogram, Ns, OnlineStats};
+use hiss_sim::{Histogram, OnlineStats};
 
 /// Counters for one simulation run.
 #[derive(Debug, Clone)]
@@ -39,11 +39,6 @@ impl KernelStats {
     /// Total SSR interrupts across all cores.
     pub fn total_interrupts(&self) -> u64 {
         self.interrupts_per_core.iter().sum()
-    }
-
-    /// Mean end-to-end SSR latency.
-    pub fn mean_latency(&self) -> Ns {
-        self.latency.mean()
     }
 
     /// Largest / smallest per-core interrupt count ratio — 1.0 means
@@ -85,13 +80,14 @@ impl KernelStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hiss_sim::Ns;
 
     #[test]
     fn zeroed_on_creation() {
         let s = KernelStats::new(4);
         assert_eq!(s.total_interrupts(), 0);
         assert_eq!(s.ipis, 0);
-        assert_eq!(s.mean_latency(), Ns::ZERO);
+        assert_eq!(s.latency.mean(), Ns::ZERO);
         assert_eq!(s.interrupt_imbalance(), 1.0);
     }
 
