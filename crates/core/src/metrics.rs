@@ -15,7 +15,7 @@ use crate::trace::Trace;
 #[derive(Debug, Clone, Default)]
 pub struct RunReport {
     /// Structured snapshot of every component's counters (`kernel.*`,
-    /// `iommu.*`, `cpu.*`, `gpu*.*`, `qos.*`, `run.*`, `energy.*`).
+    /// `iommu.*`, `cpu.*`, `devN.*`, `qos.*`, `run.*`, `energy.*`).
     /// Built purely from deterministic simulation state, so it is
     /// bit-identical across `HISS_THREADS` settings; serialize with
     /// [`MetricsRegistry::to_json`].

@@ -195,8 +195,8 @@ impl DeviceRun {
 }
 
 /// Publishes a device counter set into a metrics registry under `prefix`
-/// (same layout as the historical `gpuN.*` namespace; an unfinished work
-/// item publishes no `{prefix}.finished_at_ns`).
+/// (`devN` in a run snapshot); an unfinished work item publishes no
+/// `{prefix}.finished_at_ns`.
 fn publish_device_stats(stats: &DeviceStats, reg: &mut hiss_obs::MetricsRegistry, prefix: &str) {
     reg.counter(format!("{prefix}.busy_ns"), stats.busy.as_nanos());
     reg.counter(format!("{prefix}.stalled_ns"), stats.stalled.as_nanos());
@@ -900,9 +900,9 @@ impl Soc {
         };
         // The `gpu_*` aggregates cover GPU-kind devices only (they feed
         // the paper's GPU-performance metrics); NIC/DMA sources show up in
-        // the per-device `devN.*` namespace and the `aux_ssrs_raised`
-        // interference total. SSR completions count across all devices —
-        // the service chain is shared.
+        // the per-device `devN.*` namespace and the `aux_*` interference
+        // totals. SSR completions count across all devices — the service
+        // chain is shared.
         let gpu_progress: Ns = self
             .devices
             .iter()
@@ -949,18 +949,20 @@ impl Soc {
             (c, b)
         };
         let energy = EnergyReport::from_breakdowns(EnergyParams::default(), &per_core, end);
-        let gpu_iterations: u64 = self
-            .devices
-            .iter()
-            .filter(|r| r.is_gpu())
-            .map(|r| r.iterations)
-            .sum();
-        let aux_ssrs_raised: u64 = self
-            .devices
-            .iter()
-            .filter(|r| !r.is_gpu())
-            .map(|r| r.total_stats().ssrs_raised)
-            .sum();
+        // Splits a per-device counter into its (GPU-kind, auxiliary)
+        // totals, so each `devN.*` family sums to a `run.gpu_*` plus a
+        // `run.aux_*` counter.
+        let split = |count: fn(&DeviceRun) -> u64| {
+            self.devices.iter().fold((0, 0), |(gpu, aux), r| {
+                if r.is_gpu() {
+                    (gpu + count(r), aux)
+                } else {
+                    (gpu, aux + count(r))
+                }
+            })
+        };
+        let (gpu_iterations, aux_iterations) = split(|r| r.iterations);
+        let (gpu_ssrs_raised, aux_ssrs_raised) = split(|r| r.total_stats().ssrs_raised);
 
         // Structured snapshot: every component publishes into one
         // registry, built purely from deterministic simulation state.
@@ -973,15 +975,6 @@ impl Soc {
             b.publish(&mut metrics, &format!("cpu.core{i}"));
         }
         whole.publish(&mut metrics, "cpu.total");
-        // `gpuN.*` keys number GPU-kind devices by GPU ordinal so that
-        // all-GPU topologies keep the exact key layout (and values) the
-        // hardwired multi-GPU path produced.  The device-indexed `devN.*`
-        // namespace below covers every SSR source, GPU or not.
-        for (gpu_ordinal, run) in self.devices.iter().filter(|r| r.is_gpu()).enumerate() {
-            let stats = run.total_stats();
-            publish_device_stats(&stats, &mut metrics, &format!("gpu{gpu_ordinal}"));
-            metrics.counter(format!("gpu{gpu_ordinal}.iterations"), run.iterations);
-        }
         for (i, run) in self.devices.iter().enumerate() {
             let stats = run.total_stats();
             metrics.label(format!("dev{i}.kind"), run.dev.as_dyn().kind());
@@ -990,6 +983,7 @@ impl Soc {
         }
         metrics.counter("run.devices", self.devices.len() as u64);
         metrics.counter("run.aux_ssrs_raised", aux_ssrs_raised);
+        metrics.counter("run.aux_iterations", aux_iterations);
         if let Some(gov) = self.kernel.governor() {
             gov.publish(&mut metrics, "qos");
         }
@@ -1030,6 +1024,7 @@ impl Soc {
         metrics.counter("run.gpu_progress_ns", gpu_progress.as_nanos());
         metrics.gauge("run.gpu_throughput", gpu_throughput);
         metrics.counter("run.gpu_iterations", gpu_iterations);
+        metrics.counter("run.gpu_ssrs_raised", gpu_ssrs_raised);
         metrics.gauge("run.ssr_rate", ssr_rate);
         metrics.gauge("run.cc6_residency", cc6_residency);
         metrics.gauge("run.cpu_ssr_overhead", whole.ssr_overhead_fraction());
@@ -1508,14 +1503,39 @@ mod tests {
             .gpu_app("ubench")
             .run();
         let m = &report.metrics;
-        assert!(m.counter_value("gpu0.ssrs_raised").unwrap() > 0);
-        assert!(m.counter_value("gpu0.busy_ns").unwrap() > 0);
+        assert!(m.counter_value("dev0.ssrs_raised").unwrap() > 0);
+        assert!(m.counter_value("dev0.busy_ns").unwrap() > 0);
         // No governor configured: no qos.* namespace.
         assert_eq!(m.counter_value("qos.deferrals"), None);
         // The snapshot round-trips through JSON bit-exactly.
         let json = m.to_json();
         let back = hiss_obs::MetricsRegistry::from_json(&json).expect("parse");
         assert_eq!(back.to_json(), json);
+    }
+
+    #[test]
+    fn device_stats_publish_counters_and_optional_finish_time() {
+        let unfinished = DeviceStats {
+            busy: Ns::from_micros(70),
+            stalled: Ns::from_micros(30),
+            ssrs_raised: 9,
+            ssrs_completed: 8,
+            finished_at: None,
+        };
+        let mut reg = hiss_obs::MetricsRegistry::new();
+        publish_device_stats(&unfinished, &mut reg, "dev0");
+        assert_eq!(reg.counter_value("dev0.busy_ns"), Some(70_000));
+        assert_eq!(reg.counter_value("dev0.stalled_ns"), Some(30_000));
+        assert_eq!(reg.counter_value("dev0.ssrs_raised"), Some(9));
+        assert_eq!(reg.counter_value("dev0.ssrs_completed"), Some(8));
+        assert_eq!(reg.get("dev0.finished_at_ns"), None);
+
+        let finished = DeviceStats {
+            finished_at: Some(Ns::from_micros(100)),
+            ..unfinished
+        };
+        publish_device_stats(&finished, &mut reg, "dev0");
+        assert_eq!(reg.counter_value("dev0.finished_at_ns"), Some(100_000));
     }
 
     #[test]
@@ -1531,9 +1551,9 @@ mod tests {
         assert_eq!(m.label_value("dev0.kind"), Some("gpu"));
         assert_eq!(m.label_value("dev1.kind"), Some("nic"));
         assert_eq!(m.label_value("dev2.kind"), Some("dma"));
-        // GPU ordinals skip non-GPU devices; the GPU's devN mirror matches.
+        // The one GPU's SSRs are the run's GPU share of the split.
         assert_eq!(
-            m.counter_value("gpu0.ssrs_raised"),
+            m.counter_value("run.gpu_ssrs_raised"),
             m.counter_value("dev0.ssrs_raised")
         );
         let nic_raised = m.counter_value("dev1.ssrs_raised").unwrap();

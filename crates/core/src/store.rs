@@ -23,15 +23,17 @@
 //! Each entry is a one-line header followed by the payload:
 //!
 //! ```text
-//! hiss-store v1 <payload-byte-length> <payload-fnv1a-hex>\n
+//! hiss-store v2 <payload-byte-length> <payload-fnv1a-hex>\n
 //! <metrics registry JSON>\n
 //! ```
 //!
 //! The header's length and checksum let a reader detect truncated or
-//! corrupted entries (and future format versions) without parsing the
-//! payload; an invalid entry is *counted* ([`DiskStore::invalid_count`])
-//! and treated as a miss — the caller recomputes and republishes — never
-//! a panic.
+//! corrupted entries without parsing the payload. The version changes
+//! whenever the snapshot layout does (`v2` snapshots carry no per-GPU
+//! copy of the `devN.*` keys), so an entry written under another layout
+//! is never served. An invalid entry is *counted*
+//! ([`DiskStore::invalid_count`]) and treated as a miss — the caller
+//! recomputes and republishes — never a panic.
 //!
 //! # Atomic publication
 //!
@@ -55,8 +57,9 @@ use hiss_obs::MetricsRegistry;
 
 /// Magic + version prefix of every entry header line.
 pub const ENTRY_MAGIC: &str = "hiss-store";
-/// Current entry format version.
-pub const ENTRY_VERSION: &str = "v1";
+/// Current entry format version, bumped whenever the snapshot layout
+/// changes.
+pub const ENTRY_VERSION: &str = "v2";
 
 /// 64-bit FNV-1a over a byte string — the store's content hash. Stable
 /// across platforms and process runs (no per-process seeding, unlike
@@ -402,10 +405,11 @@ mod tests {
         store.atomic_write(&path, &flipped).unwrap();
         assert!(store.load(&key).is_none());
         // Wrong version.
-        let wrong =
-            String::from_utf8(good.clone())
-                .unwrap()
-                .replacen("hiss-store v1", "hiss-store v9", 1);
+        let wrong = String::from_utf8(good.clone()).unwrap().replacen(
+            &format!("{ENTRY_MAGIC} {ENTRY_VERSION}"),
+            &format!("{ENTRY_MAGIC} v9"),
+            1,
+        );
         store.atomic_write(&path, wrong.as_bytes()).unwrap();
         assert!(store.load(&key).is_none());
 

@@ -29,7 +29,7 @@
 pub mod model;
 pub mod request;
 
-pub use model::{Gpu, GpuEventKind, GpuParams, GpuStats};
+pub use model::{Gpu, GpuEventKind, GpuParams};
 pub use request::{SsrId, SsrKind, SsrProfile, SsrRequest};
 
 // Re-exported so downstream device models can mint fault pages without a

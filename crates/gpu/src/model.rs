@@ -1,8 +1,7 @@
 //! The GPU execution state machine.
 
 use hiss_mem::{PageId, PageTable};
-use hiss_obs::MetricsRegistry;
-use hiss_sim::{Ns, Rng};
+use hiss_sim::{DeviceStats, Ns, Rng};
 
 use crate::request::{SsrId, SsrProfile, SsrRequest};
 
@@ -42,35 +41,6 @@ pub enum GpuEventKind {
     RaiseSsr,
     /// The GPU kernel will finish at the reported time.
     Finish,
-}
-
-/// Aggregate GPU statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GpuStats {
-    /// Time spent making forward progress.
-    pub busy: Ns,
-    /// Time stalled waiting on SSR completions.
-    pub stalled: Ns,
-    /// SSRs raised.
-    pub ssrs_raised: u64,
-    /// SSRs completed.
-    pub ssrs_completed: u64,
-    /// Kernel completion time, if finished.
-    pub finished_at: Option<Ns>,
-}
-
-impl GpuStats {
-    /// Publishes the GPU counters into a metrics registry under `prefix`.
-    /// An unfinished kernel publishes no `{prefix}.finished_at_ns`.
-    pub fn publish(&self, reg: &mut MetricsRegistry, prefix: &str) {
-        reg.counter(format!("{prefix}.busy_ns"), self.busy.as_nanos());
-        reg.counter(format!("{prefix}.stalled_ns"), self.stalled.as_nanos());
-        reg.counter(format!("{prefix}.ssrs_raised"), self.ssrs_raised);
-        reg.counter(format!("{prefix}.ssrs_completed"), self.ssrs_completed);
-        if let Some(t) = self.finished_at {
-            reg.counter(format!("{prefix}.finished_at_ns"), t.as_nanos());
-        }
-    }
 }
 
 /// Execution state: what the GPU is doing *right now*.
@@ -133,7 +103,7 @@ pub struct Gpu {
     next_ssr_id: u64,
     next_page: u64,
     generation: u64,
-    stats: GpuStats,
+    stats: DeviceStats,
     rng: Rng,
 }
 
@@ -191,7 +161,7 @@ impl Gpu {
             next_ssr_id: 0,
             next_page: 0,
             generation,
-            stats: GpuStats::default(),
+            stats: DeviceStats::default(),
             rng,
         }
     }
@@ -220,7 +190,7 @@ impl Gpu {
             next_ssr_id: self.next_ssr_id,
             next_page: self.next_page,
             generation: self.generation + 1,
-            stats: GpuStats::default(),
+            stats: DeviceStats::default(),
             rng,
         }
     }
@@ -236,7 +206,7 @@ impl Gpu {
     }
 
     /// Statistics so far.
-    pub fn stats(&self) -> GpuStats {
+    pub fn stats(&self) -> DeviceStats {
         self.stats
     }
 
@@ -403,18 +373,6 @@ impl hiss_sim::NextTick for Gpu {
     }
 }
 
-impl From<GpuStats> for hiss_sim::DeviceStats {
-    fn from(s: GpuStats) -> Self {
-        hiss_sim::DeviceStats {
-            busy: s.busy,
-            stalled: s.stalled,
-            ssrs_raised: s.ssrs_raised,
-            ssrs_completed: s.ssrs_completed,
-            finished_at: s.finished_at,
-        }
-    }
-}
-
 impl hiss_sim::Device for Gpu {
     type Request = SsrRequest;
     type Completion = SsrId;
@@ -451,8 +409,8 @@ impl hiss_sim::Device for Gpu {
         Gpu::is_stalled(self)
     }
 
-    fn stats(&self) -> hiss_sim::DeviceStats {
-        Gpu::stats(self).into()
+    fn stats(&self) -> DeviceStats {
+        Gpu::stats(self)
     }
 
     fn restart(&mut self, rng: Rng, now: Ns) {
@@ -464,31 +422,6 @@ impl hiss_sim::Device for Gpu {
 mod tests {
     use super::*;
     use crate::request::SsrKind;
-
-    #[test]
-    fn publish_exports_counters_and_optional_finish_time() {
-        let unfinished = GpuStats {
-            busy: Ns::from_micros(70),
-            stalled: Ns::from_micros(30),
-            ssrs_raised: 9,
-            ssrs_completed: 8,
-            finished_at: None,
-        };
-        let mut reg = MetricsRegistry::new();
-        unfinished.publish(&mut reg, "gpu0");
-        assert_eq!(reg.counter_value("gpu0.busy_ns"), Some(70_000));
-        assert_eq!(reg.counter_value("gpu0.stalled_ns"), Some(30_000));
-        assert_eq!(reg.counter_value("gpu0.ssrs_raised"), Some(9));
-        assert_eq!(reg.counter_value("gpu0.ssrs_completed"), Some(8));
-        assert_eq!(reg.get("gpu0.finished_at_ns"), None);
-
-        let finished = GpuStats {
-            finished_at: Some(Ns::from_micros(100)),
-            ..unfinished
-        };
-        finished.publish(&mut reg, "gpu0");
-        assert_eq!(reg.counter_value("gpu0.finished_at_ns"), Some(100_000));
-    }
 
     fn profile(gap_us: u64, blocking: f64) -> SsrProfile {
         SsrProfile {
@@ -715,14 +648,14 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
-    use super::{Gpu, GpuEventKind, GpuParams, GpuStats};
+    use super::{Gpu, GpuEventKind, GpuParams};
     use crate::request::{SsrId, SsrKind, SsrProfile};
-    use hiss_sim::{Ns, Rng as SimRng};
+    use hiss_sim::{DeviceStats, Ns, Rng as SimRng};
     use proptest::prelude::*;
 
     /// Drives a GPU to completion with a fixed service latency, checking
     /// invariants at every step.
-    fn drive(mut g: Gpu, service_us: u64) -> GpuStats {
+    fn drive(mut g: Gpu, service_us: u64) -> DeviceStats {
         let mut now = Ns::ZERO;
         let mut pending: Vec<(Ns, SsrId)> = Vec::new();
         let mut steps = 0;

@@ -6,7 +6,7 @@
 //! Candidate names are backtick-quoted spans that look like metric
 //! names: dotted, lowercase/underscore/digit segments, optionally using
 //! the documentation conventions the schema itself uses (`coreN`,
-//! `gpuN`, `workerN` index families and a trailing `.*` wildcard for
+//! `devN`, `workerN` index families and a trailing `.*` wildcard for
 //! "everything under this prefix"). Spans carrying non-name characters
 //! (placeholders like `<name>`, code fragments, file names with known
 //! extensions) are not candidates.
@@ -171,8 +171,8 @@ mod tests {
         assert!(doc_name_in_schema("kernel.ipis"));
         assert!(doc_name_in_schema("cpu.core0.sleep_cc6_ns"));
         assert!(doc_name_in_schema("cpu.coreN.sleep_cc6_ns"));
-        assert!(doc_name_in_schema("gpu1.busy_ns"));
-        assert!(doc_name_in_schema("gpuN.iterations"));
+        assert!(doc_name_in_schema("dev1.busy_ns"));
+        assert!(doc_name_in_schema("devN.iterations"));
         assert!(!doc_name_in_schema("cpu.total.cc6"));
         assert!(!doc_name_in_schema("kernel.ipi_count"));
     }
@@ -181,7 +181,7 @@ mod tests {
     fn trailing_wildcard_covers_prefixes() {
         assert!(doc_name_in_schema("kernel.batch.*"));
         assert!(doc_name_in_schema("cpu.coreN.*"));
-        assert!(doc_name_in_schema("gpuN.*"));
+        assert!(doc_name_in_schema("devN.*"));
         assert!(doc_name_in_schema("bench.pool.*"));
         assert!(doc_name_in_schema("cell.axis.*"));
         assert!(!doc_name_in_schema("kernel.nothing.*"));

@@ -15,7 +15,7 @@
 //!
 //! Terms are sums (or counts) of **counter** values over schema
 //! patterns, so an invariant reads like the bookkeeping identity it is:
-//! `Σ devN.ssrs_raised = Σ gpuN.ssrs_raised + run.aux_ssrs_raised`.
+//! `Σ devN.ssrs_raised = run.gpu_ssrs_raised + run.aux_ssrs_raised`.
 //! Names absent from a registry contribute zero — an inequality over an
 //! optional family (e.g. `qos.*`) holds vacuously when the family is
 //! not published.
@@ -230,7 +230,7 @@ pub const INVARIANTS: &[Invariant] = &[
         "device_ssr_split",
         &[Term::Sum("devN.ssrs_raised")],
         &[
-            Term::Sum("gpuN.ssrs_raised"),
+            Term::Sum("run.gpu_ssrs_raised"),
             Term::Sum("run.aux_ssrs_raised"),
         ],
         "device-indexed SSRs split exactly into GPU-raised plus auxiliary",
@@ -360,9 +360,12 @@ pub const INVARIANTS: &[Invariant] = &[
     ),
     run_eq(
         "gpu_iterations_total",
-        &[Term::Sum("run.gpu_iterations")],
-        &[Term::Sum("gpuN.iterations")],
-        "the run-level iteration count sums the per-GPU counters",
+        &[Term::Sum("devN.iterations")],
+        &[
+            Term::Sum("run.gpu_iterations"),
+            Term::Sum("run.aux_iterations"),
+        ],
+        "device-indexed iterations split exactly into GPU plus auxiliary",
     ),
     run_eq(
         "devices_counted",
@@ -910,7 +913,7 @@ mod tests {
         reg.counter("iommu.requests", 9);
         reg.counter("iommu.drained", 9);
         reg.counter("dev0.ssrs_raised", 9);
-        reg.counter("gpu0.ssrs_raised", 9);
+        reg.counter("run.gpu_ssrs_raised", 9);
         let baseline = audit(&reg, Scope::Run);
         assert!(baseline.clean(), "{:?}", baseline.violations);
 
@@ -962,7 +965,7 @@ mod tests {
         reg.counter("iommu.requests", 9);
         reg.counter("iommu.drained", 9);
         reg.counter("dev0.ssrs_raised", 9);
-        reg.counter("gpu0.ssrs_raised", 9);
+        reg.counter("run.gpu_ssrs_raised", 9);
         let report = audit(&reg, Scope::Run);
         assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
         assert_eq!(report.violations[0].name, "interrupts_per_core");

@@ -21,15 +21,15 @@
 //!   [`MetricsRegistry::to_jsonl`]) backing `hiss-cli report`.
 //!
 //! Component crates (`hiss-kernel`, `hiss-iommu`, `hiss-cpu`,
-//! `hiss-gpu`, `hiss-qos`) implement `publish(&self, &mut
-//! MetricsRegistry)` on their stats types; `hiss::Soc` assembles the
-//! per-run snapshot exposed as `RunReport::metrics`.
+//! `hiss-qos`) implement `publish(&self, &mut MetricsRegistry)` on their
+//! stats types; `hiss::Soc` assembles the per-run snapshot exposed as
+//! `RunReport::metrics`, with one `devN.*` block per SSR source.
 //!
 //! # Naming convention
 //!
 //! Dotted lowercase paths, component first: `kernel.ipis`,
 //! `kernel.interrupts.core0`, `iommu.walker.pwc_hits`,
-//! `cpu.core1.sleep_cc6_ns`, `gpu0.ssrs_completed`, `run.cc6_residency`.
+//! `cpu.core1.sleep_cc6_ns`, `dev0.ssrs_completed`, `run.cc6_residency`.
 //! Identity metadata (application names, sweep coordinates) rides along
 //! as labels under `cell.*` so a snapshot file is self-describing.
 //!

@@ -12,8 +12,8 @@
 //! Patterns are dotted names where a segment may be:
 //!
 //! - a literal (`ipis`, `cc6_residency`),
-//! - an indexed family — a literal ending in `N` (`coreN`, `gpuN`,
-//!   `devN`) matching that stem followed by a decimal index,
+//! - an indexed family — a literal ending in `N` (`coreN`, `devN`,
+//!   `classN`) matching that stem followed by a decimal index,
 //! - `*`, matching exactly one arbitrary segment (sweep-axis labels).
 
 /// The value type a schema entry promises.
@@ -190,19 +190,8 @@ pub const SCHEMA: &[SchemaEntry] = &[
     run_c("cpu.total.os_tick_ns", "periodic OS tick time, all cores"),
     run_g("cpu.total.cc6_residency", "whole-package CC6 residency"),
     run_g("cpu.total.ssr_overhead", "whole-package SSR overhead"),
-    // GpuStats::publish ("gpuN") + per-GPU iteration counter
-    run_c("gpuN.busy_ns", "GPU N busy time"),
-    run_c("gpuN.stalled_ns", "GPU N time stalled on SSRs"),
-    run_c("gpuN.ssrs_raised", "SSRs raised by GPU N"),
-    run_c("gpuN.ssrs_completed", "SSRs completed for GPU N"),
-    run_c(
-        "gpuN.finished_at_ns",
-        "GPU N kernel completion time (if any)",
-    ),
-    run_c("gpuN.iterations", "workload iterations finished on GPU N"),
-    // publish_device_stats ("devN") — device-indexed view over every SSR
-    // source (GPUs, NICs, DMA engines); `gpuN.*` keeps numbering
-    // GPU-kind devices only.
+    // publish_device_stats ("devN") — one block per SSR source (GPUs,
+    // NICs, DMA engines) in topology order.
     SchemaEntry {
         pattern: "devN.kind",
         kind: MetricKind::Label,
@@ -259,10 +248,15 @@ pub const SCHEMA: &[SchemaEntry] = &[
     run_c("run.gpu_progress_ns", "summed GPU busy progress"),
     run_g("run.gpu_throughput", "GPU busy fraction of elapsed time"),
     run_c("run.gpu_iterations", "workload iterations across all GPUs"),
+    run_c("run.gpu_ssrs_raised", "SSRs raised by GPU-kind devices"),
     run_c("run.devices", "SSR-raising devices instantiated in the run"),
     run_c(
         "run.aux_ssrs_raised",
         "SSRs raised by non-GPU devices (NIC, DMA)",
+    ),
+    run_c(
+        "run.aux_iterations",
+        "workload iterations finished on non-GPU devices",
     ),
     run_g("run.ssr_rate", "SSRs raised per simulated second"),
     run_g("run.cc6_residency", "whole-run CC6 residency fraction"),
@@ -514,8 +508,8 @@ pub fn lookup(name: &str) -> Option<&'static SchemaEntry> {
 }
 
 /// The distinct first segments of every pattern (the namespace roots:
-/// `kernel`, `iommu`, `cpu`, `gpuN`, `devN`, `qos`, `run`, `energy`,
-/// `cell`, `bench`), in first-appearance order.
+/// `kernel`, `iommu`, `cpu`, `devN`, `qos`, `run`, `energy`, `cell`,
+/// `bench`), in first-appearance order.
 pub fn roots() -> Vec<&'static str> {
     let mut out: Vec<&'static str> = Vec::new();
     for e in SCHEMA {
@@ -557,8 +551,8 @@ mod tests {
             "cpu.coreN.sleep_cc6_ns",
             "cpu.core.sleep_cc6_ns"
         ));
-        assert!(pattern_matches("gpuN.busy_ns", "gpu3.busy_ns"));
-        assert!(!pattern_matches("gpuN.busy_ns", "gpu.busy_ns"));
+        assert!(pattern_matches("devN.busy_ns", "dev3.busy_ns"));
+        assert!(!pattern_matches("devN.busy_ns", "dev.busy_ns"));
     }
 
     #[test]
@@ -584,7 +578,7 @@ mod tests {
     fn roots_cover_the_documented_namespace() {
         let roots = roots();
         for expected in [
-            "kernel", "iommu", "cpu", "gpuN", "devN", "qos", "run", "energy", "cell", "bench",
+            "kernel", "iommu", "cpu", "devN", "qos", "run", "energy", "cell", "bench",
         ] {
             assert!(roots.contains(&expected), "missing root {expected}");
         }

@@ -17,7 +17,7 @@
 //! throwaway connection to its own address. The accept loop stops
 //! accepting, the thread scope joins every in-flight handler (draining
 //! their submissions to completion; an idle handler notices the flag
-//! within [`IDLE_POLL`] and hangs up), and the store is flushed —
+//! within `IDLE_POLL` and hangs up), and the store is flushed —
 //! removing this process's leftover `*.tmp.<pid>` write intermediates
 //! so no torn entry outlives the process. Entry *publication* was
 //! already atomic (write-then-rename), so even an abrupt kill cannot

@@ -26,9 +26,10 @@ use crate::time::Ns;
 
 /// Aggregate per-device statistics, uniform across device kinds.
 ///
-/// Mirrors the GPU's counter set so `devN.*` metrics read the same for
-/// every source: busy/stalled wall time, SSRs raised/completed, and the
-/// completion time of the device's work item, if it finished.
+/// One counter set for every source, so `devN.*` metrics read the same
+/// for a GPU, a NIC or a DMA engine: busy/stalled wall time, SSRs
+/// raised/completed, and the completion time of the device's work item,
+/// if it finished.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeviceStats {
     /// Time spent making forward progress.

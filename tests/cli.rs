@@ -195,9 +195,6 @@ fn usage_errors_exit_1_with_their_message() {
     }
 }
 
-/// `hiss-cli list | head -1` and the like: once the reader is gone, the
-/// next write fails with a broken pipe, and the process ends quietly
-/// with status 0 instead of panicking.
 /// The write end of a pipe whose only reader has exited, so every
 /// write to it fails.
 fn closed_pipe() -> Stdio {
@@ -207,6 +204,9 @@ fn closed_pipe() -> Stdio {
     Stdio::from(write_end)
 }
 
+/// `hiss-cli list | head -1` and the like: once the reader is gone, the
+/// next write fails with a broken pipe, and the process ends quietly
+/// with status 0 instead of panicking.
 #[test]
 fn closed_stdout_ends_quietly() {
     let out = Command::new(env!("CARGO_BIN_EXE_hiss-cli"))

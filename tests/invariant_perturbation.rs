@@ -161,7 +161,7 @@ const NEAR_MISSES: &[&str] = &[
     "dev.kind",
     "devX.kind",
     "dev0.kind.extra",
-    "gpu.ssrs_raised",
+    "dev.ssrs_raised",
     "qos.class.requests",
     "qos.classX.requests",
     "qos.classes.requests",
@@ -248,17 +248,29 @@ fn every_one_sided_bump_on_an_equality_is_flagged() {
     // criticality corpus arms them, so together the sweep covers the
     // whole equality table.
     let exercised = one_sided_bump_sweep(base_snapshot());
-    assert!(exercised >= 5, "only {exercised} equality laws exercised");
+    assert!(
+        exercised.len() >= 5,
+        "only {exercised:?} equality laws exercised"
+    );
+    // The device-split laws tie `devN.*` to the run's GPU/auxiliary totals.
+    for law in ["device_ssr_split", "gpu_iterations_total"] {
+        assert!(
+            exercised.contains(&law),
+            "{law} not exercised: {exercised:?}"
+        );
+    }
     let with_classes = one_sided_bump_sweep(crit_snapshot());
     assert!(
-        with_classes >= exercised + 6,
-        "class corpus exercised only {with_classes} laws (base {exercised})"
+        with_classes.len() >= exercised.len() + 6,
+        "class corpus exercised only {with_classes:?} (base {exercised:?})"
     );
 }
 
-fn one_sided_bump_sweep(base: &MetricsRegistry) -> usize {
+/// Bumps one counter per applicable equality law and returns the names
+/// of the laws it exercised.
+fn one_sided_bump_sweep(base: &MetricsRegistry) -> Vec<&'static str> {
     let names = counter_names(base);
-    let mut exercised = 0usize;
+    let mut exercised = Vec::new();
     for inv in invariants_for(Scope::Run).filter(|i| i.rel == Rel::Eq) {
         if !guard_applies(inv, base) {
             continue; // guarded law whose marker this corpus lacks
@@ -269,7 +281,7 @@ fn one_sided_bump_sweep(base: &MetricsRegistry) -> usize {
         else {
             continue; // law over families this workload never publishes
         };
-        exercised += 1;
+        exercised.push(inv.name);
         let mut reg = base.clone();
         let old = reg.counter_value(name).unwrap();
         reg.counter(name.clone(), old + 1);
@@ -335,7 +347,7 @@ fn multi_digit_indices_and_near_misses_tally_like_the_oracle() {
     reg.label("dev10.kind", "nic");
     reg.label("devices.kind", "none");
     reg.counter("dev10.ssrs_raised", 4);
-    reg.counter("gpu0.ssrs_raised", 4);
+    reg.counter("run.gpu_ssrs_raised", 4);
     reg.gauge("dev0.ssrs_raised", 3.0);
     reg.counter("qos.classes", 2);
     reg.counter("qos.class1.requests", 4);
