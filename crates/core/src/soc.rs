@@ -229,8 +229,10 @@ enum Event {
     /// Periodic OS scheduler tick on `core`.
     Tick { core: usize },
     /// The IOMMU finished walking the page table for a faulting access;
-    /// the request now reaches the PPR log.
-    WalkDone { request: SsrRequest },
+    /// the request parked at index `walk` of `Soc::walks` now reaches the
+    /// PPR log. An index keeps every event small: the calendar stores
+    /// events by value.
+    WalkDone { walk: u32 },
 }
 
 /// Snapshot of core states handed to the kernel model (it cannot borrow
@@ -275,6 +277,9 @@ pub struct Soc {
     activity: Vec<Activity>,
     user_gen: Vec<u64>,
     users: Vec<Option<UserThread>>,
+    /// User threads that have not finished yet, so the per-event
+    /// end-of-run check is one compare.
+    live_users: usize,
     cpu_spec: Option<CpuAppSpec>,
     devices: Vec<DeviceRun>,
     iommu: Iommu,
@@ -283,6 +288,10 @@ pub struct Soc {
     truncated: bool,
     tracer: Option<Tracer>,
     walker: PageWalker,
+    /// Requests in a page-table walk, indexed by [`Event::WalkDone`];
+    /// `free_walks` lists the slots whose walk has finished.
+    walks: Vec<SsrRequest>,
+    free_walks: Vec<u32>,
     /// Reusable core-state snapshot handed to the kernel model on every
     /// interrupt (see [`Soc::refresh_host_view`]).
     view: HostView,
@@ -399,17 +408,14 @@ impl Soc {
         let num_devices = devices.len();
         Soc {
             now: Ns::ZERO,
-            // Pre-sizes the far-future overflow ring only — the wheel's
-            // slot buffers grow to their working set on demand and are
-            // then reused. Measured `run.events_peak` reaches ~2.6k on
-            // saturated bench cells, but nearly all of that backlog is
-            // due within the wheel horizon; the ring sees only the
-            // long-range projections (user-completion estimates, deep
-            // completion-backlog tails), so a couple of entries per core
-            // avoid early regrowth without over-reserving.
-            queue: EventQueue::with_capacity(2 * cfg.num_cores.max(1)),
+            // Not pre-sized: the wheel's node slab grows to its working
+            // set on demand and then recycles its nodes, and the overflow
+            // ring stays empty on the Fig. 3 grids (their whole backlog,
+            // up to ~2.7k events, is due within the ~33.5 ms horizon).
+            queue: EventQueue::new(),
             activity,
             user_gen: vec![0; cfg.num_cores],
+            live_users: users.iter().flatten().count(),
             users,
             cpu_spec,
             devices,
@@ -420,6 +426,8 @@ impl Soc {
             truncated: false,
             tracer: None,
             walker: PageWalker::new(WalkerConfig::default()),
+            walks: Vec::new(),
+            free_walks: Vec::new(),
             view: HostView {
                 busy: Vec::with_capacity(cfg.num_cores),
                 preempt: Vec::with_capacity(cfg.num_cores),
@@ -482,9 +490,11 @@ impl Soc {
                 // Module-shared L2: an additional, smaller penalty from
                 // whatever kernel work ran on either sibling core,
                 // averaged over the slice (long slices re-warm the L2).
-                let module = &mut self.module_warmth[Self::module_of(core)];
-                let l2_slow = module.user_slowdown(dur, spec.l2_sensitivity, 0.0);
-                module.on_user(dur);
+                let l2_slow = self.module_warmth[Self::module_of(core)].run_user(
+                    dur,
+                    spec.l2_sensitivity,
+                    0.0,
+                );
                 let done = done.scale(1.0 / l2_slow);
                 if let Some(user) = self.users[core].as_mut() {
                     user.remaining = user.remaining.saturating_sub(done);
@@ -565,9 +575,18 @@ impl Soc {
     fn route_request(&mut self, req: SsrRequest) {
         if req.kind.uses_iommu() {
             if let Some(page) = req.page {
-                let walk = self.walker.walk(page.0 << 12);
-                self.queue
-                    .push(self.now + walk, Event::WalkDone { request: req });
+                let due = self.now + self.walker.walk(page.0 << 12);
+                let walk = match self.free_walks.pop() {
+                    Some(walk) => {
+                        self.walks[walk as usize] = req;
+                        walk
+                    }
+                    None => {
+                        self.walks.push(req);
+                        u32::try_from(self.walks.len() - 1).expect("walk slots fit in u32")
+                    }
+                };
+                self.queue.push(due, Event::WalkDone { walk });
                 return;
             }
         }
@@ -728,10 +747,11 @@ impl Soc {
                             spec.cache_sensitivity,
                             spec.branch_sensitivity,
                         );
-                        let module = &mut self.module_warmth[Self::module_of(core)];
-                        let l2_slow =
-                            module.user_slowdown(dur - kernel_half, spec.l2_sensitivity, 0.0);
-                        module.on_user(dur - kernel_half);
+                        let l2_slow = self.module_warmth[Self::module_of(core)].run_user(
+                            dur - kernel_half,
+                            spec.l2_sensitivity,
+                            0.0,
+                        );
                         let done = done.scale(1.0 / l2_slow);
                         if let Some(user) = self.users[core].as_mut() {
                             user.remaining = user.remaining.saturating_sub(done);
@@ -775,6 +795,7 @@ impl Soc {
                 if finished {
                     if let Some(u) = self.users[core].as_mut() {
                         u.finished_at = Some(self.now);
+                        self.live_users -= 1;
                     }
                     self.activity[core] = Activity::Idle { since: self.now };
                 } else {
@@ -786,7 +807,9 @@ impl Soc {
                 self.devices[dev].dev.as_dyn_mut().complete(id, self.now);
                 self.arm_device(dev);
             }
-            Event::WalkDone { request } => {
+            Event::WalkDone { walk } => {
+                let request = self.walks[walk as usize];
+                self.free_walks.push(walk);
                 self.log_request(request);
             }
             Event::Tick { core } => {
@@ -815,7 +838,7 @@ impl Soc {
     }
 
     fn cpu_app_done(&self) -> bool {
-        self.cpu_spec.is_some() && self.users.iter().flatten().all(|u| u.finished_at.is_some())
+        self.cpu_spec.is_some() && self.live_users == 0
     }
 
     fn devices_done(&self) -> bool {
@@ -1227,6 +1250,13 @@ mod tests {
 
     fn cfg() -> SystemConfig {
         SystemConfig::a10_7850k()
+    }
+
+    #[test]
+    fn events_stay_three_words() {
+        // The calendar moves events by value on every push and pop; a
+        // request parked in `Soc::walks` keeps `WalkDone` an index.
+        assert!(std::mem::size_of::<Event>() <= 3 * std::mem::size_of::<u64>());
     }
 
     #[test]

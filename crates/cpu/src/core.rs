@@ -138,8 +138,7 @@ impl Core {
         }
         let slowdown = self
             .warmth
-            .user_slowdown(wall, cache_sensitivity, branch_sensitivity);
-        self.warmth.on_user(wall);
+            .run_user(wall, cache_sensitivity, branch_sensitivity);
         self.breakdown.add(TimeCategory::User, wall);
         wall.scale(1.0 / slowdown)
     }

@@ -1,6 +1,6 @@
 //! The GPU execution state machine.
 
-use hiss_mem::{PageId, PageTable};
+use hiss_mem::PageId;
 use hiss_sim::{DeviceStats, Ns, Rng};
 
 use crate::request::{SsrId, SsrProfile, SsrRequest};
@@ -99,7 +99,6 @@ pub struct Gpu {
     next_ssr_at_progress: Ns,
     /// Outstanding (raised, unserved) SSR ids; blocking ones noted.
     outstanding: Vec<(SsrId, bool)>,
-    page_table: PageTable,
     next_ssr_id: u64,
     next_page: u64,
     generation: u64,
@@ -157,7 +156,6 @@ impl Gpu {
             last_advanced: start,
             next_ssr_at_progress: first_gap,
             outstanding: Vec::new(),
-            page_table: PageTable::new(),
             next_ssr_id: 0,
             next_page: 0,
             generation,
@@ -186,7 +184,6 @@ impl Gpu {
             last_advanced: now,
             next_ssr_at_progress: first_gap,
             outstanding: Vec::new(),
-            page_table: PageTable::new(),
             next_ssr_id: self.next_ssr_id,
             next_page: self.next_page,
             generation: self.generation + 1,
@@ -305,7 +302,6 @@ impl Gpu {
         self.next_ssr_id += 1;
         let page = PageId(self.next_page);
         self.next_page += self.profile.page_stride.max(1);
-        self.page_table.touch(page);
         let blocking = self.rng.gen_bool(self.profile.blocking_prob);
         self.outstanding.push((id, blocking));
         self.stats.ssrs_raised += 1;
@@ -356,11 +352,6 @@ impl Gpu {
                 self.generation += 1;
             }
         }
-    }
-
-    /// The page-residency table shared with the fault handler.
-    pub fn page_table_mut(&mut self) -> &mut PageTable {
-        &mut self.page_table
     }
 }
 

@@ -211,9 +211,9 @@ impl Kernel {
     ///
     /// Panics if `batch` is empty — an interrupt with no logged request
     /// indicates an IOMMU-model bug.
-    pub fn on_interrupt_into(
+    pub fn on_interrupt_into<H: CoreHost + ?Sized>(
         &mut self,
-        host: &dyn CoreHost,
+        host: &H,
         irq_core: CoreId,
         batch: &[SsrRequest],
         now: Ns,

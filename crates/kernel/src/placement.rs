@@ -65,7 +65,7 @@ impl Kthread {
 
     /// Chooses the core this thread will run on for its next activation
     /// and updates its home.
-    pub fn place(&mut self, host: &dyn CoreHost) -> CoreId {
+    pub fn place<H: CoreHost + ?Sized>(&mut self, host: &H) -> CoreId {
         let chosen = self.choose(host);
         if chosen != self.home {
             self.migrations += 1;
@@ -74,7 +74,7 @@ impl Kthread {
         chosen
     }
 
-    fn choose(&mut self, host: &dyn CoreHost) -> CoreId {
+    fn choose<H: CoreHost + ?Sized>(&mut self, host: &H) -> CoreId {
         if let Some(core) = self.affinity {
             assert!(
                 core.0 < host.num_cores(),

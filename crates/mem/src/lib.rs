@@ -13,8 +13,7 @@
 //! - [`WarmthModel`]: the fast statistical model actually used inside
 //!   figure-scale simulations (exponential decay of "warmth" while the
 //!   kernel runs, exponential refill while user code runs),
-//! - [`PageTable`]: page-residency tracking that turns GPU memory accesses
-//!   into demand faults (the SSRs themselves).
+//! - [`PageId`]: the virtual page a GPU demand fault (an SSR) names.
 //!
 //! The structural and statistical models are cross-checked in integration
 //! tests — the warmth model is the one that runs inside experiments
@@ -28,5 +27,5 @@ pub mod pollution;
 
 pub use branch::GsharePredictor;
 pub use cache::{AccessResult, Cache, CacheConfig, Owner};
-pub use page::{PageId, PageTable, TouchResult};
+pub use page::PageId;
 pub use pollution::{PollutionParams, WarmthModel};

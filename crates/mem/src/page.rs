@@ -1,200 +1,11 @@
-//! Page-residency tracking.
+//! Virtual page identifiers.
 //!
 //! GPU workloads in the paper allocate input data on demand; when a GPU
 //! kernel touches a page that is not yet resident it takes a *soft page
-//! fault* that the host CPU must service (paper §III). [`PageTable`] is the
-//! shared residency map: the GPU calls [`PageTable::touch`], and the kernel
-//! fault handler calls [`PageTable::make_resident`] at service completion.
-// Sanctioned exemption (see lint.toml): residency sets answer
-// membership queries only and are never iterated.
-#![allow(clippy::disallowed_types)]
-
-use std::collections::HashSet;
+//! fault* that the host CPU must service (paper §III). Each such request
+//! names the faulting page with a [`PageId`], which the IOMMU's page
+//! walker turns into a virtual address.
 
 /// Identifier of a 4 KiB virtual page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PageId(pub u64);
-
-/// Outcome of touching a page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TouchResult {
-    /// The page is resident; the access proceeds at full speed.
-    Resident,
-    /// The page is absent: a demand fault must be raised (an SSR).
-    Fault,
-    /// The page is absent but a fault for it is already outstanding; the
-    /// toucher should block on the existing fault rather than raise a
-    /// duplicate.
-    FaultPending,
-}
-
-/// A residency map over a process's virtual pages.
-///
-/// # Example
-///
-/// ```
-/// use hiss_mem::{PageTable, PageId, TouchResult};
-///
-/// let mut pt = PageTable::new();
-/// let page = PageId(7);
-/// assert_eq!(pt.touch(page), TouchResult::Fault);        // first touch faults
-/// assert_eq!(pt.touch(page), TouchResult::FaultPending); // don't double-fault
-/// pt.make_resident(page);
-/// assert_eq!(pt.touch(page), TouchResult::Resident);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct PageTable {
-    resident: HashSet<PageId>,
-    pending: HashSet<PageId>,
-    faults: u64,
-}
-
-impl PageTable {
-    /// Creates an empty page table (no pages resident).
-    pub fn new() -> Self {
-        PageTable::default()
-    }
-
-    /// Touches `page`, recording a fault if it is absent and no fault for
-    /// it is already outstanding.
-    pub fn touch(&mut self, page: PageId) -> TouchResult {
-        if self.resident.contains(&page) {
-            TouchResult::Resident
-        } else if self.pending.contains(&page) {
-            TouchResult::FaultPending
-        } else {
-            self.pending.insert(page);
-            self.faults += 1;
-            TouchResult::Fault
-        }
-    }
-
-    /// Completes a fault (or pre-populates): marks `page` resident and
-    /// clears any pending fault for it.
-    pub fn make_resident(&mut self, page: PageId) {
-        self.pending.remove(&page);
-        self.resident.insert(page);
-    }
-
-    /// Pre-populates a contiguous range of pages (models pinned memory —
-    /// the traditional no-SSR configuration that baselines are run with).
-    pub fn populate_range(&mut self, first: PageId, count: u64) {
-        for p in first.0..first.0.saturating_add(count) {
-            self.resident.insert(PageId(p));
-        }
-    }
-
-    /// Evicts a page (swap-out / migration), so the next touch faults again.
-    pub fn evict(&mut self, page: PageId) {
-        self.resident.remove(&page);
-    }
-
-    /// `true` if `page` is resident.
-    pub fn is_resident(&self, page: PageId) -> bool {
-        self.resident.contains(&page)
-    }
-
-    /// Number of resident pages.
-    pub fn resident_count(&self) -> usize {
-        self.resident.len()
-    }
-
-    /// Number of faults recorded so far.
-    pub fn fault_count(&self) -> u64 {
-        self.faults
-    }
-
-    /// Number of faults currently outstanding (touched but not yet made
-    /// resident).
-    pub fn pending_count(&self) -> usize {
-        self.pending.len()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fault_then_pending_then_resident() {
-        let mut pt = PageTable::new();
-        assert_eq!(pt.touch(PageId(1)), TouchResult::Fault);
-        assert_eq!(pt.touch(PageId(1)), TouchResult::FaultPending);
-        assert_eq!(pt.fault_count(), 1);
-        pt.make_resident(PageId(1));
-        assert_eq!(pt.touch(PageId(1)), TouchResult::Resident);
-        assert_eq!(pt.pending_count(), 0);
-    }
-
-    #[test]
-    fn populate_range_prevents_faults() {
-        let mut pt = PageTable::new();
-        pt.populate_range(PageId(10), 5);
-        for p in 10..15 {
-            assert_eq!(pt.touch(PageId(p)), TouchResult::Resident);
-        }
-        assert_eq!(pt.touch(PageId(15)), TouchResult::Fault);
-        assert_eq!(pt.resident_count(), 5);
-    }
-
-    #[test]
-    fn evict_causes_refault() {
-        let mut pt = PageTable::new();
-        pt.make_resident(PageId(3));
-        pt.evict(PageId(3));
-        assert_eq!(pt.touch(PageId(3)), TouchResult::Fault);
-        assert_eq!(pt.fault_count(), 1);
-    }
-
-    #[test]
-    fn distinct_pages_fault_independently() {
-        let mut pt = PageTable::new();
-        for p in 0..100 {
-            assert_eq!(pt.touch(PageId(p)), TouchResult::Fault);
-        }
-        assert_eq!(pt.fault_count(), 100);
-        assert_eq!(pt.pending_count(), 100);
-    }
-
-    #[test]
-    fn populate_range_saturates_at_u64_max() {
-        let mut pt = PageTable::new();
-        pt.populate_range(PageId(u64::MAX - 2), 10);
-        assert!(pt.is_resident(PageId(u64::MAX - 1)));
-    }
-}
-
-#[cfg(test)]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        /// Each distinct page faults at most once before being made
-        /// resident, no matter the touch pattern.
-        #[test]
-        fn at_most_one_fault_per_page(
-            touches in proptest::collection::vec(0u64..64, 1..500)
-        ) {
-            let mut pt = PageTable::new();
-            for &p in &touches {
-                pt.touch(PageId(p));
-            }
-            let distinct: std::collections::HashSet<_> = touches.iter().collect();
-            prop_assert_eq!(pt.fault_count() as usize, distinct.len());
-        }
-
-        /// touch() after make_resident() is always Resident.
-        #[test]
-        fn residency_is_sticky(pages in proptest::collection::vec(0u64..1000, 1..100)) {
-            let mut pt = PageTable::new();
-            for &p in &pages {
-                pt.touch(PageId(p));
-                pt.make_resident(PageId(p));
-            }
-            for &p in &pages {
-                prop_assert_eq!(pt.touch(PageId(p)), TouchResult::Resident);
-            }
-        }
-    }
-}

@@ -117,18 +117,27 @@ impl WarmthModel {
         self.branch
     }
 
-    fn decay(w: f64, dur: Ns, tau: Ns) -> f64 {
+    /// `exp(-dur/tau)`, the fraction of the old state an exponential
+    /// with time constant `tau` keeps across `dur`. A zero `tau` keeps
+    /// nothing (decay reaches 0, refill reaches 1 at once).
+    fn factor(dur: Ns, tau: Ns) -> f64 {
         if tau == Ns::ZERO {
             return 0.0;
         }
-        w * (-(dur.as_nanos() as f64) / tau.as_nanos() as f64).exp()
+        (-(dur.as_nanos() as f64) / tau.as_nanos() as f64).exp()
     }
 
-    fn refill(w: f64, dur: Ns, tau: Ns) -> f64 {
-        if tau == Ns::ZERO {
-            return 1.0;
-        }
-        1.0 - (1.0 - w) * (-(dur.as_nanos() as f64) / tau.as_nanos() as f64).exp()
+    /// The cache and branch factors of `dur` for time constant `tau_of`
+    /// of each structure, with one `exp` when the two constants agree.
+    fn factors(&self, dur: Ns, tau_of: fn(&PollutionParams) -> Ns) -> (f64, f64) {
+        let (cache_tau, branch_tau) = (tau_of(&self.cache_params), tau_of(&self.branch_params));
+        let cache = Self::factor(dur, cache_tau);
+        let branch = if branch_tau == cache_tau {
+            cache
+        } else {
+            Self::factor(dur, branch_tau)
+        };
+        (cache, branch)
     }
 
     fn integrate(&mut self, dur: Ns) {
@@ -142,8 +151,9 @@ impl WarmthModel {
     /// Warmth decays; the interval is integrated *at the post-decay value*
     /// (pessimistic by at most one handler length).
     pub fn on_kernel(&mut self, dur: Ns) {
-        self.cache = Self::decay(self.cache, dur, self.cache_params.kernel_decay_tau);
-        self.branch = Self::decay(self.branch, dur, self.branch_params.kernel_decay_tau);
+        let (cache, branch) = self.factors(dur, |p| p.kernel_decay_tau);
+        self.cache *= cache;
+        self.branch *= branch;
         self.integrate(dur);
     }
 
@@ -151,9 +161,14 @@ impl WarmthModel {
     /// The interval is integrated at the pre-refill value so the penalty of
     /// re-warming is attributed to the user interval that pays it.
     pub fn on_user(&mut self, dur: Ns) {
+        let factors = self.factors(dur, |p| p.user_refill_tau);
+        self.refill(dur, factors);
+    }
+
+    fn refill(&mut self, dur: Ns, (cache, branch): (f64, f64)) {
         self.integrate(dur);
-        self.cache = Self::refill(self.cache, dur, self.cache_params.user_refill_tau);
-        self.branch = Self::refill(self.branch, dur, self.branch_params.user_refill_tau);
+        self.cache = 1.0 - (1.0 - self.cache) * cache;
+        self.branch = 1.0 - (1.0 - self.branch) * branch;
     }
 
     /// Average user slowdown factor across `dur` of user execution,
@@ -165,10 +180,32 @@ impl WarmthModel {
     /// factors: the maximum fractional slowdown when the structure is
     /// fully cold.
     pub fn user_slowdown(&self, dur: Ns, cache_sensitivity: f64, branch_sensitivity: f64) -> f64 {
+        let factors = self.factors(dur, |p| p.user_refill_tau);
+        self.slowdown(dur, cache_sensitivity, branch_sensitivity, factors)
+    }
+
+    /// [`WarmthModel::user_slowdown`] followed by
+    /// [`WarmthModel::on_user`], bit for bit, with each refill factor
+    /// computed once for both: returns the slowdown of `dur` of user
+    /// execution and advances the model across it.
+    pub fn run_user(&mut self, dur: Ns, cache_sensitivity: f64, branch_sensitivity: f64) -> f64 {
+        let factors = self.factors(dur, |p| p.user_refill_tau);
+        let slowdown = self.slowdown(dur, cache_sensitivity, branch_sensitivity, factors);
+        self.refill(dur, factors);
+        slowdown
+    }
+
+    fn slowdown(
+        &self,
+        dur: Ns,
+        cache_sensitivity: f64,
+        branch_sensitivity: f64,
+        (cache, branch): (f64, f64),
+    ) -> f64 {
         // Mean of (1 - warmth) over an exponential refill of length d with
         // time constant tau, starting from w0:
         //   avg_cold = (1 - w0) * tau/d * (1 - exp(-d/tau))
-        let avg_cold = |w0: f64, tau: Ns| -> f64 {
+        let avg_cold = |w0: f64, tau: Ns, factor: f64| -> f64 {
             let d = dur.as_nanos() as f64;
             if d == 0.0 {
                 return 1.0 - w0;
@@ -177,10 +214,10 @@ impl WarmthModel {
                 return 0.0;
             }
             let t = tau.as_nanos() as f64;
-            (1.0 - w0) * (t / d) * (1.0 - (-d / t).exp())
+            (1.0 - w0) * (t / d) * (1.0 - factor)
         };
-        1.0 + cache_sensitivity * avg_cold(self.cache, self.cache_params.user_refill_tau)
-            + branch_sensitivity * avg_cold(self.branch, self.branch_params.user_refill_tau)
+        1.0 + cache_sensitivity * avg_cold(self.cache, self.cache_params.user_refill_tau, cache)
+            + branch_sensitivity * avg_cold(self.branch, self.branch_params.user_refill_tau, branch)
     }
 
     /// Models a full structure flush (CC6 sleep entry flushes caches).
@@ -323,7 +360,141 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The warmth formulas with one `exp` per structure per call: the
+    /// oracle the fused paths must match bit for bit.
+    #[derive(Debug, Clone, Copy)]
+    struct Unfused {
+        cache: f64,
+        branch: f64,
+        cache_params: PollutionParams,
+        branch_params: PollutionParams,
+    }
+
+    impl Unfused {
+        fn exp_of(dur: Ns, tau: Ns) -> f64 {
+            (-(dur.as_nanos() as f64) / tau.as_nanos() as f64).exp()
+        }
+
+        fn on_kernel(&mut self, dur: Ns) {
+            let decay = |w: f64, tau: Ns| {
+                if tau == Ns::ZERO {
+                    0.0
+                } else {
+                    w * Self::exp_of(dur, tau)
+                }
+            };
+            self.cache = decay(self.cache, self.cache_params.kernel_decay_tau);
+            self.branch = decay(self.branch, self.branch_params.kernel_decay_tau);
+        }
+
+        /// Returns the slowdown of `dur` and refills across it.
+        fn on_user(&mut self, dur: Ns, cache_sens: f64, branch_sens: f64) -> f64 {
+            let d = dur.as_nanos() as f64;
+            let avg_cold = |w0: f64, tau: Ns| {
+                if d == 0.0 {
+                    1.0 - w0
+                } else if tau == Ns::ZERO {
+                    0.0
+                } else {
+                    let t = tau.as_nanos() as f64;
+                    (1.0 - w0) * (t / d) * (1.0 - (-d / t).exp())
+                }
+            };
+            let slowdown = 1.0
+                + cache_sens * avg_cold(self.cache, self.cache_params.user_refill_tau)
+                + branch_sens * avg_cold(self.branch, self.branch_params.user_refill_tau);
+            let refill = |w: f64, tau: Ns| {
+                if tau == Ns::ZERO {
+                    1.0
+                } else {
+                    1.0 - (1.0 - w) * Self::exp_of(dur, tau)
+                }
+            };
+            self.cache = refill(self.cache, self.cache_params.user_refill_tau);
+            self.branch = refill(self.branch, self.branch_params.user_refill_tau);
+            slowdown
+        }
+    }
+
+    /// Time constants for one case: `shape` 0 gives both structures the
+    /// same constants (as the module-L2 model has), 1 distinct ones, 2 a
+    /// zero cache pair and 3 all four zero.
+    fn params(shape: u8, taus: (u64, u64, u64, u64)) -> (PollutionParams, PollutionParams) {
+        let pair = |kernel: u64, user: u64| PollutionParams {
+            kernel_decay_tau: Ns::from_nanos(kernel),
+            user_refill_tau: Ns::from_nanos(user),
+        };
+        let (cache, branch) = (pair(taus.0, taus.1), pair(taus.2, taus.3));
+        match shape {
+            0 => (cache, cache),
+            1 => (cache, branch),
+            2 => (pair(0, 0), branch),
+            _ => (pair(0, 0), pair(0, 0)),
+        }
+    }
+
+    /// Zero, a handler-like length, or anything up to 200 µs.
+    fn duration(pick: u8, ns: u64) -> Ns {
+        match pick {
+            0 => Ns::ZERO,
+            1 => Ns::from_nanos([900, 1_500, 3_000][ns as usize % 3]),
+            _ => Ns::from_nanos(ns),
+        }
+    }
+
+    fn bits(w: &WarmthModel) -> [u64; 4] {
+        [
+            w.cache_warmth().to_bits(),
+            w.branch_warmth().to_bits(),
+            w.avg_cache_coldness().to_bits(),
+            w.avg_branch_coldness().to_bits(),
+        ]
+    }
+
     proptest! {
+        /// `run_user` is `user_slowdown` then `on_user`, bit for bit, in
+        /// the slowdown it returns and the state it leaves, and every
+        /// path, shared factors included, agrees with the unfused
+        /// formulas.
+        #[test]
+        fn fused_paths_are_bit_identical(
+            shape_taus in (0u8..4, (1u64..60_000, 1u64..60_000, 1u64..60_000, 1u64..60_000)),
+            sens in (0.0f64..1.0, 0.0f64..1.0),
+            steps in proptest::collection::vec((0u8..3, 0u8..4, 0u64..200_000), 1..120),
+        ) {
+            let (cache_params, branch_params) = params(shape_taus.0, shape_taus.1);
+            let mut fused = WarmthModel::with_params(cache_params, branch_params);
+            let mut split = fused.clone();
+            let mut oracle = Unfused { cache: 1.0, branch: 1.0, cache_params, branch_params };
+            for (kind, pick, ns) in steps {
+                let dur = duration(pick, ns);
+                match kind {
+                    0 => {
+                        fused.on_kernel(dur);
+                        split.on_kernel(dur);
+                        oracle.on_kernel(dur);
+                    }
+                    1 => {
+                        let got = fused.run_user(dur, sens.0, sens.1);
+                        let want = split.user_slowdown(dur, sens.0, sens.1);
+                        split.on_user(dur);
+                        let slow = oracle.on_user(dur, sens.0, sens.1);
+                        prop_assert_eq!(got.to_bits(), want.to_bits());
+                        prop_assert_eq!(got.to_bits(), slow.to_bits());
+                    }
+                    _ => {
+                        fused.on_flush();
+                        split.on_flush();
+                        oracle.cache = 0.0;
+                        oracle.branch = 0.0;
+                    }
+                }
+                prop_assert_eq!(bits(&fused), bits(&split));
+                prop_assert_eq!(fused.cache_warmth().to_bits(), oracle.cache.to_bits());
+                prop_assert_eq!(fused.branch_warmth().to_bits(), oracle.branch.to_bits());
+            }
+        }
+
         /// Warmth stays within [0, 1] under any interleaving of kernel,
         /// user, and flush episodes.
         #[test]

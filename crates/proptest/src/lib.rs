@@ -37,10 +37,31 @@ impl ProptestConfig {
 }
 
 impl Default for ProptestConfig {
+    /// 64 cases, or as many as the `PROPTEST_CASES` environment variable
+    /// asks for (the real crate's variable), so a scheduled job can run
+    /// the same properties much deeper.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `PROPTEST_CASES` is set but is not a positive integer.
     fn default() -> Self {
-        // The real crate defaults to 256; 64 keeps the deterministic
-        // offline suite fast while still exercising wide input ranges.
-        ProptestConfig { cases: 64 }
+        let var = std::env::var("PROPTEST_CASES").ok();
+        ProptestConfig {
+            cases: cases_from(var.as_deref()),
+        }
+    }
+}
+
+/// The default case count for an optional `PROPTEST_CASES` value. The
+/// real crate defaults to 256; 64 keeps the deterministic offline suite
+/// fast while still exercising wide input ranges.
+fn cases_from(var: Option<&str>) -> u32 {
+    match var {
+        None => 64,
+        Some(text) => match text.trim().parse::<u32>() {
+            Ok(cases) if cases > 0 => cases,
+            _ => panic!("PROPTEST_CASES must be a positive integer, got {text:?}"),
+        },
     }
 }
 
@@ -377,6 +398,18 @@ mod tests {
             }
         }
         assert!(saw_none && saw_some);
+    }
+
+    #[test]
+    fn proptest_cases_sets_the_default_case_count() {
+        use super::cases_from;
+        assert_eq!(cases_from(None), 64);
+        assert_eq!(cases_from(Some("4096")), 4096);
+        assert_eq!(cases_from(Some(" 7\n")), 7);
+        for bad in ["", "0", "-3", "many"] {
+            let got = std::panic::catch_unwind(|| cases_from(Some(bad)));
+            assert!(got.is_err(), "{bad:?} accepted");
+        }
     }
 
     proptest! {

@@ -9,12 +9,16 @@
 //! # Architecture
 //!
 //! Near-future events — within [`EventQueue::HORIZON`] of the causality
-//! watermark — go into a timing wheel: `WHEEL_SLOTS` buckets of
-//! `SLOT_NS` nanoseconds each, with a one-bit-per-slot occupancy bitmap
-//! for O(words) next-event scans. Push and pop are O(1) amortized; the
-//! per-slot buffers act as a free-list, keeping their capacity when they
-//! empty, so steady-state scheduling allocates nothing. Events beyond the
-//! horizon park in the `overflow` module's ring (the workspace's one
+//! watermark — go into a timing wheel: `WHEEL_SLOTS` (8192) buckets of
+//! `SLOT_NS` (4096) nanoseconds each, about 33.5 ms in all, with a
+//! one-bit-per-slot occupancy bitmap for O(words) next-event scans.
+//! Every wheel entry is a node in one slab; each slot holds only the
+//! `u32` index of its chain's first node, and nodes link to the next
+//! node of their slot. Popped nodes go onto a LIFO free list and are
+//! reused by later pushes, so there are no per-slot buffers and
+//! steady-state scheduling allocates nothing once the slab has grown to
+//! the run's working set. Push and pop are O(1) amortized. Events beyond
+//! the horizon park in the `overflow` module's ring (the workspace's one
 //! sanctioned `BinaryHeap`); every pop compares the wheel's earliest
 //! entry with the ring's `(due, seq)` key, so the merged stream is
 //! exactly the order a single global heap would produce.
@@ -36,10 +40,24 @@ const SLOT_SHIFT: u32 = 12;
 /// Nanoseconds covered by one wheel slot.
 const SLOT_NS: u64 = 1 << SLOT_SHIFT;
 /// Number of wheel slots (power of two for mask arithmetic).
-const WHEEL_SLOTS: usize = 1024;
+const WHEEL_SLOTS: usize = 8192;
 const WHEEL_MASK: u64 = WHEEL_SLOTS as u64 - 1;
 /// Occupancy bitmap: one bit per slot.
 const BITMAP_WORDS: usize = WHEEL_SLOTS / 64;
+/// End-of-chain marker for slot chains and the free list.
+const NIL: u32 = u32::MAX;
+
+/// One wheel entry in the node slab. A live node sits on its slot's
+/// chain and holds its event; a free node sits on the free list with
+/// `event == None`.
+#[derive(Debug)]
+struct Node<E> {
+    due: Ns,
+    seq: u64,
+    /// Next node of the same slot chain (or of the free list), or [`NIL`].
+    next: u32,
+    event: Option<E>,
+}
 
 /// A deterministic discrete-event calendar.
 ///
@@ -61,11 +79,13 @@ const BITMAP_WORDS: usize = WHEEL_SLOTS / 64;
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Wheel buckets, indexed by `(due >> SLOT_SHIFT) % WHEEL_SLOTS`.
-    /// Buffers keep their capacity when drained (the free-list), so a
-    /// steady-state simulation stops allocating once every hot slot has
-    /// grown to its working size.
-    slots: Vec<Vec<(Ns, u64, E)>>,
+    /// Every wheel entry ever allocated, live or free.
+    nodes: Vec<Node<E>>,
+    /// Head of the LIFO free list of slab nodes, or [`NIL`].
+    free: u32,
+    /// First node of each slot's chain (or [`NIL`]), indexed by
+    /// `(due >> SLOT_SHIFT) % WHEEL_SLOTS`. Chains are unordered.
+    heads: Box<[u32]>,
     /// One occupancy bit per slot.
     occupied: [u64; BITMAP_WORDS],
     /// Events due at or beyond `watermark + HORIZON`.
@@ -83,7 +103,7 @@ pub struct EventQueue<E> {
 
 impl<E> EventQueue<E> {
     /// Span of simulated time the wheel covers ahead of the watermark
-    /// (~4.19 ms). Events beyond it go to the overflow ring until popped.
+    /// (~33.5 ms). Events beyond it go to the overflow ring until popped.
     pub const HORIZON: Ns = Ns::from_nanos(SLOT_NS * WHEEL_SLOTS as u64);
 
     /// Creates an empty calendar.
@@ -92,12 +112,14 @@ impl<E> EventQueue<E> {
     }
 
     /// Creates an empty calendar pre-sized for `capacity` pending
-    /// far-future events. Wheel slots size themselves on first use and
-    /// recycle their buffers, so only the overflow ring benefits from
-    /// pre-sizing.
+    /// far-future events. The node slab grows to the run's working set
+    /// on demand and then recycles its nodes, so only the overflow ring
+    /// benefits from pre-sizing.
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
-            slots: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
+            nodes: Vec::new(),
+            free: NIL,
+            heads: vec![NIL; WHEEL_SLOTS].into_boxed_slice(),
             occupied: [0; BITMAP_WORDS],
             overflow: OverflowRing::with_capacity(capacity),
             wheel_len: 0,
@@ -125,9 +147,26 @@ impl<E> EventQueue<E> {
         let due_slot = due.as_nanos() >> SLOT_SHIFT;
         let base_slot = self.watermark.as_nanos() >> SLOT_SHIFT;
         if due_slot - base_slot < WHEEL_SLOTS as u64 {
-            let idx = (due_slot & WHEEL_MASK) as usize;
-            self.slots[idx].push((due, seq, event));
-            self.occupied[idx / 64] |= 1 << (idx % 64);
+            let slot = (due_slot & WHEEL_MASK) as usize;
+            let next = self.heads[slot];
+            let node = Node {
+                due,
+                seq,
+                next,
+                event: Some(event),
+            };
+            let at = if self.free == NIL {
+                assert!(self.nodes.len() < NIL as usize, "event wheel is full");
+                self.nodes.push(node);
+                (self.nodes.len() - 1) as u32
+            } else {
+                let at = self.free;
+                self.free = self.nodes[at as usize].next;
+                self.nodes[at as usize] = node;
+                at
+            };
+            self.heads[slot] = at;
+            self.occupied[slot / 64] |= 1 << (slot % 64);
             self.wheel_len += 1;
         } else {
             self.overflow.push(due, seq, event);
@@ -171,22 +210,29 @@ impl<E> EventQueue<E> {
         unreachable!("wheel_len > 0 but no slot occupied")
     }
 
-    /// Position and `(due, seq)` key of the earliest entry in `slot`.
-    /// Entries within a slot are unordered (pops use `swap_remove`), so
-    /// this is a linear min-scan — slots are small by construction.
-    fn slot_min(&self, slot: usize) -> (usize, Ns, u64) {
-        let entries = &self.slots[slot];
-        debug_assert!(!entries.is_empty());
-        let mut best = 0;
-        let (mut best_due, mut best_seq, _) = entries[0];
-        for (i, &(due, seq, _)) in entries.iter().enumerate().skip(1) {
-            if (due, seq) < (best_due, best_seq) {
-                best = i;
-                best_due = due;
-                best_seq = seq;
+    /// The earliest node of `slot`'s chain by `(due, seq)`, and the node
+    /// linking to it ([`NIL`] when it is the chain's head). Chains are
+    /// unordered, so this is a linear scan — slots are small by
+    /// construction.
+    fn slot_min(&self, slot: usize) -> (u32, u32) {
+        let mut at = self.heads[slot];
+        debug_assert_ne!(at, NIL);
+        let (mut best, mut best_prev) = (at, NIL);
+        let first = &self.nodes[at as usize];
+        let mut best_key = (first.due, first.seq);
+        let mut prev = at;
+        at = first.next;
+        while at != NIL {
+            let node = &self.nodes[at as usize];
+            if (node.due, node.seq) < best_key {
+                best_key = (node.due, node.seq);
+                best = at;
+                best_prev = prev;
             }
+            prev = at;
+            at = node.next;
         }
-        (best, best_due, best_seq)
+        (best, best_prev)
     }
 
     /// Removes and returns the earliest event, advancing the causality
@@ -195,17 +241,29 @@ impl<E> EventQueue<E> {
         let wheel_min = self
             .first_occupied_slot()
             .map(|slot| (slot, self.slot_min(slot)));
-        let take_wheel = match (&wheel_min, self.overflow.peek_key()) {
-            (Some((_, (_, due, seq))), Some(okey)) => (*due, *seq) < okey,
+        let take_wheel = match (wheel_min, self.overflow.peek_key()) {
+            (Some((_, (best, _))), Some(okey)) => {
+                let node = &self.nodes[best as usize];
+                (node.due, node.seq) < okey
+            }
             (Some(_), None) => true,
             (None, Some(_)) => false,
             (None, None) => return None,
         };
         let (due, event) = if take_wheel {
-            let (slot, (pos, due, _)) = wheel_min.expect("wheel side chosen");
-            let (_, _, event) = self.slots[slot].swap_remove(pos);
-            if self.slots[slot].is_empty() {
-                self.occupied[slot / 64] &= !(1 << (slot % 64));
+            let (slot, (best, best_prev)) = wheel_min.expect("wheel side chosen");
+            let node = &mut self.nodes[best as usize];
+            let (due, next) = (node.due, node.next);
+            let event = node.event.take().expect("chained nodes hold an event");
+            node.next = self.free;
+            self.free = best;
+            if best_prev == NIL {
+                self.heads[slot] = next;
+                if next == NIL {
+                    self.occupied[slot / 64] &= !(1 << (slot % 64));
+                }
+            } else {
+                self.nodes[best_prev as usize].next = next;
             }
             self.wheel_len -= 1;
             (due, event)
@@ -219,7 +277,9 @@ impl<E> EventQueue<E> {
 
     /// The due time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<Ns> {
-        let wheel = self.first_occupied_slot().map(|slot| self.slot_min(slot).1);
+        let wheel = self
+            .first_occupied_slot()
+            .map(|slot| self.nodes[self.slot_min(slot).0 as usize].due);
         let over = self.overflow.peek_key().map(|(due, _)| due);
         match (wheel, over) {
             (Some(w), Some(o)) => Some(w.min(o)),
@@ -439,7 +499,7 @@ mod tests {
     #[test]
     fn slots_recycle_their_buffers() {
         // Drain-and-refill of the same slot must not lose or reorder
-        // anything (the buffer is reused via swap_remove + clear-bit).
+        // anything (its nodes go back to the free list and are reused).
         let mut q = EventQueue::new();
         for round in 0u64..4 {
             for i in 0..8 {
@@ -455,12 +515,98 @@ mod tests {
         assert_eq!(q.pushed(), 32);
         assert_eq!(q.popped(), 32);
     }
+
+    /// Reference model of the calendar: a plain vector whose `(due, seq)`
+    /// minimum is the next pop — the order one global heap would give.
+    pub(super) struct Reference<T> {
+        entries: Vec<(Ns, u64, T)>,
+        pushed: u64,
+    }
+
+    impl<T: Copy> Reference<T> {
+        pub(super) fn new() -> Self {
+            Reference {
+                entries: Vec::new(),
+                pushed: 0,
+            }
+        }
+
+        pub(super) fn push(&mut self, due: Ns, id: T) {
+            self.entries.push((due, self.pushed, id));
+            self.pushed += 1;
+        }
+
+        pub(super) fn pop(&mut self) -> Option<(Ns, T)> {
+            let at = self
+                .entries
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, &(due, seq, _))| (due, seq))?
+                .0;
+            let (due, _, id) = self.entries.remove(at);
+            Some((due, id))
+        }
+
+        pub(super) fn pushed(&self) -> u64 {
+            self.pushed
+        }
+    }
+
+    #[test]
+    fn node_slab_reuses_freed_nodes_across_drains_and_refills() {
+        let h = EventQueue::<u64>::HORIZON.as_nanos();
+        let mut rng = crate::Rng::new(29);
+        let mut q = EventQueue::new();
+        let mut reference = Reference::new();
+        for round in 0u64..6 {
+            // Refill with same-instant bursts, same-slot neighbours, gaps
+            // across the wheel and gaps beyond the horizon, popping one
+            // event in three on the way.
+            for i in 0..500 {
+                let gap = match i % 4 {
+                    0 => 0,
+                    1 => rng.gen_range(0, SLOT_NS),
+                    2 => rng.gen_range(0, h),
+                    _ => rng.gen_range(0, 2 * h),
+                };
+                let due = q.now() + Ns::from_nanos(gap);
+                q.push(due, round * 1_000 + i);
+                reference.push(due, round * 1_000 + i);
+                if i % 3 == 0 {
+                    assert_eq!(q.pop(), reference.pop());
+                }
+            }
+            // Drain: the tails must agree too.
+            while let Some(want) = reference.pop() {
+                assert_eq!(q.pop(), Some(want));
+            }
+            assert_eq!(q.pop(), None);
+            // Every node is back on the free list, and the slab never
+            // outgrew the pending high-watermark: freed nodes were reused.
+            let mut free = 0;
+            let mut at = q.free;
+            while at != NIL {
+                free += 1;
+                at = q.nodes[at as usize].next;
+            }
+            assert_eq!(free, q.nodes.len(), "round {round}");
+            assert!(q.nodes.len() as u64 <= q.peak(), "round {round}");
+            assert!(q.heads.iter().all(|&head| head == NIL));
+        }
+        assert_eq!(q.pushed(), reference.pushed());
+        assert_eq!(q.popped(), 3_000);
+    }
 }
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::Reference;
     use super::*;
     use proptest::prelude::*;
+
+    /// The wheel horizon in nanoseconds: gap draws are multiples of it,
+    /// so the properties keep reaching the overflow ring.
+    const HORIZON_NS: u64 = EventQueue::<()>::HORIZON.as_nanos();
 
     proptest! {
         /// Popping the whole queue yields times in non-decreasing order,
@@ -522,45 +668,29 @@ mod proptests {
         #[test]
         fn wheel_matches_reference_model(
             ops in proptest::collection::vec(
-                // (gap ahead of the watermark in slots-ish units, pops to
-                // attempt after the push). Gaps reach ~2.5 horizons.
-                (0u64..10_485_760, 0usize..3),
+                // (gap ahead of the watermark, pops to attempt after the
+                // push). Gaps reach 2.5 horizons.
+                (0u64..HORIZON_NS * 5 / 2, 0usize..3),
                 1..300,
             )
         ) {
             let mut q = EventQueue::new();
-            // Reference: (due, seq, id); min by (due, seq) is the next pop.
-            let mut reference: Vec<(Ns, u64, usize)> = Vec::new();
-            let mut seq = 0u64;
-            let mut watermark = Ns::ZERO;
+            let mut reference = Reference::new();
             for (i, &(gap, pops)) in ops.iter().enumerate() {
-                let due = watermark + Ns::from_nanos(gap);
+                let due = q.now() + Ns::from_nanos(gap);
                 q.push(due, i);
-                reference.push((due, seq, i));
-                seq += 1;
+                reference.push(due, i);
                 for _ in 0..pops {
-                    let Some(min_at) = reference
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, &(d, s, _))| (d, s))
-                        .map(|(at, _)| at)
-                    else {
-                        prop_assert_eq!(q.pop(), None);
-                        continue;
-                    };
-                    let (due, _, id) = reference.remove(min_at);
-                    prop_assert_eq!(q.pop(), Some((due, id)));
-                    watermark = due;
+                    prop_assert_eq!(q.pop(), reference.pop());
                 }
             }
             // Drain: the tails must agree too.
-            reference.sort_by_key(|&(d, s, _)| (d, s));
-            for &(due, _, id) in &reference {
-                prop_assert_eq!(q.pop(), Some((due, id)));
+            while let Some(want) = reference.pop() {
+                prop_assert_eq!(q.pop(), Some(want));
             }
             prop_assert_eq!(q.pop(), None);
-            prop_assert_eq!(q.pushed(), seq);
-            prop_assert_eq!(q.popped(), seq);
+            prop_assert_eq!(q.pushed(), reference.pushed());
+            prop_assert_eq!(q.popped(), reference.pushed());
         }
 
         /// Differential check under a *multi-device* event mix: several
@@ -580,11 +710,9 @@ mod proptests {
             )
         ) {
             let mut q = EventQueue::new();
-            // Reference payload: (due, seq, (device, device_seq)).
-            let mut reference: Vec<(Ns, u64, (usize, u64))> = Vec::new();
+            // Payload: (device, device_seq).
+            let mut reference = Reference::new();
             let mut dev_seq = [0u64; 6];
-            let mut seq = 0u64;
-            let mut watermark = Ns::ZERO;
             for &(dev, burst, gap_sel, pops) in &ops {
                 // Cadence class by device index: 0/1 GPU-ish, 2/3 NIC-ish
                 // bursts at one instant, 4 DMA-ish period, 5 far-future.
@@ -592,37 +720,24 @@ mod proptests {
                     0 | 1 => 1_000 + gap_sel * 45_000,
                     2 | 3 => 0,
                     4 => 1_600,
-                    _ => 4_194_304 + gap_sel * 1_000_000, // beyond horizon
+                    _ => HORIZON_NS + gap_sel * (HORIZON_NS / 4), // beyond horizon
                 };
-                let due = watermark + Ns::from_nanos(gap);
+                let due = q.now() + Ns::from_nanos(gap);
                 for _ in 0..burst {
                     q.push(due, (dev, dev_seq[dev]));
-                    reference.push((due, seq, (dev, dev_seq[dev])));
-                    seq += 1;
+                    reference.push(due, (dev, dev_seq[dev]));
                     dev_seq[dev] += 1;
                 }
                 for _ in 0..pops {
-                    let Some(min_at) = reference
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, &(d, s, _))| (d, s))
-                        .map(|(at, _)| at)
-                    else {
-                        prop_assert_eq!(q.pop(), None);
-                        continue;
-                    };
-                    let (due, _, id) = reference.remove(min_at);
-                    prop_assert_eq!(q.pop(), Some((due, id)));
-                    watermark = due;
+                    prop_assert_eq!(q.pop(), reference.pop());
                 }
             }
-            reference.sort_by_key(|&(d, s, _)| (d, s));
-            for &(due, _, id) in &reference {
-                prop_assert_eq!(q.pop(), Some((due, id)));
+            while let Some(want) = reference.pop() {
+                prop_assert_eq!(q.pop(), Some(want));
             }
             prop_assert_eq!(q.pop(), None);
-            prop_assert_eq!(q.pushed(), seq);
-            prop_assert_eq!(q.popped(), seq);
+            prop_assert_eq!(q.pushed(), reference.pushed());
+            prop_assert_eq!(q.popped(), reference.pushed());
         }
     }
 }

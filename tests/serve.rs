@@ -489,6 +489,22 @@ fn corrupt_store_entries_are_detected_recomputed_and_healed() {
 
     for fixture in &fixtures {
         let name = fixture.file_stem().unwrap().to_string_lossy();
+        // Each fixture must fail the check its name promises, not an
+        // earlier one: a version bump that leaves a fixture's header
+        // behind would otherwise turn it into one more version rejection.
+        let reason = match &*name {
+            "bad_checksum" => "checksum mismatch",
+            "truncated" => "payload length",
+            "bad_magic" => "bad magic",
+            "bad_version" | "stale_v1" => "unsupported version",
+            other => panic!("fixture {other} has no pinned rejection reason"),
+        };
+        let err = hiss::store::decode_entry(&std::fs::read(fixture).unwrap())
+            .expect_err("a corrupt fixture decodes");
+        assert!(
+            err.starts_with(reason),
+            "{name}: rejected with {err:?}, expected {reason:?}"
+        );
         let dir = tmp(&format!("corrupt_{name}"));
         let _ = std::fs::remove_dir_all(&dir);
         let store = Arc::new(DiskStore::open(&dir).unwrap());
