@@ -170,34 +170,34 @@ impl BaselineCache {
     }
 
     fn get_or_run(&self, key: Key, run: impl FnOnce() -> RunReport) -> Arc<RunReport> {
-        let skey = key.store_key();
         let cell = {
             let mut map = self.map.lock().expect("cache poisoned");
-            match map.entry(key) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    Arc::clone(e.get())
-                }
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    Arc::clone(v.insert(Arc::new(OnceLock::new())))
-                }
+            if let Some(cell) = map.get(&key) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                Arc::clone(cell)
+            } else {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                let cell = Arc::new(OnceLock::new());
+                map.insert(key.clone(), Arc::clone(&cell));
+                cell
             }
         };
         // Simulate (or load) outside the map lock; get_or_init
-        // serialises only the workers that need this same key.
+        // serialises only the workers that need this same key. Only the
+        // disk tier reads the store key, so only it pays for the hash.
         Arc::clone(cell.get_or_init(|| {
             let disk = self.disk.lock().expect("cache poisoned").clone();
-            if let Some(store) = &disk {
-                if let Some(metrics) = store.load(&skey) {
+            let disk = disk.map(|store| (store, key.store_key()));
+            if let Some((store, skey)) = &disk {
+                if let Some(metrics) = store.load(skey) {
                     return Arc::new(RunReport::from_metrics(metrics));
                 }
             }
             let report = run();
-            if let Some(store) = &disk {
+            if let Some((store, skey)) = &disk {
                 // Best-effort: a failed publish (disk full, permissions)
                 // degrades to recompute-next-time, never to a wrong result.
-                let _ = store.save(&skey, &report.metrics);
+                let _ = store.save(skey, &report.metrics);
             }
             Arc::new(report)
         }))

@@ -78,7 +78,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 ///
 /// Parts are length-prefixed before hashing so `("ab", "c")` and
 /// `("a", "bc")` cannot collide structurally.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct StoreKey(String);
 
 impl StoreKey {

@@ -151,22 +151,40 @@ impl MetricsRegistry {
     /// Appends [`MetricsRegistry::to_json`]'s bytes to `out`, reserving
     /// room for all of them (and one newline) up front.
     pub fn write_json(&self, out: &mut String) {
-        let hint: usize = self
-            .iter()
-            .map(|(name, value)| name.len() + 4 + value_len_hint(value))
-            .sum();
-        out.reserve(hint + 3);
+        out.reserve(self.len_hint() + 3);
         out.push('{');
         for (i, (name, value)) in self.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push('"');
-            json_escape_into(out, name);
-            out.push_str("\":");
-            push_value(out, value);
+            push_pair(out, name, value);
         }
         out.push('}');
+    }
+
+    /// Encodes the registry with a gap at `at`'s place in name order,
+    /// for [`JsonGap::fill`].
+    pub fn to_json_gap(&self, at: &str) -> JsonGap {
+        let mut pairs = String::with_capacity(self.len_hint());
+        let mut gap = None;
+        for (name, value) in self.iter() {
+            if gap.is_none() && name >= at {
+                gap = Some(pairs.len());
+            } else if !pairs.is_empty() {
+                pairs.push(',');
+            }
+            push_pair(&mut pairs, name, value);
+        }
+        JsonGap {
+            gap: gap.unwrap_or(pairs.len()),
+            pairs: pairs.into(),
+        }
+    }
+
+    fn len_hint(&self) -> usize {
+        self.iter()
+            .map(|(name, value)| name.len() + 4 + value_len_hint(value))
+            .sum()
     }
 
     /// Parses a snapshot produced by [`MetricsRegistry::to_json`].
@@ -187,6 +205,55 @@ impl MetricsRegistry {
             return Err(format!("trailing data at byte {}", p.pos));
         }
         Ok(MetricsRegistry::from_pairs(pairs))
+    }
+}
+
+/// Appends one `"name":value` pair.
+fn push_pair(out: &mut String, name: &str, value: &MetricValue) {
+    out.push('"');
+    json_escape_into(out, name);
+    out.push_str("\":");
+    push_value(out, value);
+}
+
+/// A registry encoded once, with a gap at one place in name order
+/// ([`MetricsRegistry::to_json_gap`]): [`JsonGap::fill`] writes it
+/// together with a second registry whose names all fall in the gap,
+/// without encoding the first again.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JsonGap {
+    /// The `"name":value` pairs, comma-separated, without braces.
+    pairs: Box<str>,
+    /// Byte length of the pairs before the gap.
+    gap: usize,
+}
+
+impl JsonGap {
+    /// The bytes [`MetricsRegistry::to_json`] writes for the union of
+    /// the held registry and `fill`. Every name of `fill` must sort
+    /// after the held names before the gap and before those after it:
+    /// for a gap at `at`, names starting with `at` when no held name
+    /// does.
+    pub fn fill(&self, fill: &MetricsRegistry) -> String {
+        let (before, after) = self.pairs.split_at(self.gap);
+        // Room for the newline that ends a snapshot line, as `to_json`.
+        let mut out = String::with_capacity(self.pairs.len() + fill.len_hint() + 4);
+        out.push('{');
+        out.push_str(before);
+        for (name, value) in fill.iter() {
+            if out.len() > 1 {
+                out.push(',');
+            }
+            push_pair(&mut out, name, value);
+        }
+        if !after.is_empty() {
+            if out.len() > 1 {
+                out.push(',');
+            }
+            out.push_str(after);
+        }
+        out.push('}');
+        out
     }
 }
 
@@ -726,6 +793,23 @@ mod tests {
                 }
                 prop_assert_eq!(r.to_json(), oracle::to_json(&r));
                 prop_assert_eq!(r.to_jsonl(), oracle::to_jsonl(&r));
+            }
+
+            #[test]
+            fn a_filled_gap_writes_the_union(
+                entries in vec((vec(0usize..64, 0..12), 0usize..4, any::<u64>(), vec(0usize..64, 0..12)), 0..16),
+                at in vec(0usize..64, 0..3),
+            ) {
+                let at = text(&at);
+                let (mut held, mut fill) = (MetricsRegistry::new(), MetricsRegistry::new());
+                let mut whole = MetricsRegistry::new();
+                for (name, kind, bits, picks) in &entries {
+                    let (name, value) = (text(name), value(*kind, *bits, picks));
+                    let half = if name.starts_with(&at) { &mut fill } else { &mut held };
+                    half.set(name.clone(), value.clone());
+                    whole.set(name, value);
+                }
+                prop_assert_eq!(held.to_json_gap(&at).fill(&fill), whole.to_json());
             }
 
             #[test]

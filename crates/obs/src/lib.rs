@@ -48,5 +48,5 @@ mod registry;
 mod render;
 pub mod schema;
 
-pub use json::json_escape_into;
+pub use json::{json_escape_into, JsonGap};
 pub use registry::{HistogramSnapshot, MetricValue, MetricsRegistry};

@@ -398,7 +398,8 @@ pub const SCHEMA: &[SchemaEntry] = &[
     bench_c(
         "bench.serve.cells_audited",
         "run registries audited against the conservation laws before \
-         being served or stored",
+         being served or stored (disk reads and simulations; memo hits \
+         run none)",
     ),
     bench_c("bench.cell.*.kernel_ipis", "per-cell kernel.ipis"),
     bench_c(

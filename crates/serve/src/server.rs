@@ -160,14 +160,11 @@ impl Server {
                 }
                 Ok(Request::Submit { scenario, quick }) => {
                     let mut stream_err: Option<std::io::Error> = None;
-                    let result = self
-                        .service
-                        .submit("submission", &scenario, quick, |snapshot| {
-                            if stream_err.is_none() {
-                                stream_err =
-                                    send_line(&mut writer, Response::Cell(snapshot).encode()).err();
-                            }
-                        });
+                    let result = self.service.submit("submission", &scenario, quick, |line| {
+                        if stream_err.is_none() {
+                            stream_err = send_line(&mut writer, line).err();
+                        }
+                    });
                     if let Some(e) = stream_err {
                         // Best effort: if the socket is only half-broken
                         // (client still reading), a `resp.error` tail

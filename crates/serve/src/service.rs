@@ -10,14 +10,14 @@
 //! Every submission runs on the service's one [`WorkerPool`] of
 //! `threads` workers, whatever the number of connections; the workers
 //! start with the first submission. A worker does a cell's CPU work: it
-//! loads and audits the cell's entry, or simulates, audits and encodes a
-//! new entry. The submitting (connection) thread gets the cells back in
-//! grid order, each as soon as every earlier one is done: it emits the
-//! cell's snapshot first, then publishes the cell's entry (the fsync'd
-//! write), so no worker waits on the disk and no line waits on a later
-//! cell. [`Service::submit`] returns after every entry of the submission
-//! is published, so a resubmission after its `done` hits the store for
-//! every cell.
+//! writes a memo hit's line, loads and audits the cell's entry, or
+//! simulates, audits and encodes a new entry. The submitting
+//! (connection) thread gets the cells back in grid order, each as soon
+//! as every earlier one is done: it emits the cell's line first, then
+//! publishes the cell's entry (the fsync'd write), so no worker waits
+//! on the disk and no line waits on a later cell. [`Service::submit`]
+//! returns after every entry of the submission is published, so a
+//! resubmission after its `done` hits the store for every cell.
 //!
 //! # Store identity
 //!
@@ -35,19 +35,41 @@
 //! `cell.*` labels); identity labels are re-applied at stream time with
 //! the same [`Cell::labelled`] the batch compiler uses, which keeps a
 //! served snapshot byte-identical to a freshly simulated one.
+//!
+//! # Memo
+//!
+//! Each service holds up to `MEMO_ENTRIES` (1024) verified entries in
+//! memory: an entry enters when [`DiskStore::load`] returned it and it
+//! passed the audit, and a later hit on its key writes the cell's line
+//! with no file read, checksum, decode or audit. That is sound because
+//! the entry was audited when it entered and its key names its content:
+//! a key's entry never changes. Fresh results do not enter; they are
+//! published and enter on their first re-read. The memo holds an entry
+//! encoded, with a gap where the `cell.*` labels go ([`JsonGap`], about
+//! 3.5 KB for a Fig. 3 cell), so a hit writes the labels into it without
+//! building a registry, and a full memo is cleared before the next
+//! entry enters.
+//! An entry doctored on disk after it entered is not read again by
+//! this service; the next process that reads it audits and heals it.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use hiss::{DiskStore, PoolTally, StoreKey, WorkerPool};
 use hiss_lint::{Diagnostic, Severity};
-use hiss_obs::MetricsRegistry;
+use hiss_obs::{JsonGap, MetricsRegistry};
 use hiss_scenario::{expand, simulate, Cell, Scenario};
 
 /// Most finished cells of one submission that wait to be streamed while
 /// its connection is slow to take them (more only when the pool has more
 /// workers), so a slow reader cannot grow the buffer.
 pub const STREAM_CHUNK: usize = 8;
+
+/// Most verified entries one service holds in its memo. A full memo is
+/// cleared before the next entry enters, so it never holds more, and a
+/// cleared entry is read from disk once more and enters again.
+const MEMO_ENTRIES: usize = 1024;
 
 /// What one completed submission did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,7 +78,8 @@ pub struct Summary {
     pub cells: u64,
     /// Cells executed by the simulation engine.
     pub simulated: u64,
-    /// Cells served from the disk store without simulating.
+    /// Cells served from the store without simulating: read from disk,
+    /// or from the service's memo of entries it read before.
     pub from_store: u64,
 }
 
@@ -85,12 +108,15 @@ pub fn cell_store_key(cell: &Cell) -> StoreKey {
 #[derive(Debug)]
 pub struct Service {
     store: Option<Arc<DiskStore>>,
+    memo: Arc<Memo>,
     pool: WorkerPool,
     requests: AtomicU64,
     rejected: AtomicU64,
     queue_peak: AtomicU64,
     cells_simulated: AtomicU64,
     cells_from_store: AtomicU64,
+    /// Conservation-law audits that ran: one per disk read and one per
+    /// simulation; a memo hit runs none.
     cells_audited: AtomicU64,
 }
 
@@ -99,8 +125,14 @@ impl Service {
     /// that runs every submission's cells on one pool of `threads`
     /// workers, started by the first submission.
     pub fn new(store: Option<Arc<DiskStore>>, threads: usize) -> Service {
+        Service::with_memo_bound(store, threads, MEMO_ENTRIES)
+    }
+
+    /// [`Self::new`] with a memo of at most `bound` entries.
+    fn with_memo_bound(store: Option<Arc<DiskStore>>, threads: usize, bound: usize) -> Service {
         Service {
             store,
+            memo: Arc::new(Memo::new(bound)),
             pool: WorkerPool::new(threads),
             requests: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
@@ -123,9 +155,9 @@ impl Service {
     }
 
     /// Validates and executes one submission, calling `emit` with each
-    /// cell snapshot in deterministic grid order, as soon as the cell and
-    /// every earlier one are done. Returns once every new entry is
-    /// published.
+    /// cell's snapshot line (its labelled registry's JSON, no newline) in
+    /// deterministic grid order, as soon as the cell and every earlier
+    /// one are done. Returns once every new entry is published.
     ///
     /// Returns the lint diagnostics when the scenario is rejected: any
     /// `Error`-severity finding rejects; warnings alone do not block
@@ -135,7 +167,7 @@ impl Service {
         file: &str,
         text: &str,
         quick: bool,
-        mut emit: impl FnMut(MetricsRegistry),
+        mut emit: impl FnMut(String),
     ) -> Result<Summary, Vec<Diagnostic>> {
         self.requests.fetch_add(1, Ordering::Relaxed);
         let diags = hiss_scenario::lint::lint_text(file, text);
@@ -162,13 +194,17 @@ impl Service {
             simulated: 0,
             from_store: 0,
         };
-        let (store, job_cells) = (self.store.clone(), Arc::clone(&cells));
-        let job = move |i: usize| serve_cell(store.as_deref(), &job_cells[i]);
+        let (store, memo, job_cells) = (
+            self.store.clone(),
+            Arc::clone(&self.memo),
+            Arc::clone(&cells),
+        );
+        let job = move |i: usize| serve_cell(store.as_deref(), &memo, &job_cells[i]);
         self.pool
             .stream(cells.len(), STREAM_CHUNK, job, |served: Served| {
                 self.cells_audited
                     .fetch_add(served.audits, Ordering::Relaxed);
-                emit(served.snapshot);
+                emit(served.line);
                 if let (Some(store), Some((key, entry))) = (&self.store, served.entry) {
                     // Best-effort publish: a failed write degrades to
                     // recompute-next-time, never to a wrong result.
@@ -208,11 +244,59 @@ impl Service {
     }
 }
 
+/// A service's memo of verified store entries: every entry that
+/// [`DiskStore::load`] returned and that passed the audit, by key, at
+/// most `bound` of them. Fresh results never enter it. An entry is held
+/// encoded, with a gap at [`LABELS`], so a hit writes the labelled line
+/// without decoding or encoding the entry.
+#[derive(Debug)]
+struct Memo {
+    bound: usize,
+    entries: Mutex<BTreeMap<StoreKey, Arc<JsonGap>>>,
+}
+
+impl Memo {
+    fn new(bound: usize) -> Memo {
+        Memo {
+            bound,
+            entries: Mutex::new(BTreeMap::new()),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, BTreeMap<StoreKey, Arc<JsonGap>>> {
+        // No update panics halfway, so a poisoned map is still whole.
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn get(&self, key: &StoreKey) -> Option<Arc<JsonGap>> {
+        self.lock().get(key).cloned()
+    }
+
+    /// Holds `held` under `key`, clearing a full memo first.
+    fn insert(&self, key: StoreKey, held: Arc<JsonGap>) {
+        let mut entries = self.lock();
+        if entries.len() >= self.bound {
+            entries.clear();
+        }
+        entries.insert(key, held);
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.lock().len()
+    }
+}
+
+/// The prefix of every identity label [`Cell::labelled`] adds. A bare
+/// run registry has no name with it, so the labels of a served line all
+/// fall in the gap a held entry leaves at this place.
+const LABELS: &str = "cell.";
+
 /// One cell as a worker leaves it for the submitting thread.
 struct Served {
-    /// The labelled snapshot to stream.
-    snapshot: MetricsRegistry,
-    /// Conservation-law audits run on the cell (1 or 2).
+    /// The labelled snapshot line to stream.
+    line: String,
+    /// Conservation-law audits run on the cell (0 to 2).
     audits: u64,
     /// `false` for a store hit.
     simulated: bool,
@@ -228,28 +312,38 @@ fn audit(reg: &MetricsRegistry) -> hiss_obs::invariants::AuditReport {
     hiss_obs::invariants::audit(reg, hiss_obs::schema::Scope::Run)
 }
 
-/// A worker's share of one cell: a store hit if the entry loads and
-/// audits clean, otherwise one simulation, audited and encoded as the
-/// entry to publish.
+/// A worker's share of one cell: a memo hit, or a store hit if the
+/// entry loads and audits clean, otherwise one simulation, audited and
+/// encoded as the entry to publish.
 ///
 /// Every registry passes the conservation-law audit before it is served
 /// or stored: a stored entry that parses but violates a law (a buggy
 /// writer, a hand-edit surviving the checksum) is treated like a corrupt
 /// one — recomputed and healed in place — while a *fresh* result
 /// violating a law is a simulator bug and panics with the named diff
-/// rather than poisoning the store.
-fn serve_cell(store: Option<&DiskStore>, cell: &Cell) -> Served {
+/// rather than poisoning the store. A memo hit runs no audit: its entry
+/// passed one when it entered, and its key names its content.
+fn serve_cell(store: Option<&DiskStore>, memo: &Memo, cell: &Cell) -> Served {
     let key = cell_store_key(cell);
+    let hit = |held: &JsonGap, audits| Served {
+        line: held.fill(&cell.labelled(MetricsRegistry::new())),
+        audits,
+        simulated: false,
+        entry: None,
+    };
+    if let Some(held) = memo.get(&key) {
+        return hit(&held, 0);
+    }
     let mut audits = 0;
     if let Some(metrics) = store.and_then(|store| store.load(&key)) {
         audits += 1;
-        if audit(&metrics).clean() {
-            return Served {
-                snapshot: cell.labelled(metrics),
-                audits,
-                simulated: false,
-                entry: None,
-            };
+        // A stored `cell.` name would not stream as a fresh run's does.
+        let bare = || !metrics.iter().any(|(name, _)| name.starts_with(LABELS));
+        if audit(&metrics).clean() && bare() {
+            let held = Arc::new(metrics.to_json_gap(LABELS));
+            let served = hit(&held, audits);
+            memo.insert(key, held);
+            return served;
         }
     }
     let metrics = simulate(cell).metrics;
@@ -257,7 +351,7 @@ fn serve_cell(store: Option<&DiskStore>, cell: &Cell) -> Served {
     require_clean(&audit(&metrics), cell);
     let entry = store.map(|_| (key, hiss::store::encode_entry(&metrics)));
     Served {
-        snapshot: cell.labelled(metrics),
+        line: cell.labelled(metrics).to_json(),
         audits,
         simulated: true,
         entry,
@@ -337,13 +431,13 @@ gpu = ["ubench"]
 
         let mut first = Vec::new();
         let s1 = service
-            .submit("tiny.hiss", TINY, false, |m| first.push(m.to_json()))
+            .submit("tiny.hiss", TINY, false, |line| first.push(line))
             .unwrap();
         assert_eq!((s1.cells, s1.simulated, s1.from_store), (1, 1, 0));
 
         let mut second = Vec::new();
         let s2 = service
-            .submit("tiny.hiss", TINY, false, |m| second.push(m.to_json()))
+            .submit("tiny.hiss", TINY, false, |line| second.push(line))
             .unwrap();
         assert_eq!((s2.cells, s2.simulated, s2.from_store), (1, 0, 1));
         // Byte-identical snapshots, zero simulations the second time.
@@ -359,6 +453,52 @@ gpu = ["ubench"]
         assert_eq!(reg.counter_value("bench.serve.queue_peak"), Some(1));
         // One pool invocation per submission, one job per cell.
         assert_eq!(service.pool().totals(), (2, 2));
+
+        // The second pass read and audited the entry, so it entered the
+        // memo: with the file gone, a third pass still streams it, and
+        // reads, checksums, decodes and audits nothing.
+        let key = cell_store_key(&expand(&Scenario::from_str(TINY).unwrap(), false)[0]);
+        std::fs::remove_file(store.entry_path(&key)).unwrap();
+        let mut third = Vec::new();
+        let s3 = service
+            .submit("tiny.hiss", TINY, false, |line| third.push(line))
+            .unwrap();
+        assert_eq!((s3.cells, s3.simulated, s3.from_store), (1, 0, 1));
+        assert_eq!(third, first);
+        assert_eq!((store.hit_count(), store.miss_count()), (1, 1));
+        let mut reg = MetricsRegistry::new();
+        service.publish(&mut reg, "bench.serve");
+        assert_eq!(reg.counter_value("bench.serve.cells_audited"), Some(2));
+        assert_eq!(reg.counter_value("bench.serve.cells_from_store"), Some(2));
+
+        std::fs::remove_dir_all(store.root()).unwrap();
+    }
+
+    /// The memo never holds more than its bound: a full memo is cleared
+    /// before the next entry enters, and an entry cleared out is read
+    /// from disk again, so every pass streams the same bytes.
+    #[test]
+    fn the_memo_never_holds_more_than_its_bound() {
+        let store = tmp_store("memo_bound");
+        let service = Service::with_memo_bound(Some(Arc::clone(&store)), 1, 2);
+        let text = format!("{TINY}[sweep]\nqos_percent = [0, 1, 5]\n");
+        let mut passes = Vec::new();
+        for _ in 0..4 {
+            let mut streamed = Vec::new();
+            service
+                .submit("t.hiss", &text, false, |line| {
+                    streamed.push(line);
+                    assert!(service.memo.len() <= 2, "memo outgrew its bound");
+                })
+                .unwrap();
+            passes.push(streamed);
+        }
+        assert!(passes.iter().all(|p| p == &passes[0]));
+        // Pass 1 simulates 3 cells; every later pass reads each cell
+        // from disk, since a 2-entry memo cleared at every third insert
+        // holds no cell that comes round again before it is cleared.
+        assert_eq!((store.write_count(), store.hit_count()), (3, 9));
+        assert_eq!(service.memo.len(), 1);
 
         std::fs::remove_dir_all(store.root()).unwrap();
     }
@@ -397,70 +537,106 @@ qos_percent = [0, 5]
             for pass in ["fresh", "stored"] {
                 let mut served = Vec::new();
                 service
-                    .submit("t.hiss", text, false, |m| served.push(m.to_json()))
+                    .submit("t.hiss", text, false, |line| served.push(line))
                     .unwrap();
                 assert_eq!(served, direct, "{pass} stream of {text}");
             }
         }
         // 1 + 16 + 1 cells, of which 17 distinct: the grid's default
-        // x264 cell is TINY's, so its first pass already hits that entry.
-        // Each distinct cell is simulated and stored exactly once.
+        // x264 cell is TINY's. Each distinct cell is simulated and stored
+        // exactly once, and read from disk once, by the pass after it;
+        // TINY's cell entered the memo on its second pass, so both of the
+        // grid's passes serve it from memory.
         assert_eq!(store.write_count(), 17);
-        assert_eq!(store.hit_count(), 18 + 1);
+        assert_eq!(store.hit_count(), 17);
 
         std::fs::remove_dir_all(store.root()).unwrap();
     }
 
     /// Submits TINY, overwrites the cell's entry — and the extra key
-    /// `also(cell)` names, if any — with a law-violating copy of it, then
-    /// resubmits. The copy is written through the store's own writer
-    /// (`run.events_popped` bumped past `run.events_pushed`), so it is
-    /// perfectly valid on disk — checksummed, parseable — and only the
-    /// conservation-law audit can reject it. The resubmission must
-    /// recompute, stream byte-identical snapshots and heal the entry.
-    fn resubmit_over_a_doctored_entry(name: &str, also: impl Fn(&Cell) -> Option<StoreKey>) {
+    /// `also(cell)` names, if any — with a copy that `doctor` spoiled,
+    /// then resubmits. The copy is written through the store's own writer,
+    /// so it is perfectly valid on disk — checksummed, parseable — and
+    /// only the service's checks of its content can reject it. The
+    /// resubmission must recompute, stream byte-identical snapshots and
+    /// heal the entry.
+    fn resubmit_over_a_doctored_entry(
+        name: &str,
+        doctor: impl Fn(&mut MetricsRegistry),
+        also: impl Fn(&Cell) -> Option<StoreKey>,
+    ) {
         let store = tmp_store(name);
         let service = Service::new(Some(Arc::clone(&store)), 2);
         let mut first = Vec::new();
         service
-            .submit("tiny.hiss", TINY, false, |m| first.push(m.to_json()))
+            .submit("tiny.hiss", TINY, false, |line| first.push(line))
             .unwrap();
 
         let sc = Scenario::from_str(TINY).unwrap();
         let cell = &expand(&sc, false)[0];
         let key = cell_store_key(cell);
         let mut doctored = store.load(&key).unwrap();
-        let pushed = doctored.counter_value("run.events_pushed").unwrap();
-        doctored.counter("run.events_popped", pushed + 1);
+        doctor(&mut doctored);
         for k in std::iter::once(key.clone()).chain(also(cell)) {
             store.save(&k, &doctored).unwrap();
         }
 
         let mut again = Vec::new();
         let summary = service
-            .submit("tiny.hiss", TINY, false, |m| again.push(m.to_json()))
+            .submit("tiny.hiss", TINY, false, |line| again.push(line))
             .unwrap();
         // Rejected, recomputed, healed — and still byte-identical.
         assert_eq!((summary.simulated, summary.from_store), (1, 0));
         assert_eq!(first, again);
         let healed = store.load(&key).unwrap();
         assert!(
-            hiss_obs::invariants::audit(&healed, hiss_obs::schema::Scope::Run).clean(),
+            healed.to_json() != doctored.to_json()
+                && hiss_obs::invariants::audit(&healed, hiss_obs::schema::Scope::Run).clean(),
             "entry was healed"
         );
+
+        // The doctored entry never entered the memo: a third pass reads
+        // the healed entry from disk, audits it and serves it.
+        let hits = store.hit_count();
+        let mut third = Vec::new();
+        let summary = service
+            .submit("tiny.hiss", TINY, false, |line| third.push(line))
+            .unwrap();
+        assert_eq!((summary.simulated, summary.from_store), (0, 1));
+        assert_eq!(first, third);
+        assert_eq!(store.hit_count(), hits + 1);
 
         let mut reg = MetricsRegistry::new();
         service.publish(&mut reg, "bench.serve");
         // First submission audits 1 fresh cell; the second audits the
-        // doctored load and the recomputed replacement.
-        assert_eq!(reg.counter_value("bench.serve.cells_audited"), Some(3));
+        // doctored load and the recomputed replacement; the third the
+        // healed load.
+        assert_eq!(reg.counter_value("bench.serve.cells_audited"), Some(4));
 
         std::fs::remove_dir_all(store.root()).unwrap();
     }
 
     #[test]
     fn law_violating_store_entries_are_recomputed_and_healed() {
-        resubmit_over_a_doctored_entry("law_violation", |_| None);
+        resubmit_over_a_doctored_entry("law_violation", break_a_law, |_| None);
+    }
+
+    /// `run.events_popped` bumped past `run.events_pushed`: only the
+    /// conservation-law audit can tell.
+    fn break_a_law(metrics: &mut MetricsRegistry) {
+        let pushed = metrics.counter_value("run.events_pushed").unwrap();
+        metrics.counter("run.events_popped", pushed + 1);
+    }
+
+    /// A run registry never carries a `cell.` name, and a stored one that
+    /// does would not stream as a fresh run does, so it is recomputed.
+    #[test]
+    fn store_entries_carrying_cell_labels_are_recomputed_and_healed() {
+        resubmit_over_a_doctored_entry(
+            "cell_label",
+            |metrics| metrics.label("cell.cpu_app", "x264"),
+            |_| None,
+        );
     }
 
     /// A recompute is a simulation, never another store lookup: the
@@ -469,7 +645,7 @@ qos_percent = [0, 5]
     /// result.
     #[test]
     fn doctored_corun_entries_cannot_satisfy_a_recompute() {
-        resubmit_over_a_doctored_entry("doctored_corun", |cell| {
+        resubmit_over_a_doctored_entry("doctored_corun", break_a_law, |cell| {
             Some(StoreKey::from_parts(&[
                 &format!("{:?}", cell.knobs.cfg),
                 "corun_default",
@@ -485,7 +661,7 @@ qos_percent = [0, 5]
         let service = Service::new(Some(Arc::clone(&store)), 2);
         let mut first = Vec::new();
         service
-            .submit("tiny.hiss", TINY, false, |m| first.push(m.to_json()))
+            .submit("tiny.hiss", TINY, false, |line| first.push(line))
             .unwrap();
 
         // Truncate the single entry on disk.
@@ -499,7 +675,7 @@ qos_percent = [0, 5]
 
         let mut again = Vec::new();
         let summary = service
-            .submit("tiny.hiss", TINY, false, |m| again.push(m.to_json()))
+            .submit("tiny.hiss", TINY, false, |line| again.push(line))
             .unwrap();
         // Detected, recomputed, republished — and still byte-identical.
         assert_eq!((summary.simulated, summary.from_store), (1, 0));

@@ -70,13 +70,13 @@ pub fn serve_suite(root: &Path, threads: usize) -> Result<SuiteSnapshot, String>
     let snapshot = measure("serve", threads, |ctx, metrics| {
         let service = Service::new(Some(Arc::clone(&store)), threads);
         let first = service
-            .submit("scenarios/fig3.hiss", &text, true, |m| {
-                streamed_first.push(m.to_json())
+            .submit("scenarios/fig3.hiss", &text, true, |line| {
+                streamed_first.push(line)
             })
             .expect("committed fig3.hiss must lint clean");
         let second = service
-            .submit("scenarios/fig3.hiss", &text, true, |m| {
-                streamed_second.push(m.to_json())
+            .submit("scenarios/fig3.hiss", &text, true, |line| {
+                streamed_second.push(line)
             })
             .expect("committed fig3.hiss must lint clean");
         assert_eq!(

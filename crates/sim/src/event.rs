@@ -107,21 +107,16 @@ impl<E> EventQueue<E> {
     pub const HORIZON: Ns = Ns::from_nanos(SLOT_NS * WHEEL_SLOTS as u64);
 
     /// Creates an empty calendar.
+    ///
+    /// The node slab grows to the run's working set on demand and then
+    /// recycles its nodes.
     pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
-    /// Creates an empty calendar pre-sized for `capacity` pending
-    /// far-future events. The node slab grows to the run's working set
-    /// on demand and then recycles its nodes, so only the overflow ring
-    /// benefits from pre-sizing.
-    pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
             nodes: Vec::new(),
             free: NIL,
             heads: vec![NIL; WHEEL_SLOTS].into_boxed_slice(),
             occupied: [0; BITMAP_WORDS],
-            overflow: OverflowRing::with_capacity(capacity),
+            overflow: OverflowRing::new(),
             wheel_len: 0,
             next_seq: 0,
             watermark: Ns::ZERO,
@@ -367,16 +362,6 @@ mod tests {
         let got: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         let want: Vec<i32> = (0..100).collect();
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn with_capacity_behaves_like_new() {
-        let mut q = EventQueue::with_capacity(16);
-        assert!(q.is_empty());
-        q.push(Ns::from_nanos(3), 'a');
-        q.push(Ns::from_nanos(1), 'b');
-        assert_eq!(q.pop(), Some((Ns::from_nanos(1), 'b')));
-        assert_eq!(q.pop(), Some((Ns::from_nanos(3), 'a')));
     }
 
     #[test]

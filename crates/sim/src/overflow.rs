@@ -57,9 +57,9 @@ pub(crate) struct OverflowRing<E> {
 }
 
 impl<E> OverflowRing<E> {
-    pub(crate) fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn new() -> Self {
         OverflowRing {
-            heap: BinaryHeap::with_capacity(capacity),
+            heap: BinaryHeap::new(),
         }
     }
 
@@ -87,7 +87,7 @@ mod tests {
 
     #[test]
     fn pops_by_due_then_seq() {
-        let mut r = OverflowRing::with_capacity(4);
+        let mut r = OverflowRing::new();
         r.push(Ns::from_nanos(20), 1, 'b');
         r.push(Ns::from_nanos(10), 2, 'c');
         r.push(Ns::from_nanos(10), 0, 'a');

@@ -215,6 +215,21 @@ fn resubmission_is_pure_store_hits(threads: &str) {
     );
     assert_eq!(entries(&store), cells, "entries after the second pass");
 
+    // Third submission: every cell was read and audited on the second
+    // pass, so the server's memo serves it; same bytes, same counts.
+    let served3 = tmp(&format!("serve_third_t{threads}.jsonl"));
+    assert_eq!(
+        submit_fig3(&server.addr, &served3),
+        (cells, 0, cells),
+        "third submission must be 100% store hits"
+    );
+    assert_eq!(
+        std::fs::read_to_string(&served3).unwrap(),
+        served_text,
+        "third stream diverges (HISS_THREADS={threads})"
+    );
+    assert_eq!(entries(&store), cells, "entries after the third pass");
+
     // Graceful shutdown drains and leaves no write temporaries.
     server.shutdown();
     let torn: Vec<_> = walk(&store)
@@ -394,12 +409,12 @@ fn topology_cells_never_hit_a_plain_cells_store_entry() {
 
     let mut plain = Vec::new();
     service
-        .submit("tiny", TINY, false, |m| plain.push(m.to_json()))
+        .submit("tiny", TINY, false, |line| plain.push(line))
         .unwrap();
     let mut topo = Vec::new();
     let s = service
-        .submit("tiny_topology", TINY_TOPOLOGY, false, |m| {
-            topo.push(m.to_json())
+        .submit("tiny_topology", TINY_TOPOLOGY, false, |line| {
+            topo.push(line)
         })
         .unwrap();
     assert_eq!(
@@ -442,9 +457,9 @@ fn slow_readers_get_batch_streams_and_every_entry_before_done() {
 
     let mut served = Vec::new();
     let summary = service
-        .submit("slow", &text, false, |m| {
+        .submit("slow", &text, false, |line| {
             std::thread::sleep(std::time::Duration::from_millis(5));
-            served.push(m.to_json());
+            served.push(line);
         })
         .unwrap();
     assert_eq!(served, direct);
@@ -454,7 +469,7 @@ fn slow_readers_get_batch_streams_and_every_entry_before_done() {
 
     let mut again = Vec::new();
     let summary = service
-        .submit("slow", &text, false, |m| again.push(m.to_json()))
+        .submit("slow", &text, false, |line| again.push(line))
         .unwrap();
     assert_eq!(
         (summary.simulated, summary.from_store),
@@ -517,7 +532,7 @@ fn corrupt_store_entries_are_detected_recomputed_and_healed() {
         let service = Service::new(Some(Arc::clone(&store)), 2);
         let mut streamed = Vec::new();
         let s = service
-            .submit("tiny", TINY, false, |m| streamed.push(m.to_json()))
+            .submit("tiny", TINY, false, |line| streamed.push(line))
             .unwrap();
         assert_eq!(
             (s.cells, s.simulated, s.from_store),
